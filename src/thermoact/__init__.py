@@ -14,30 +14,25 @@ from .electrothermal import (TemperatureProfile, ThermalLoad,
                              fd_temperature_oracle, rise_integral,
                              solve_temperature_profile, temperature_at)
 from .model import (ActuatorSpec, Drive, Environment, Geometry,
-                    InvalidSpecError, Material, default_spec, validate)
+                    InvalidSpecError, Material, default_spec)
 from .output import line_chart_svg, sweep_chart_svg, sweep_csv
 from .study import (OptimumReport, SweepPlan, SweepTable, find_optimal_ratio,
                     run_sweep, sensitivity_summary)
-from .thermomech import (FrameModel, FrameSingularError, FrameSolution,
-                         Redundants, SmallAngleError, StiffnessResult,
-                         build_frame, flexibility_matrix, moment_distribution,
-                         simulate, solve_redundants, stiffness_oracle,
-                         tip_deflection, unit_redundant_actions,
-                         virtual_tip_response)
+from .thermomech import (FrameSingularError, FrameSolution, SmallAngleError,
+                         StiffnessResult, flexibility_matrix, simulate,
+                         solve_redundants, stiffness_oracle, unit_fields)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActuatorSpec", "ConfigError", "Drive", "Environment", "FrameModel",
+    "ActuatorSpec", "ConfigError", "Drive", "Environment",
     "FrameSingularError", "FrameSolution", "Geometry", "InvalidSpecError",
-    "Material", "OptimumReport", "Redundants", "SmallAngleError",
-    "StiffnessResult", "StudySettings", "SweepPlan", "SweepTable",
-    "TemperatureProfile", "ThermalLoad", "arm_elongations", "build_frame",
-    "current_density", "default_spec", "fd_temperature_oracle",
-    "find_optimal_ratio", "flexibility_matrix", "line_chart_svg",
-    "moment_distribution", "parse_config", "resolve_sweep", "rise_integral",
+    "Material", "OptimumReport", "SmallAngleError", "StiffnessResult",
+    "StudySettings", "SweepPlan", "SweepTable", "TemperatureProfile",
+    "ThermalLoad", "arm_elongations", "current_density", "default_spec",
+    "fd_temperature_oracle", "find_optimal_ratio", "flexibility_matrix",
+    "line_chart_svg", "parse_config", "resolve_sweep", "rise_integral",
     "run_sweep", "sensitivity_summary", "serialize_config", "simulate",
     "solve_redundants", "solve_temperature_profile", "stiffness_oracle",
-    "sweep_chart_svg", "sweep_csv", "temperature_at", "tip_deflection",
-    "unit_redundant_actions", "validate", "virtual_tip_response",
+    "sweep_chart_svg", "sweep_csv", "temperature_at", "unit_fields",
 ]

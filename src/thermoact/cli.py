@@ -18,15 +18,14 @@ import sys
 
 import numpy as np
 
-from .config import (ConfigError, StudySettings, parse_config, resolve_sweep)
+from .config import (_MICRO, ConfigError, StudySettings, parse_config,
+                     resolve_sweep)
 from .electrothermal import fd_temperature_oracle, solve_temperature_profile, temperature_at
 from .model import ActuatorSpec, Drive, InvalidSpecError
 from .output import sweep_chart_svg, sweep_csv
 from .study import PARAMETERS, SweepPlan, find_optimal_ratio, run_sweep
 from .thermomech import (FrameSingularError, SmallAngleError, simulate,
                          stiffness_oracle)
-
-_MICRO = 1.0e-6
 
 THERMAL_TOLERANCE = 1.0e-3
 MECHANICAL_TOLERANCE = 2.0e-2

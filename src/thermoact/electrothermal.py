@@ -68,10 +68,14 @@ class ThermalLoad:
     cold_elongation: float
 
 
+def _path_length(geometry: Geometry) -> float:
+    """Length (m) of the current path: hot arm, then link, then cold arm."""
+    return (geometry.hot_arm_length + geometry.gap) + geometry.cold_arm_length
+
+
 def current_density(spec: ActuatorSpec) -> float:
     """Uniform current density (A/m^2) through the loop cross-section."""
-    geo = spec.geometry
-    path = (geo.hot_arm_length + geo.gap) + geo.cold_arm_length
+    path = _path_length(spec.geometry)
     return spec.drive.voltage / (spec.material.resistivity * path)
 
 
@@ -79,7 +83,7 @@ def solve_temperature_profile(spec: ActuatorSpec) -> TemperatureProfile:
     """Solve the fin equation for ``spec`` and return the closed form."""
     geo, mat, env = spec.geometry, spec.material, spec.environment
     w, h = geo.beam_width, geo.beam_thickness
-    path = (geo.hot_arm_length + geo.gap) + geo.cold_arm_length
+    path = _path_length(geo)
     j = current_density(spec)
     q = j * j * mat.resistivity
     loss = 2.0 * (h + w) * env.convection_coefficient
@@ -168,7 +172,7 @@ def arm_elongations(profile: TemperatureProfile, geometry: Geometry,
     arm spans [0, L2] from the other anchor, which by the symmetry of
     the profile is the same integral evaluated at L2.
     """
-    path = (geometry.hot_arm_length + geometry.gap) + geometry.cold_arm_length
+    path = _path_length(geometry)
     if path != profile.path_length:
         raise ValueError("geometry does not match the profile path length")
     alpha = material.expansion_coefficient
@@ -192,7 +196,7 @@ def fd_temperature_oracle(spec: ActuatorSpec, nodes: int = 4097):
         raise ValueError("need at least 3 nodes")
     geo, mat, env = spec.geometry, spec.material, spec.environment
     w, h = geo.beam_width, geo.beam_thickness
-    path = (geo.hot_arm_length + geo.gap) + geo.cold_arm_length
+    path = _path_length(geo)
     j = current_density(spec)
     q = j * j * mat.resistivity
     k = mat.thermal_conductivity

@@ -11,6 +11,7 @@ bends the frame and sweeps the tip sideways.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -24,6 +25,12 @@ class InvalidSpecError(ValueError):
     def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)
         super().__init__("; ".join(self.diagnostics))
+
+
+def _check_finite(component, out):
+    for name, value in vars(component).items():
+        if not math.isfinite(value):
+            out.append(f"{name} must be finite")
 
 
 def _check_material(m, out):
@@ -150,19 +157,13 @@ class ActuatorSpec:
 def collect_diagnostics(spec) -> list[str]:
     """Return all bound violations of ``spec`` as human-readable strings."""
     out: list[str] = []
+    for component in (spec.material, spec.environment, spec.geometry, spec.drive):
+        _check_finite(component, out)
     _check_material(spec.material, out)
     _check_environment(spec.environment, out)
     _check_geometry(spec.geometry, out)
     _check_drive(spec.drive, out)
     return out
-
-
-def validate(spec: ActuatorSpec) -> ActuatorSpec:
-    """Re-validate an existing spec, returning it unchanged when sound."""
-    problems = collect_diagnostics(spec)
-    if problems:
-        raise InvalidSpecError(problems)
-    return spec
 
 
 def default_spec() -> ActuatorSpec:

@@ -11,13 +11,11 @@ from __future__ import annotations
 import csv
 import io
 
-from .config import display_scale
+from .config import _MICRO, display_scale
 from .study import SweepTable
 
 CSV_COLUMNS = ("param_name", "param_value", "d_tip_um", "u_um", "theta_mrad",
                "dl_hot_um", "dl_cold_um", "t_peak_c")
-
-_MICRO = 1.0e-6
 
 
 def _fmt(value: float) -> str:

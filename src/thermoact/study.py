@@ -18,7 +18,7 @@ inherits the pipeline's validation status unchanged.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .thermomech import FrameSolution, simulate
 PARAMETERS = ("voltage", "ratio", "gap", "hot_arm_length")
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - np.sqrt(5.0)) / 2.0
 
 
 def apply_parameter(base: ActuatorSpec, parameter: str, value: float) -> ActuatorSpec:
@@ -59,13 +58,15 @@ def apply_parameter(base: ActuatorSpec, parameter: str, value: float) -> Actuato
 class SweepPlan:
     """A validated list of operating points for one swept parameter.
 
-    Construction eagerly builds every induced spec, so an invalid point
-    aborts before any simulation runs, naming the offending value.
+    Construction eagerly builds every induced spec and keeps them in
+    ``specs``, so an invalid point aborts before any simulation runs,
+    naming the offending value.
     """
 
     base: ActuatorSpec
     parameter: str
     values: tuple[float, ...]
+    specs: tuple[ActuatorSpec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.parameter not in PARAMETERS:
@@ -74,13 +75,15 @@ class SweepPlan:
             raise ValueError("sweep needs at least one value")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("sweep values must be strictly increasing")
+        specs = []
         for value in self.values:
             try:
-                apply_parameter(self.base, self.parameter, value)
+                specs.append(apply_parameter(self.base, self.parameter, value))
             except InvalidSpecError as exc:
                 raise InvalidSpecError(
                     [f"{self.parameter} = {value!r}: {d}" for d in exc.diagnostics]
                 ) from exc
+        object.__setattr__(self, "specs", tuple(specs))
 
 
 @dataclass(frozen=True)
@@ -116,9 +119,8 @@ def _record(value: float, solution: FrameSolution) -> SweepRecord:
 
 def run_sweep(plan: SweepPlan) -> SweepTable:
     """Simulate every point of the plan, in order."""
-    records = tuple(
-        _record(value, simulate(apply_parameter(plan.base, plan.parameter, value)))
-        for value in plan.values)
+    records = tuple(_record(value, simulate(spec))
+                    for value, spec in zip(plan.values, plan.specs))
     return SweepTable(plan=plan, records=records)
 
 

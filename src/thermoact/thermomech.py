@@ -1,16 +1,20 @@
 """Frame mechanics: from differential arm elongation to jaw-tip sweep.
 
 The U-frame is statically indeterminate to the third degree.  The main
-pipeline releases the cold-arm anchor, computes a 3x3 flexibility matrix
-of the released cantilever by virtual work (3-point Gauss per member,
-exact for the linear moment fields involved), solves the compatibility
-system for the redundant anchor actions, and recovers the junction
-displacement, junction rotation and tip deflection by a second
-application of virtual work.
+pipeline releases the cold-arm anchor D and tabulates, for each of the
+three unit redundant actions at D, the linear moment and constant axial
+force on the release path AB, BC, CD (``unit_fields``).  From that one
+table it forms the 3x3 flexibility matrix of the released cantilever by
+virtual work (3-point Gauss per member, exact for the linear moment
+fields involved), solves the compatibility system for the redundants,
+superposes the unit fields, and recovers the junction deflection and
+rotation by a second application of virtual work on the hot arm.  The
+rigid extension carries them to the jaw tip.
 
 A completely independent direct-stiffness solution on a refined beam
-mesh (``stiffness_oracle``) serves as cross-check; it shares no code
-with the flexibility route beyond the thermal closed form.
+mesh (``stiffness_oracle``) serves as cross-check; it builds its own
+nodes and section properties and shares no code with the flexibility
+route beyond the thermal closed form.
 
 Geometry convention: the hot arm runs along +x from its anchor A at the
 origin to the junction B; the link drops across the gap to C; the cold
@@ -31,7 +35,7 @@ from scipy.sparse.linalg import spsolve
 
 from .electrothermal import (ThermalLoad, arm_elongations, rise_integral,
                              solve_temperature_profile, temperature_at)
-from .model import ActuatorSpec, Geometry, Material, validate
+from .model import ActuatorSpec, Geometry, Material
 
 # Rotations beyond this invalidate the linear kinematics of the tip
 # lever arm, so the solution refuses to report one.
@@ -50,82 +54,22 @@ class SmallAngleError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Member:
-    """A straight prismatic segment between two frame nodes."""
-
-    label: str
-    start: tuple[float, float]
-    end: tuple[float, float]
-    length: float
-    bending_rigidity: float
-    axial_rigidity: float
-
-
-@dataclass(frozen=True)
-class FrameModel:
-    """Node map and member list of the U-frame, metres and newtons.
-
-    ``members`` is ordered AB, BC, CD, BJ; the first three form the
-    released load path from anchor A to anchor D.  ``nodes`` maps the
-    labels A, B, C, D, J to coordinates.  Treat instances as read-only.
-    """
-
-    nodes: dict[str, tuple[float, float]]
-    members: tuple[Member, ...]
-    second_moment: float
-    section_area: float
-
-
-@dataclass(frozen=True)
-class ActionField:
-    """Internal actions on one member from a unit redundant: the bending
-    moment varies linearly start to end, the axial force is constant."""
-
-    moment_start: float
-    moment_end: float
-    axial: float
-
-
-@dataclass(frozen=True)
-class Redundants:
-    """Anchor actions at the released cold-arm support: force x1 along
-    the arm (N), transverse force x2 (N), couple x3 (N m)."""
-
-    x1: float
-    x2: float
-    x3: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.x3])
-
-
-@dataclass(frozen=True)
-class MemberForces:
-    moment_start: float
-    moment_end: float
-    axial: float
-
-
-@dataclass(frozen=True)
-class MomentDistribution:
-    """Superposed internal actions per member label (extension included,
-    identically zero: it carries no load between junction and free tip)."""
-
-    members: dict[str, MemberForces]
-
-
-@dataclass(frozen=True)
 class FrameSolution:
     """Everything the studies need from one operating point.
 
     Displacements in metres, rotation in radians, temperatures in C,
-    deflections positive toward the cold arm.
+    deflections positive toward the cold arm.  ``redundants`` holds the
+    anchor actions at the released cold-arm support: force along the
+    arm (N), transverse force (N), couple (N m).  ``moments`` holds the
+    superposed internal actions on the release path, rows AB, BC, CD
+    and columns moment at the start, moment at the end (N m), axial
+    force (N); the extension BJ carries no load and has no row.
     """
 
     thermal_load: ThermalLoad
     flexibility: np.ndarray
-    redundants: Redundants
-    moments: MomentDistribution
+    redundants: np.ndarray
+    moments: np.ndarray
     junction_deflection: float
     junction_rotation: float
     tip_deflection: float
@@ -135,9 +79,8 @@ class FrameSolution:
 @dataclass(frozen=True)
 class StiffnessResult:
     """Outputs of the direct-stiffness cross-check, same sign convention
-    as FrameSolution.  ``reaction_cold_anchor`` is (fx, fy, moment) that
-    the cold-arm support exerts is balanced against, i.e. K u - f at the
-    fixed degrees of freedom of anchor D."""
+    as FrameSolution.  ``reaction_cold_anchor`` is (fx, fy, moment),
+    K u - f at the fixed degrees of freedom of anchor D."""
 
     junction_deflection: float
     junction_rotation: float
@@ -146,95 +89,68 @@ class StiffnessResult:
     elements_per_member: int
 
 
-def build_frame(geometry: Geometry, material: Material) -> FrameModel:
-    """Assemble the five-node frame for a validated geometry."""
-    length1 = geometry.hot_arm_length
-    length2 = geometry.cold_arm_length
-    gap = geometry.gap
+def _rigidities(geometry: Geometry, material: Material):
+    """Bending (N m^2) and axial (N) rigidity of the shared section."""
     second_moment = geometry.beam_thickness * geometry.beam_width ** 3 / 12.0
     area = geometry.beam_width * geometry.beam_thickness
-    ei = material.young_modulus * second_moment
-    ea = material.young_modulus * area
-
-    nodes = {
-        "A": (0.0, 0.0),
-        "B": (length1, 0.0),
-        "C": (length1, -gap),
-        "D": (length1 - length2, -gap),
-        "J": (length1 + geometry.extension_length, 0.0),
-    }
-
-    def member(label, a, b, length):
-        # lengths come straight from the geometry instead of re-derived
-        # node distances, keeping them exact in floating point
-        return Member(label, nodes[a], nodes[b], length, ei, ea)
-
-    members = (member("AB", "A", "B", length1),
-               member("BC", "B", "C", gap),
-               member("CD", "C", "D", length2),
-               member("BJ", "B", "J", geometry.extension_length))
-    return FrameModel(nodes=nodes, members=members,
-                      second_moment=second_moment, section_area=area)
+    return material.young_modulus * second_moment, material.young_modulus * area
 
 
-def _moment_about(point, about, force):
-    rx = about[0] - point[0]
-    ry = about[1] - point[1]
-    return rx * force[1] - ry * force[0]
+def unit_fields(geometry: Geometry):
+    """Internal actions on the release path for each unit redundant.
 
-
-def unit_redundant_actions(frame: FrameModel, index: int) -> dict[str, ActionField]:
-    """Moment and axial fields on the release path for unit redundant
-    ``index`` (1: force along x at D, 2: force along y at D, 3: couple
-    at D), from statics of the cut segment on the anchor-D side.
+    Returns ``(fields, lengths)``.  ``fields[i][k]`` is
+    ``(moment_start, moment_end, axial)`` on member k (AB, BC, CD) under
+    unit redundant i (0: force along x at D, 1: force along y at D,
+    2: couple at D), from statics of the cut segment on the anchor-D
+    side.  ``lengths`` are the three member lengths, taken straight from
+    the geometry instead of re-derived node distances so that they stay
+    exact in floating point.
     """
-    if index not in (1, 2, 3):
-        raise ValueError("redundant index must be 1, 2 or 3")
-    anchor = frame.nodes["D"]
-    force = {1: (1.0, 0.0), 2: (0.0, 1.0), 3: (0.0, 0.0)}[index]
-    couple = 1.0 if index == 3 else 0.0
-    fields = {}
-    for mem in frame.members[:3]:
-        tangent_x = (mem.end[0] - mem.start[0]) / mem.length
-        tangent_y = (mem.end[1] - mem.start[1]) / mem.length
-        fields[mem.label] = ActionField(
-            moment_start=_moment_about(mem.start, anchor, force) + couple,
-            moment_end=_moment_about(mem.end, anchor, force) + couple,
-            axial=force[0] * tangent_x + force[1] * tangent_y,
-        )
-    return fields
+    length1, length2, gap = (geometry.hot_arm_length, geometry.cold_arm_length,
+                             geometry.gap)
+    nodes = ((0.0, 0.0), (length1, 0.0), (length1, -gap), (length1 - length2, -gap))
+    lengths = (length1, gap, length2)
+    anchor_x, anchor_y = nodes[3]
+    fields = tuple(
+        tuple(((anchor_x - sx) * fy - (anchor_y - sy) * fx + couple,
+               (anchor_x - ex) * fy - (anchor_y - ey) * fx + couple,
+               fx * ((ex - sx) / length) + fy * ((ey - sy) / length))
+              for (sx, sy), (ex, ey), length in zip(nodes, nodes[1:], lengths))
+        for fx, fy, couple in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
+    return fields, lengths
 
 
-def flexibility_matrix(frame: FrameModel, bending_only: bool = False) -> np.ndarray:
+def flexibility_matrix(geometry: Geometry, material: Material) -> np.ndarray:
     """3x3 flexibility of the released structure at the cold anchor.
 
     Entry (i, j) is the virtual-work integral of unit fields i and j
-    over the release path, bending plus axial (axial omitted when
-    ``bending_only``).  Three-point Gauss per member integrates the
-    quadratic moment products exactly.  All nine entries are computed
-    independently; symmetry is a property, not an assumption.
+    over the release path, bending plus axial.  Three-point Gauss per
+    member integrates the quadratic moment products exactly.  All nine
+    entries are computed independently; symmetry is a property, not an
+    assumption.
     """
-    fields = [unit_redundant_actions(frame, i) for i in (1, 2, 3)]
-    flex = np.zeros((3, 3))
-    for i in range(3):
-        for j in range(3):
+    fields, lengths = unit_fields(geometry)
+    ei, ea = _rigidities(geometry, material)
+    rows = []
+    for field_i in fields:
+        row = []
+        for field_j in fields:
             total = 0.0
-            for mem in frame.members[:3]:
-                fi = fields[i][mem.label]
-                fj = fields[j][mem.label]
+            for (start_i, end_i, axial_i), (start_j, end_j, axial_j), length \
+                    in zip(field_i, field_j, lengths):
                 bend = 0.0
                 for t, wgt in zip(_GAUSS_POINTS, _GAUSS_WEIGHTS):
-                    mi = fi.moment_start + (fi.moment_end - fi.moment_start) * t
-                    mj = fj.moment_start + (fj.moment_end - fj.moment_start) * t
-                    bend += wgt * mi * mj
-                total += mem.length * bend / mem.bending_rigidity
-                if not bending_only:
-                    total += mem.length * fi.axial * fj.axial / mem.axial_rigidity
-            flex[i, j] = total
-    return flex
+                    bend += wgt * (start_i + (end_i - start_i) * t) \
+                        * (start_j + (end_j - start_j) * t)
+                total += length * bend / ei
+                total += length * axial_i * axial_j / ea
+            row.append(total)
+        rows.append(row)
+    return np.array(rows)
 
 
-def solve_redundants(flex: np.ndarray, load: ThermalLoad) -> Redundants:
+def solve_redundants(flex: np.ndarray, load: ThermalLoad) -> np.ndarray:
     """Solve compatibility at the released anchor for the redundants.
 
     The right-hand side is the differential free elongation of the two
@@ -245,7 +161,8 @@ def solve_redundants(flex: np.ndarray, load: ThermalLoad) -> Redundants:
     a Cholesky solve plus two steps of iterative refinement.  The
     residual is verified in the equilibrated norm, the scale-invariant
     measure; the raw-norm residual is floor-limited near 1e-10 by the
-    float64 representation of the solution itself.
+    float64 representation of the solution itself.  Returns the anchor
+    force along the arm (N), transverse force (N) and couple (N m).
     """
     flex = np.asarray(flex, dtype=float)
     if flex.shape != (3, 3) or not np.all(np.isfinite(flex)):
@@ -271,80 +188,62 @@ def solve_redundants(flex: np.ndarray, load: ThermalLoad) -> Redundants:
         if not residual <= 1.0e-12:
             raise FrameSingularError(
                 f"compatibility solve residual {residual:.3e} exceeds 1e-12")
-    return Redundants(float(x[0]), float(x[1]), float(x[2]))
+    return x
 
 
-def moment_distribution(frame: FrameModel, redundants: Redundants) -> MomentDistribution:
-    """Superpose the unit fields scaled by the solved redundants."""
-    fields = [unit_redundant_actions(frame, i) for i in (1, 2, 3)]
-    weights = (redundants.x1, redundants.x2, redundants.x3)
-    members = {}
-    for mem in frame.members[:3]:
-        start = end = axial = 0.0
-        for weight, field in zip(weights, fields):
-            act = field[mem.label]
-            start += weight * act.moment_start
-            end += weight * act.moment_end
-            axial += weight * act.axial
-        members[mem.label] = MemberForces(start, end, axial)
-    members["BJ"] = MemberForces(0.0, 0.0, 0.0)
-    return MomentDistribution(members=members)
+def simulate(spec: ActuatorSpec) -> FrameSolution:
+    """Full pipeline: temperatures, elongations, redundants, tip sweep.
 
-
-def virtual_tip_response(frame: FrameModel, moments: MomentDistribution):
-    """Junction deflection (m) and rotation (rad) by unit-load virtual
-    work.
-
-    Both virtual systems load the primary cantilever at the junction B,
-    so their moment fields live on the hot arm alone: a unit transverse
-    force gives a field falling linearly from the anchored end to zero
-    at B, a unit couple gives a constant field.  Positive results point
-    toward the cold arm.
+    After the compatibility solve the unit fields are superposed with
+    the redundants as weights.  Unit-load virtual work on the hot arm
+    then gives the junction deflection and rotation: both virtual
+    systems load the primary cantilever at the junction B, so a unit
+    transverse force gives a field falling linearly from the anchored
+    end to zero at B and a unit couple a constant one.  The rigid-lever
+    extension carries the junction motion out to the jaw tip, which is
+    refused when the rotation leaves the small-angle regime.
     """
-    hot = frame.members[0]
-    acts = moments.members[hot.label]
-    deflection = 0.0
-    rotation = 0.0
-    for t, wgt in zip(_GAUSS_POINTS, _GAUSS_WEIGHTS):
-        moment = acts.moment_start + (acts.moment_end - acts.moment_start) * t
-        deflection += wgt * moment * (hot.length * (1.0 - t))
-        rotation += wgt * moment
-    deflection *= hot.length / hot.bending_rigidity
-    rotation *= hot.length / hot.bending_rigidity
-    return deflection, rotation
-
-
-def tip_deflection(junction_deflection: float, junction_rotation: float,
-                   geometry: Geometry) -> float:
-    """Carry the junction motion out along the rigid-lever extension."""
-    if not abs(junction_rotation) < SMALL_ANGLE_LIMIT:
-        raise SmallAngleError(
-            f"junction rotation {junction_rotation:.4f} rad exceeds the "
-            f"small-angle limit {SMALL_ANGLE_LIMIT}")
-    return junction_deflection + geometry.extension_length * junction_rotation
-
-
-def simulate(spec: ActuatorSpec, bending_only: bool = False) -> FrameSolution:
-    """Full pipeline: temperatures, elongations, redundants, tip sweep."""
-    validate(spec)
+    geometry, material = spec.geometry, spec.material
     profile = solve_temperature_profile(spec)
-    load = arm_elongations(profile, spec.geometry, spec.material)
-    frame = build_frame(spec.geometry, spec.material)
-    flex = flexibility_matrix(frame, bending_only=bending_only)
+    load = arm_elongations(profile, geometry, material)
+    flex = flexibility_matrix(geometry, material)
     redundants = solve_redundants(flex, load)
-    moments = moment_distribution(frame, redundants)
-    deflection, rotation = virtual_tip_response(frame, moments)
-    tip = tip_deflection(deflection, rotation, spec.geometry)
-    peak = temperature_at(profile, profile.path_length / 2.0)
+
+    fields, lengths = unit_fields(geometry)
+    weights = redundants.tolist()
+    moments = []
+    for actions in zip(*fields):
+        start = end = axial = 0.0
+        for weight, (act_start, act_end, act_axial) in zip(weights, actions):
+            start += weight * act_start
+            end += weight * act_end
+            axial += weight * act_axial
+        moments.append((start, end, axial))
+
+    hot_start, hot_end, _ = moments[0]
+    hot_length = lengths[0]
+    ei, _ = _rigidities(geometry, material)
+    deflection = rotation = 0.0
+    for t, wgt in zip(_GAUSS_POINTS, _GAUSS_WEIGHTS):
+        moment = hot_start + (hot_end - hot_start) * t
+        deflection += wgt * moment * (hot_length * (1.0 - t))
+        rotation += wgt * moment
+    deflection *= hot_length / ei
+    rotation *= hot_length / ei
+    if not abs(rotation) < SMALL_ANGLE_LIMIT:
+        raise SmallAngleError(
+            f"junction rotation {rotation:.4f} rad exceeds the "
+            f"small-angle limit {SMALL_ANGLE_LIMIT}")
+
     return FrameSolution(
         thermal_load=load,
         flexibility=flex,
         redundants=redundants,
-        moments=moments,
+        moments=np.array(moments),
         junction_deflection=deflection,
         junction_rotation=rotation,
-        tip_deflection=tip,
-        peak_temperature=peak,
+        tip_deflection=deflection + geometry.extension_length * rotation,
+        peak_temperature=temperature_at(profile, profile.path_length / 2.0),
     )
 
 
@@ -381,7 +280,6 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     """
     if elements_per_member < 1:
         raise ValueError("elements_per_member must be at least 1")
-    validate(spec)
     geo, mat = spec.geometry, spec.material
     nel = elements_per_member
     profile = solve_temperature_profile(spec)
@@ -391,8 +289,10 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     ei = mat.young_modulus * second_moment
     ea = mat.young_modulus * area
 
-    frame = build_frame(geo, mat)
-    coords_of = frame.nodes
+    length1, gap = geo.hot_arm_length, geo.gap
+    coords_of = {"A": (0.0, 0.0), "B": (length1, 0.0), "C": (length1, -gap),
+                 "D": (length1 - geo.cold_arm_length, -gap),
+                 "J": (length1 + geo.extension_length, 0.0)}
     # Chain node numbering: A=0 .. B=nel .. C=2nel .. D=3nel, then the
     # extension reuses B and runs to J=4nel.
     idx = {"A": 0, "B": nel, "C": 2 * nel, "D": 3 * nel, "J": 4 * nel}

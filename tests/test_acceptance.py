@@ -23,8 +23,7 @@ from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
                              Material, default_spec)
 from thermoact.study import (SweepPlan, find_optimal_ratio, run_sweep,
                              sensitivity_summary)
-from thermoact.thermomech import (build_frame, flexibility_matrix, simulate,
-                                  stiffness_oracle)
+from thermoact.thermomech import flexibility_matrix, simulate, stiffness_oracle
 
 _T0 = time.perf_counter()
 
@@ -240,8 +239,7 @@ def test_criterion_09_flexibility_is_reciprocal_and_definite(report):
             extension_length=rng.uniform(5.0, 100.0) * 1.0e-6,
         )
         material = Material(young_modulus=rng.uniform(50.0, 300.0) * 1.0e9)
-        frame = build_frame(geometry, material)
-        flex = flexibility_matrix(frame)
+        flex = flexibility_matrix(geometry, material)
         worst_sym = max(worst_sym,
                         float(np.abs(flex - flex.T).max() / np.abs(flex).max()))
         scale = 1.0 / np.sqrt(np.diag(flex))

@@ -1,3 +1,5 @@
+import pytest
+
 import thermoact.cli as cli
 from thermoact.cli import main
 from thermoact.model import default_spec
@@ -56,6 +58,19 @@ def test_bad_config_contents_exit_one(tmp_path, capsys):
 def test_bad_voltage_override_exits_one(capsys):
     assert main(["simulate", "--voltage", "-3"]) == 1
     assert "voltage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["material.young_modulus",
+                                 "material.thermal_conductivity",
+                                 "environment.ambient_temperature",
+                                 "geometry.extension_length", "drive.voltage"])
+def test_infinite_config_value_is_a_config_error(tmp_path, capsys, key):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(f"{key} = inf\n")
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {key.split('.')[1]} must be finite\n"
 
 
 def test_overdrive_trips_the_rotation_guard(capsys):

@@ -1,0 +1,35 @@
+"""Golden outputs: the default-grid sweeps and the report commands must
+reproduce the committed files in ``tests/golden`` byte for byte.
+
+A refactor of the numerical pipeline that moves a single output bit far
+enough to change a printed digit fails here.  Regenerate a file only for
+a deliberate change of behaviour, with the drift stated alongside it.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from thermoact.cli import main
+from thermoact.study import PARAMETERS
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("parameter", PARAMETERS)
+def test_default_sweep_matches_golden(tmp_path, parameter):
+    csv_path = tmp_path / "sweep.csv"
+    svg_path = tmp_path / "sweep.svg"
+    assert main(["sweep", "--param", parameter, "--out", str(csv_path),
+                 "--svg", str(svg_path)]) == 0
+    assert csv_path.read_bytes() == (GOLDEN / f"sweep_{parameter}.csv").read_bytes()
+    assert svg_path.read_bytes() == (GOLDEN / f"sweep_{parameter}.svg").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize-ratio", "validate"])
+def test_report_matches_golden(capsys, command):
+    code = main([command])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert captured.out == (GOLDEN / f"{command}.stdout").read_text(encoding="utf-8")

@@ -142,7 +142,7 @@ def test_flat_objective_is_flagged_not_refined():
 def test_multi_peak_objective_is_flagged(monkeypatch):
     """Classifier check with a synthetic two-hump response standing in
     for the physics."""
-    def fake_simulate(spec, bending_only=False):
+    def fake_simulate(spec):
         ratio = spec.geometry.cold_arm_length / spec.geometry.hot_arm_length
         tip = np.sin(12.0 * ratio) + 1.5
 

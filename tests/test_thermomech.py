@@ -6,18 +6,24 @@ import pytest
 from thermoact.electrothermal import arm_elongations, solve_temperature_profile
 from thermoact.model import (ActuatorSpec, Drive, Geometry, default_spec)
 from thermoact.thermomech import (FrameSingularError, SmallAngleError,
-                                  ThermalLoad, build_frame,
-                                  flexibility_matrix, moment_distribution,
-                                  simulate, solve_redundants,
-                                  stiffness_oracle, tip_deflection,
-                                  unit_redundant_actions,
-                                  virtual_tip_response)
+                                  ThermalLoad, flexibility_matrix, simulate,
+                                  solve_redundants, stiffness_oracle,
+                                  unit_fields)
+
+W, T, E = 2.8e-6, 2.0e-6, 158.0e9
+EI = E * (T * W ** 3 / 12.0)
+EA = E * (W * T)
 
 
 @pytest.fixture(scope="module")
-def frame():
+def table():
+    return unit_fields(default_spec().geometry)
+
+
+@pytest.fixture(scope="module")
+def flex():
     spec = default_spec()
-    return build_frame(spec.geometry, spec.material)
+    return flexibility_matrix(spec.geometry, spec.material)
 
 
 @pytest.fixture(scope="module")
@@ -32,126 +38,96 @@ def _spec(hot_um, ratio, gap_um, volts=8.0):
     return ActuatorSpec(geometry=geometry, drive=Drive(voltage=volts))
 
 
-def test_frame_nodes_and_member_lengths(frame):
+def test_frame_nodes_and_member_lengths(table):
+    """Member lengths come straight from the geometry, and the members
+    run A -> B along +x, B -> C along -y and C -> D along -x, so a unit
+    force along either axis has an exact unit or zero axial share."""
+    fields, lengths = table
+    assert lengths == (750.0e-6, 5.0e-6, 345.0e-6)
+    pull, shear, couple = fields
+    assert [axial for _, _, axial in pull] == [1.0, 0.0, -1.0]
+    assert [axial for _, _, axial in shear] == [0.0, -1.0, 0.0]
+    assert [axial for _, _, axial in couple] == [0.0, 0.0, 0.0]
+
+
+def test_section_properties(flex):
+    """The rigidities of the w x t section enter the flexibility: the
+    couple-couple entry is pure bending, and the axial compliance adds
+    (L1 + L2) / EA to the pull entry and g / EA to the shear entry."""
+    l1, l2, g = 750.0e-6, 345.0e-6, 5.0e-6
+    assert flex[2, 2] == pytest.approx((l1 + g + l2) / EI, rel=1.0e-14)
+    f11_bending = (g * g * l1 + g ** 3 / 3.0) / EI
+    f22_bending = (((l1 - l2) ** 3 + l2 ** 3) / 3.0 + l2 * l2 * g
+                   + l2 ** 3 / 3.0) / EI
+    assert flex[0, 0] - f11_bending == pytest.approx((l1 + l2) / EA, rel=1.0e-10)
+    assert flex[1, 1] - f22_bending == pytest.approx(g / EA, rel=1.0e-6)
+
+
+def test_unit_action_fields_match_statics_by_hand(table):
     length1, length2, gap = 750.0e-6, 345.0e-6, 5.0e-6
-    assert frame.nodes["A"] == (0.0, 0.0)
-    assert frame.nodes["B"] == (length1, 0.0)
-    assert frame.nodes["C"] == (length1, -gap)
-    assert frame.nodes["D"] == (length1 - length2, -gap)
-    assert frame.nodes["J"] == (length1 + 40.0e-6, 0.0)
-    labels = [m.label for m in frame.members]
-    assert labels == ["AB", "BC", "CD", "BJ"]
-    assert frame.members[0].length == length1
-    assert frame.members[1].length == gap
-    assert frame.members[2].length == length2
-    assert frame.members[3].length == 40.0e-6
+    (pull_ab, pull_bc, pull_cd), (shear_ab, _, shear_cd), couple = table[0]
+    assert pull_ab[0] == pytest.approx(gap, rel=1.0e-14)
+    assert pull_ab[1] == pytest.approx(gap, rel=1.0e-14)
+    assert pull_bc[0] == pytest.approx(gap, rel=1.0e-14)
+    assert pull_bc[1] == 0.0
+    assert pull_cd[0] == 0.0
+    assert pull_cd[1] == 0.0
+
+    assert shear_ab[0] == pytest.approx(length1 - length2, rel=1.0e-14)
+    assert shear_ab[1] == pytest.approx(-length2, rel=1.0e-14)
+    assert shear_cd[0] == pytest.approx(-length2, rel=1.0e-14)
+    assert shear_cd[1] == 0.0
+
+    assert couple == ((1.0, 1.0, 0.0),) * 3
 
 
-def test_section_properties(frame):
-    w, t, e = 2.8e-6, 2.0e-6, 158.0e9
-    assert frame.second_moment == pytest.approx(t * w ** 3 / 12.0, rel=1.0e-14)
-    assert frame.section_area == w * t
-    for member in frame.members:
-        assert member.bending_rigidity == pytest.approx(
-            e * t * w ** 3 / 12.0, rel=1.0e-14)
-        assert member.axial_rigidity == e * w * t
-
-
-def test_unit_action_fields_match_statics_by_hand(frame):
-    length1, length2, gap = 750.0e-6, 345.0e-6, 5.0e-6
-    pull = unit_redundant_actions(frame, 1)
-    assert pull["AB"].moment_start == pytest.approx(gap, rel=1.0e-14)
-    assert pull["AB"].moment_end == pytest.approx(gap, rel=1.0e-14)
-    assert pull["BC"].moment_start == pytest.approx(gap, rel=1.0e-14)
-    assert pull["BC"].moment_end == 0.0
-    assert pull["CD"].moment_start == 0.0
-    assert pull["CD"].moment_end == 0.0
-    assert (pull["AB"].axial, pull["BC"].axial, pull["CD"].axial) == (1.0, 0.0, -1.0)
-
-    shear = unit_redundant_actions(frame, 2)
-    assert shear["AB"].moment_start == pytest.approx(length1 - length2, rel=1.0e-14)
-    assert shear["AB"].moment_end == pytest.approx(-length2, rel=1.0e-14)
-    assert shear["CD"].moment_start == pytest.approx(-length2, rel=1.0e-14)
-    assert shear["CD"].moment_end == 0.0
-    assert (shear["AB"].axial, shear["BC"].axial, shear["CD"].axial) == (0.0, -1.0, 0.0)
-
-    couple = unit_redundant_actions(frame, 3)
-    for label in ("AB", "BC", "CD"):
-        assert couple[label].moment_start == 1.0
-        assert couple[label].moment_end == 1.0
-        assert couple[label].axial == 0.0
-
-
-def test_unit_action_index_is_checked(frame):
-    for bad in (0, 4, -1):
-        with pytest.raises(ValueError):
-            unit_redundant_actions(frame, bad)
-
-
-def test_flexibility_entries_against_closed_integrals(frame):
+def test_flexibility_entries_against_closed_integrals(flex):
     """Every entry reduced by hand from the linear moment fields."""
     l1, l2, g = 750.0e-6, 345.0e-6, 5.0e-6
-    ei = frame.members[0].bending_rigidity
-    ea = frame.members[0].axial_rigidity
-    flex = flexibility_matrix(frame)
-    f11 = (g * g * l1 + g ** 3 / 3.0) / ei + (l1 + l2) / ea
-    f22 = (((l1 - l2) ** 3 + l2 ** 3) / 3.0 + l2 * l2 * g + l2 ** 3 / 3.0) / ei \
-        + g / ea
-    f33 = (l1 + g + l2) / ei
-    f12 = (g * l1 * (l1 / 2.0 - l2) - l2 * g * g / 2.0) / ei
-    f13 = (g * l1 + g * g / 2.0) / ei
-    f23 = (l1 * (l1 / 2.0 - l2) - l2 * g - l2 * l2 / 2.0) / ei
+    f11 = (g * g * l1 + g ** 3 / 3.0) / EI + (l1 + l2) / EA
+    f22 = (((l1 - l2) ** 3 + l2 ** 3) / 3.0 + l2 * l2 * g + l2 ** 3 / 3.0) / EI \
+        + g / EA
+    f33 = (l1 + g + l2) / EI
+    f12 = (g * l1 * (l1 / 2.0 - l2) - l2 * g * g / 2.0) / EI
+    f13 = (g * l1 + g * g / 2.0) / EI
+    f23 = (l1 * (l1 / 2.0 - l2) - l2 * g - l2 * l2 / 2.0) / EI
     expect = np.array([[f11, f12, f13], [f12, f22, f23], [f13, f23, f33]])
     np.testing.assert_allclose(flex, expect, rtol=1.0e-12)
 
 
-def test_flexibility_against_midpoint_quadrature(frame):
+def test_flexibility_against_midpoint_quadrature(table, flex):
     """Brute-force the virtual-work integrals with 200 000 midpoint
     slices per member; the Gauss rule must agree to 1e-9 on each entry."""
-    fields = [unit_redundant_actions(frame, i) for i in (1, 2, 3)]
+    fields, lengths = table
     slices = 200_000
     t = (np.arange(slices) + 0.5) / slices
     reference = np.zeros((3, 3))
     for i in range(3):
         for j in range(3):
             total = 0.0
-            for member in frame.members[:3]:
-                fi = fields[i][member.label]
-                fj = fields[j][member.label]
-                mi = fi.moment_start + (fi.moment_end - fi.moment_start) * t
-                mj = fj.moment_start + (fj.moment_end - fj.moment_start) * t
-                total += member.length * np.mean(mi * mj) / member.bending_rigidity
-                total += member.length * fi.axial * fj.axial / member.axial_rigidity
+            for (si, ei, ai), (sj, ej, aj), length in zip(fields[i], fields[j],
+                                                          lengths):
+                mi = si + (ei - si) * t
+                mj = sj + (ej - sj) * t
+                total += length * np.mean(mi * mj) / EI
+                total += length * ai * aj / EA
             reference[i, j] = total
-    flex = flexibility_matrix(frame)
     np.testing.assert_allclose(flex, reference, rtol=1.0e-9)
 
 
-def test_flexibility_is_symmetric_and_positive_definite(frame):
-    flex = flexibility_matrix(frame)
+def test_flexibility_is_symmetric_and_positive_definite(flex):
     scale = np.abs(flex).max()
     assert np.abs(flex - flex.T).max() <= 1.0e-12 * scale
     assert np.all(np.linalg.eigvalsh(flex) > 0.0)
 
 
-def test_bending_only_switch_drops_the_axial_terms(frame):
-    full = flexibility_matrix(frame)
-    bending = flexibility_matrix(frame, bending_only=True)
-    ea = frame.members[0].axial_rigidity
-    l1, l2, g = 750.0e-6, 345.0e-6, 5.0e-6
-    assert full[0, 0] - bending[0, 0] == pytest.approx((l1 + l2) / ea, rel=1.0e-10)
-    assert full[1, 1] - bending[1, 1] == pytest.approx(g / ea, rel=1.0e-6)
-    assert full[2, 2] == bending[2, 2]
-
-
-def test_redundants_close_the_compatibility_system(frame):
+def test_redundants_close_the_compatibility_system(flex):
     """Backward-error check: the solved redundants satisfy each scalar
     equation to within a tiny multiple of that equation's own terms."""
     spec = default_spec()
     profile = solve_temperature_profile(spec)
     load = arm_elongations(profile, spec.geometry, spec.material)
-    flex = flexibility_matrix(frame)
-    x = solve_redundants(flex, load).as_array()
+    x = solve_redundants(flex, load)
     rhs = np.array([load.hot_elongation - load.cold_elongation, 0.0, 0.0])
     residual = np.abs(rhs - flex @ x)
     scale = np.abs(flex) @ np.abs(x) + np.abs(rhs)
@@ -159,10 +135,10 @@ def test_redundants_close_the_compatibility_system(frame):
 
 
 def test_redundant_magnitudes_are_sane(solution):
-    x = solution.redundants
-    assert x.x1 > 0.0            # the hot arm drags the anchor inward
-    assert abs(x.x2) < x.x1      # transverse correction is much smaller
-    assert abs(x.x3) < 1.0e-6    # and the couple is tiny (N m)
+    x1, x2, x3 = solution.redundants
+    assert x1 > 0.0              # the hot arm drags the anchor inward
+    assert abs(x2) < x1          # transverse correction is much smaller
+    assert abs(x3) < 1.0e-6      # and the couple is tiny (N m)
 
 
 def test_singular_and_indefinite_matrices_are_rejected():
@@ -176,40 +152,33 @@ def test_singular_and_indefinite_matrices_are_rejected():
         solve_redundants(np.full((3, 3), np.nan), load)
 
 
-def test_moment_field_is_continuous_at_the_joints(frame, solution):
-    members = solution.moments.members
-    assert members["AB"].moment_end == members["BC"].moment_start
-    assert members["BC"].moment_end == members["CD"].moment_start
-    assert members["BJ"].moment_start == members["BJ"].moment_end == 0.0
+def test_moment_field_is_continuous_at_the_joints(solution):
+    moments = solution.moments
+    assert moments.shape == (3, 3)       # AB, BC, CD x start, end, axial
+    assert moments[0, 1] == moments[1, 0]
+    assert moments[1, 1] == moments[2, 0]
 
 
-def test_moment_at_the_released_anchor_equals_the_couple(frame, solution):
+def test_moment_at_the_released_anchor_equals_the_couple(solution):
     # at D the two force redundants have no lever arm left
-    assert solution.moments.members["CD"].moment_end == solution.redundants.x3
+    assert solution.moments[2, 1] == solution.redundants[2]
 
 
-def test_moment_superposition_is_linear_in_the_redundants(frame):
-    from thermoact.thermomech import Redundants
-    one = moment_distribution(frame, Redundants(1.0e-6, 2.0e-7, -3.0e-12))
-    two = moment_distribution(frame, Redundants(2.0e-6, 4.0e-7, -6.0e-12))
-    for label in ("AB", "BC", "CD"):
-        assert two.members[label].moment_start == pytest.approx(
-            2.0 * one.members[label].moment_start, rel=1.0e-12)
-        assert two.members[label].axial == pytest.approx(
-            2.0 * one.members[label].axial, rel=1.0e-12)
+def test_moment_superposition_is_linear_in_the_redundants(table, solution):
+    fields = np.array(table[0])          # unit redundant x member x action
+    expected = np.einsum("i,ikc->kc", solution.redundants, fields)
+    scale = np.abs(solution.redundants) @ np.abs(fields).reshape(3, -1)
+    assert np.all(np.abs(solution.moments - expected).ravel()
+                  <= 1.0e-12 * scale)
 
 
-def test_virtual_response_matches_the_closed_integral(frame, solution):
-    acts = solution.moments.members["AB"]
-    length = frame.members[0].length
-    ei = frame.members[0].bending_rigidity
-    deflection, rotation = virtual_tip_response(frame, solution.moments)
-    assert deflection == pytest.approx(
-        length ** 2 * (2.0 * acts.moment_start + acts.moment_end) / (6.0 * ei),
-        rel=1.0e-12)
-    assert rotation == pytest.approx(
-        length * (acts.moment_start + acts.moment_end) / (2.0 * ei),
-        rel=1.0e-12)
+def test_virtual_response_matches_the_closed_integral(solution):
+    start, end, _ = solution.moments[0]
+    length = 750.0e-6
+    assert solution.junction_deflection == pytest.approx(
+        length ** 2 * (2.0 * start + end) / (6.0 * EI), rel=1.0e-12)
+    assert solution.junction_rotation == pytest.approx(
+        length * (start + end) / (2.0 * EI), rel=1.0e-12)
 
 
 def test_tip_is_junction_plus_lever(solution):
@@ -220,10 +189,8 @@ def test_tip_is_junction_plus_lever(solution):
 
 def test_rotation_guard_trips_on_overdrive():
     spec = dataclasses.replace(default_spec(), drive=Drive(voltage=16.0))
-    with pytest.raises(SmallAngleError):
+    with pytest.raises(SmallAngleError, match="exceeds the small-angle limit 0.1"):
         simulate(spec)
-    with pytest.raises(SmallAngleError):
-        tip_deflection(0.0, 0.2, default_spec().geometry)
 
 
 def test_simulation_agrees_with_the_stiffness_oracle(solution):
@@ -238,7 +205,7 @@ def test_simulation_agrees_with_the_stiffness_oracle(solution):
 
 def test_anchor_reaction_balances_the_redundants(solution):
     oracle = stiffness_oracle(default_spec(), elements_per_member=64)
-    x = solution.redundants.as_array()
+    x = solution.redundants
     reaction = np.array(oracle.reaction_cold_anchor)
     np.testing.assert_allclose(reaction, -x, rtol=2.0e-2)
 
@@ -266,16 +233,14 @@ def test_agreement_holds_away_from_the_default_point():
             oracle.tip_deflection, rel=2.0e-2)
 
 
-def test_unpowered_device_does_not_move(frame):
+def test_unpowered_device_does_not_move():
     spec = dataclasses.replace(default_spec(), drive=Drive(voltage=0.0))
     quiet = simulate(spec)
     assert quiet.tip_deflection == 0.0
     assert quiet.junction_deflection == 0.0
     assert quiet.junction_rotation == 0.0
-    assert quiet.redundants.as_array().tolist() == [0.0, 0.0, 0.0]
-    for label in ("AB", "BC", "CD"):
-        assert quiet.moments.members[label].moment_start == 0.0
-        assert quiet.moments.members[label].axial == 0.0
+    assert quiet.redundants.tolist() == [0.0, 0.0, 0.0]
+    assert quiet.moments.tolist() == [[0.0, 0.0, 0.0]] * 3
     oracle = stiffness_oracle(spec, elements_per_member=8)
     assert oracle.tip_deflection == 0.0
     assert oracle.junction_rotation == 0.0
@@ -307,17 +272,6 @@ def test_deflection_is_independent_of_the_young_modulus():
                 spec.material, young_modulus=factor * spec.material.young_modulus))
         assert simulate(softer).tip_deflection == pytest.approx(
             reference, rel=1.0e-10)
-
-
-def test_bending_only_pipeline_overestimates_the_sweep():
-    """Without axial compliance the arms cannot absorb any of the
-    differential elongation, so the frame must bend more: a noticeably
-    larger, but same-order, tip deflection."""
-    spec = default_spec()
-    full = simulate(spec).tip_deflection
-    bending = simulate(spec, bending_only=True).tip_deflection
-    assert bending > full
-    assert abs(bending - full) / abs(full) < 0.25
 
 
 def test_peak_temperature_is_the_midspan_value(solution):
