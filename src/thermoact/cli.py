@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 
 import numpy as np
 
@@ -69,28 +70,42 @@ def _load(config_path):
     if config_path is None:
         return parse_config("")
     with open(config_path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        text = fh.read()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", FutureWarning)
+        try:
+            return parse_config(text)
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
+
+
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError([f"cannot write output: {exc}"]) from exc
 
 
 def _cmd_simulate(spec: ActuatorSpec, args) -> int:
     if args.voltage is not None:
         spec = dataclasses.replace(spec, drive=Drive(voltage=args.voltage))
-    solution = simulate(spec)
+    table = run_sweep(SweepPlan(base=spec, parameter="voltage",
+                                values=(spec.drive.voltage,)))
+    record = table.records[0]
     rows = (
-        ("tip_deflection", solution.tip_deflection / _MICRO, "um"),
-        ("junction_deflection", solution.junction_deflection / _MICRO, "um"),
-        ("junction_rotation", solution.junction_rotation * 1.0e3, "mrad"),
-        ("hot_elongation", solution.thermal_load.hot_elongation / _MICRO, "um"),
-        ("cold_elongation", solution.thermal_load.cold_elongation / _MICRO, "um"),
-        ("peak_temperature", solution.peak_temperature, "C"),
+        ("tip_deflection", record.tip_deflection / _MICRO, "um"),
+        ("junction_deflection", record.junction_deflection / _MICRO, "um"),
+        ("junction_rotation", record.junction_rotation * 1.0e3, "mrad"),
+        ("hot_elongation", record.hot_elongation / _MICRO, "um"),
+        ("cold_elongation", record.cold_elongation / _MICRO, "um"),
+        ("peak_temperature", record.peak_temperature, "C"),
     )
     for name, value, unit in rows:
         print(f"{name} = {value:.9g} {unit}")
     if args.out:
-        plan = SweepPlan(base=spec, parameter="voltage",
-                         values=(spec.drive.voltage,))
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(sweep_csv(run_sweep(plan)))
+        _write(args.out, sweep_csv(table))
     return 0
 
 
@@ -101,18 +116,18 @@ def _cmd_sweep(spec: ActuatorSpec, settings: StudySettings, args) -> int:
     table = run_sweep(SweepPlan(base=spec, parameter=param, values=values))
     text = sweep_csv(table)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8", newline="") as fh:
-            fh.write(sweep_chart_svg(table))
+        _write(args.svg, sweep_chart_svg(table))
     return 0
 
 
 def _cmd_optimize(spec: ActuatorSpec, settings: StudySettings, args) -> int:
     grid = args.grid if args.grid is not None else settings.optimize_grid
+    if grid < 3:
+        raise ConfigError(["--grid must be at least 3"])
     report = find_optimal_ratio(spec, grid=grid)
     print(f"hot_arm_length = {report.hot_arm_length / _MICRO:.9g} um")
     print(f"optimal_ratio={report.optimal_ratio:.9g}")

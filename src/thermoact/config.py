@@ -20,6 +20,7 @@ Example::
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -45,12 +46,18 @@ _STUDY_KEYS = {
     "optimize_grid": int,
 }
 
-# Display units for swept values (config file and CLI flags).
-_DISPLAY_SCALE = {
-    "voltage": 1.0,
-    "ratio": 1.0,
-    "gap": _MICRO,
-    "hot_arm_length": _MICRO,
+# Keys of inputs the model never read.  Every saved config has them, so
+# they are skipped with a warning rather than refused.
+_RETIRED_KEYS = frozenset({"material.poisson_ratio", "material.density",
+                           "material.specific_heat", "geometry.pad_side"})
+
+# Display unit and its factor to SI for each swept parameter (config
+# file, CLI flags, CSV values and chart axis).
+DISPLAY_UNITS = {
+    "voltage": ("V", 1.0),
+    "ratio": ("", 1.0),
+    "gap": ("um", _MICRO),
+    "hot_arm_length": ("um", _MICRO),
 }
 
 _DEFAULT_GRIDS = {
@@ -102,6 +109,7 @@ def parse_config(text: str):
 
     Raises ConfigError carrying one line-numbered diagnostic per
     problem; nothing is constructed until the whole document is clean.
+    A retired key is skipped, value unread, with a FutureWarning.
     """
     values: dict[str, object] = {}
     problems: list[str] = []
@@ -115,6 +123,10 @@ def parse_config(text: str):
         key, _, literal = line.partition("=")
         key = key.strip()
         literal = literal.strip()
+        if key in _RETIRED_KEYS:
+            warnings.warn(f"line {lineno}: {key} is no longer used and is ignored",
+                          FutureWarning, stacklevel=2)
+            continue
         if key not in _SCHEMA:
             problems.append(f"line {lineno}: unknown key {key!r}")
             continue
@@ -222,11 +234,6 @@ def serialize_config(spec: ActuatorSpec, settings: StudySettings | None = None) 
     return "\n".join(lines) + "\n"
 
 
-def display_scale(parameter: str) -> float:
-    """Factor taking display units of a swept parameter to SI."""
-    return _DISPLAY_SCALE[parameter]
-
-
 def resolve_sweep(settings: StudySettings, parameter: str | None = None,
                   start: float | None = None, stop: float | None = None,
                   steps: int | None = None):
@@ -257,5 +264,5 @@ def resolve_sweep(settings: StudySettings, parameter: str | None = None,
                    zip(("start", "stop", "steps"), given) if not ok]
         raise ConfigError(
             [f"incomplete sweep range: missing {', '.join(missing)}"])
-    scale = _DISPLAY_SCALE[param]
+    scale = DISPLAY_UNITS[param][1]
     return param, tuple(v * scale for v in display)

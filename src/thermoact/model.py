@@ -27,49 +27,13 @@ class InvalidSpecError(ValueError):
         super().__init__("; ".join(self.diagnostics))
 
 
-def _check_finite(component, out):
-    for name, value in vars(component).items():
-        if not math.isfinite(value):
-            out.append(f"{name} must be finite")
-
-
-def _check_material(m, out):
-    if not m.young_modulus > 0.0:
-        out.append("young_modulus must be positive")
-    if not 0.0 <= m.poisson_ratio < 0.5:
-        out.append("poisson_ratio must lie in [0, 0.5)")
-    if not m.density > 0.0:
-        out.append("density must be positive")
-    if not m.thermal_conductivity > 0.0:
-        out.append("thermal_conductivity must be positive")
-    if not m.expansion_coefficient > 0.0:
-        out.append("expansion_coefficient must be positive")
-    if not m.specific_heat > 0.0:
-        out.append("specific_heat must be positive")
-    if not m.resistivity > 0.0:
-        out.append("resistivity must be positive")
-
-
-def _check_environment(e, out):
-    if not e.convection_coefficient >= 0.0:
-        out.append("convection_coefficient must be non-negative")
-    if not -273.15 <= e.ambient_temperature:
-        out.append("ambient_temperature must be above absolute zero")
-
-
-def _check_geometry(g, out):
-    for name in ("hot_arm_length", "cold_arm_length", "gap", "beam_width",
-                 "beam_thickness", "extension_length", "pad_side"):
-        if not getattr(g, name) > 0.0:
-            out.append(f"{name} must be positive")
-    if g.cold_arm_length > 0.0 and g.hot_arm_length > 0.0 \
-            and g.cold_arm_length > g.hot_arm_length:
-        out.append("cold_arm_length exceeds hot_arm_length")
-
-
-def _check_drive(d, out):
-    if not d.voltage >= 0.0:
-        out.append("voltage must be non-negative")
+# Lowest allowed value and its diagnostic for the fields whose bound is
+# not "positive".
+_LOWER_BOUNDS = {
+    "convection_coefficient": (0.0, "must be non-negative"),
+    "ambient_temperature": (-273.15, "must be above absolute zero"),
+    "voltage": (0.0, "must be non-negative"),
+}
 
 
 @dataclass(frozen=True)
@@ -77,20 +41,14 @@ class Material:
     """Isotropic polysilicon properties.
 
     young_modulus        Pa
-    poisson_ratio        dimensionless
-    density              kg/m^3
     thermal_conductivity W/(m C)
     expansion_coefficient 1/C
-    specific_heat        J/(kg C)
     resistivity          ohm m
     """
 
     young_modulus: float = 158.0e9
-    poisson_ratio: float = 0.066
-    density: float = 2320.0
     thermal_conductivity: float = 41.0
     expansion_coefficient: float = 2.7e-6
-    specific_heat: float = 700.0
     resistivity: float = 5.0e-4
 
 
@@ -113,9 +71,7 @@ class Geometry:
     The current path runs anchor -> hot arm (hot_arm_length) -> link
     (gap) -> cold arm (cold_arm_length) -> anchor.  Both arms share the
     same rectangular cross-section beam_width x beam_thickness.  The
-    extension continues past the hot/cold junction and carries the jaw
-    tip; pad_side is the square anchor pad (thermally it acts as an
-    ideal heat sink and plays no structural role).
+    extension continues past the hot/cold junction and carries the jaw tip.
     """
 
     hot_arm_length: float = 750.0e-6
@@ -124,7 +80,6 @@ class Geometry:
     beam_width: float = 2.8e-6
     beam_thickness: float = 2.0e-6
     extension_length: float = 40.0e-6
-    pad_side: float = 200.0e-6
 
 
 @dataclass(frozen=True)
@@ -155,14 +110,25 @@ class ActuatorSpec:
 
 
 def collect_diagnostics(spec) -> list[str]:
-    """Return all bound violations of ``spec`` as human-readable strings."""
+    """Return all bound violations of ``spec`` as human-readable strings.
+
+    Each field must be finite and then meet its lower bound; it gets at
+    most one diagnostic.
+    """
     out: list[str] = []
     for component in (spec.material, spec.environment, spec.geometry, spec.drive):
-        _check_finite(component, out)
-    _check_material(spec.material, out)
-    _check_environment(spec.environment, out)
-    _check_geometry(spec.geometry, out)
-    _check_drive(spec.drive, out)
+        for name, value in vars(component).items():
+            if not math.isfinite(value):
+                out.append(f"{name} must be finite")
+            elif name in _LOWER_BOUNDS:
+                lowest, message = _LOWER_BOUNDS[name]
+                if value < lowest:
+                    out.append(f"{name} {message}")
+            elif not value > 0.0:
+                out.append(f"{name} must be positive")
+    g = spec.geometry
+    if 0.0 < g.hot_arm_length < g.cold_arm_length < math.inf:
+        out.append("cold_arm_length exceeds hot_arm_length")
     return out
 
 

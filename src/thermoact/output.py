@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 
-from .config import _MICRO, display_scale
+from .config import _MICRO, DISPLAY_UNITS
 from .study import SweepTable
 
 CSV_COLUMNS = ("param_name", "param_value", "d_tip_um", "u_um", "theta_mrad",
@@ -24,7 +24,7 @@ def _fmt(value: float) -> str:
 
 def _rows(table: SweepTable):
     param = table.plan.parameter
-    scale = display_scale(param)
+    scale = DISPLAY_UNITS[param][1]
     for rec in table.records:
         yield (
             param,
@@ -109,10 +109,8 @@ def line_chart_svg(xs, ys, x_label: str, y_label: str) -> str:
 def sweep_chart_svg(table: SweepTable) -> str:
     """Tip deflection against the swept parameter, display units."""
     param = table.plan.parameter
-    scale = display_scale(param)
+    unit, scale = DISPLAY_UNITS[param]
     xs = [rec.value / scale for rec in table.records]
     ys = [rec.tip_deflection / _MICRO for rec in table.records]
-    unit = {"voltage": "V", "ratio": "", "gap": "um",
-            "hot_arm_length": "um"}[param]
     x_label = f"{param} [{unit}]" if unit else param
     return line_chart_svg(xs, ys, x_label, "tip deflection [um]")

@@ -1,9 +1,14 @@
+from pathlib import Path
+
 import pytest
 
 import thermoact.cli as cli
+import thermoact.study as study
 from thermoact.cli import main
 from thermoact.model import default_spec
 from thermoact.thermomech import simulate
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_simulate_reports_the_default_point(capsys):
@@ -32,6 +37,21 @@ def test_simulate_writes_an_optional_csv(tmp_path, capsys):
     assert lines[1].startswith("voltage,8,")
 
 
+def test_simulate_with_a_csv_solves_the_point_once(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return simulate(spec)
+
+    monkeypatch.setattr(study, "simulate", counting)
+    monkeypatch.setattr(cli, "simulate", counting)
+    assert main(["simulate", "--out", str(tmp_path / "p.csv")]) == 0
+    assert capsys.readouterr().out == \
+        (GOLDEN / "simulate.stdout").read_text(encoding="utf-8")
+    assert len(calls) == 1
+
+
 def test_config_file_feeds_the_simulation(tmp_path, capsys):
     cfg = tmp_path / "actuator.cfg"
     cfg.write_text("drive.voltage = 4\n")
@@ -39,6 +59,16 @@ def test_config_file_feeds_the_simulation(tmp_path, capsys):
     out = capsys.readouterr().out
     quarter = simulate(default_spec()).tip_deflection / 4.0 / 1.0e-6
     assert f"tip_deflection = {quarter:.9g} um" in out
+
+
+def test_legacy_config_warns_and_simulates(capsys):
+    assert main(["simulate", "--config", str(GOLDEN / "legacy.cfg")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (GOLDEN / "simulate.stdout").read_text(encoding="utf-8")
+    assert captured.err.splitlines() == [
+        f"warning: line {n}: {key} is no longer used and is ignored"
+        for n, key in ((5, "material.poisson_ratio"), (6, "material.density"),
+                       (9, "material.specific_heat"), (21, "geometry.pad_side"))]
 
 
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
@@ -71,6 +101,21 @@ def test_infinite_config_value_is_a_config_error(tmp_path, capsys, key):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {key.split('.')[1]} must be finite\n"
+
+
+@pytest.mark.parametrize("args,needle", [
+    (["optimize-ratio", "--grid", "2"], "--grid must be at least 3"),
+    (["optimize-ratio", "--grid", "-1"], "--grid must be at least 3"),
+    (["simulate", "--out", "{missing}/x.csv"], "cannot write output"),
+    (["sweep", "--param", "gap", "--out", "{missing}/s.csv"], "cannot write output"),
+    (["sweep", "--param", "gap", "--svg", "{missing}/s.svg"], "cannot write output"),
+], ids=["grid-2", "grid-negative", "simulate-out", "sweep-out", "sweep-svg"])
+def test_bad_command_line_is_one_error_line(tmp_path, capsys, args, needle):
+    args = [a.format(missing=tmp_path / "missing") for a in args]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and needle in err
 
 
 def test_overdrive_trips_the_rotation_guard(capsys):

@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from thermoact.config import (ConfigError, StudySettings, parse_config,
                               resolve_sweep, serialize_config)
 from thermoact.model import default_spec
+
+LEGACY = Path(__file__).parent / "golden" / "legacy.cfg"
 
 
 def test_empty_document_is_the_default_device():
@@ -55,6 +59,24 @@ def test_default_spec_survives_a_round_trip():
                                                    StudySettings()))
     assert spec == default_spec()
     assert settings == StudySettings()
+
+
+def test_legacy_config_loads_with_one_warning_per_retired_key():
+    """A config saved before the inert inputs were retired still loads."""
+    with pytest.warns(FutureWarning) as caught:
+        spec, settings = parse_config(LEGACY.read_text(encoding="utf-8"))
+    assert spec == default_spec()
+    assert settings == StudySettings()
+    assert [str(w.message) for w in caught] == [
+        f"line {n}: {key} is no longer used and is ignored"
+        for n, key in ((5, "material.poisson_ratio"), (6, "material.density"),
+                       (9, "material.specific_heat"), (21, "geometry.pad_side"))]
+
+
+def test_retired_key_values_are_not_read():
+    with pytest.warns(FutureWarning):
+        spec, _ = parse_config("geometry.pad_side = wide\n")
+    assert spec == default_spec()
 
 
 def test_serialized_form_is_stable():

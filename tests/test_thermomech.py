@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from thermoact.electrothermal import arm_elongations, solve_temperature_profile
-from thermoact.model import (ActuatorSpec, Drive, Geometry, default_spec)
+from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
+                             Material, default_spec)
 from thermoact.thermomech import (FrameSingularError, SmallAngleError,
                                   ThermalLoad, flexibility_matrix, simulate,
                                   solve_redundants, stiffness_oracle,
@@ -282,3 +283,27 @@ def test_peak_temperature_is_the_midspan_value(solution):
     # mid-span really is the hottest point of the symmetric profile
     xs = np.linspace(0.0, path, 513)
     assert solution.peak_temperature >= np.max(temperature_at(profile, xs))
+
+
+def _outputs(solution):
+    return (solution.tip_deflection, solution.junction_deflection,
+            solution.junction_rotation, solution.peak_temperature,
+            solution.thermal_load.hot_elongation,
+            solution.thermal_load.cold_elongation,
+            *solution.redundants)
+
+
+@pytest.mark.parametrize("component", [Material, Environment, Geometry, Drive])
+def test_every_spec_field_moves_an_output(component, solution):
+    """No input is inert: a 10 % change of any field of the spec moves
+    at least one result of the simulation."""
+    section = component.__name__.lower()
+    base = default_spec()
+    inert = []
+    for f in dataclasses.fields(component):
+        nudged = dataclasses.replace(getattr(base, section),
+                                     **{f.name: 1.1 * f.default})
+        moved = simulate(dataclasses.replace(base, **{section: nudged}))
+        if _outputs(moved) == _outputs(solution):
+            inert.append(f.name)
+    assert inert == []
