@@ -19,8 +19,8 @@ import warnings
 
 import numpy as np
 
-from .config import (_MICRO, ConfigError, StudySettings, parse_config,
-                     resolve_sweep)
+from .config import (_MICRO, MAX_GRID_POINTS, ConfigError, StudySettings,
+                     parse_config, resolve_sweep)
 from .electrothermal import fd_temperature_oracle, solve_temperature_profile, temperature_at
 from .model import ActuatorSpec, Drive, InvalidSpecError
 from .output import sweep_chart_svg, sweep_csv
@@ -128,6 +128,8 @@ def _cmd_optimize(spec: ActuatorSpec, settings: StudySettings, args) -> int:
     grid = args.grid if args.grid is not None else settings.optimize_grid
     if grid < 3:
         raise ConfigError(["--grid must be at least 3"])
+    if grid > MAX_GRID_POINTS:
+        raise ConfigError([f"--grid must be at most {MAX_GRID_POINTS}"])
     report = find_optimal_ratio(spec, grid=grid)
     print(f"hot_arm_length = {report.hot_arm_length / _MICRO:.9g} um")
     print(f"optimal_ratio={report.optimal_ratio:.9g}")
@@ -181,7 +183,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         spec, settings = _load(args.config)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     except ConfigError as exc:

@@ -31,6 +31,11 @@ from .study import PARAMETERS
 
 _MICRO = 1.0e-6
 
+# Upper bound on the points of one sweep or optimisation scan, far above
+# any study grid in use, so a mistyped size is refused before anything
+# is allocated.
+MAX_GRID_POINTS = 100_000
+
 _SECTION_TYPES = {
     "material": Material,
     "environment": Environment,
@@ -174,8 +179,13 @@ def parse_config(text: str):
             f"study.parameter must be one of {', '.join(PARAMETERS)}")
     if settings.steps is not None and settings.steps < 2:
         study_problems.append("study.steps must be at least 2")
+    if settings.steps is not None and settings.steps > MAX_GRID_POINTS:
+        study_problems.append(f"study.steps must be at most {MAX_GRID_POINTS}")
     if settings.optimize_grid < 3:
         study_problems.append("study.optimize_grid must be at least 3")
+    if settings.optimize_grid > MAX_GRID_POINTS:
+        study_problems.append(
+            f"study.optimize_grid must be at most {MAX_GRID_POINTS}")
     if (settings.start is None) != (settings.stop is None):
         study_problems.append("study.start and study.stop must appear together")
     if settings.start is not None and settings.stop is not None \
@@ -258,6 +268,8 @@ def resolve_sweep(settings: StudySettings, parameter: str | None = None,
             raise ConfigError(["sweep start must be below stop"])
         if n < 2:
             raise ConfigError(["sweep needs at least 2 steps"])
+        if n > MAX_GRID_POINTS:
+            raise ConfigError([f"sweep needs at most {MAX_GRID_POINTS} steps"])
         display = tuple(float(v) for v in np.linspace(lo, hi, n))
     else:
         missing = [name for name, ok in

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .model import ActuatorSpec, Geometry, Material
 
@@ -190,8 +189,11 @@ def fd_temperature_oracle(spec: ActuatorSpec, nodes: int = 4097):
     (positions, temperatures) as ndarrays.  Second-order accurate, and
     exact for the conduction-only parabola.  Used by the test suite and
     the ``validate`` command to cross-check the closed form; the
-    simulation pipeline never calls it.
+    simulation pipeline never calls it.  It imports scipy's banded
+    solver on its first call, so the closed form runs without scipy.
     """
+    from scipy.linalg import solve_banded
+
     if nodes < 3:
         raise ValueError("need at least 3 nodes")
     geo, mat, env = spec.geometry, spec.material, spec.environment

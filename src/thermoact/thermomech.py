@@ -29,9 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, LinAlgError
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import spsolve
 
 from .electrothermal import (ThermalLoad, arm_elongations, rise_integral,
                              solve_temperature_profile, temperature_at)
@@ -121,17 +118,9 @@ def unit_fields(geometry: Geometry):
     return fields, lengths
 
 
-def flexibility_matrix(geometry: Geometry, material: Material) -> np.ndarray:
-    """3x3 flexibility of the released structure at the cold anchor.
-
-    Entry (i, j) is the virtual-work integral of unit fields i and j
-    over the release path, bending plus axial.  Three-point Gauss per
-    member integrates the quadratic moment products exactly.  All nine
-    entries are computed independently; symmetry is a property, not an
-    assumption.
-    """
-    fields, lengths = unit_fields(geometry)
-    ei, ea = _rigidities(geometry, material)
+def _flexibility(fields, lengths, ei, ea):
+    """The nine flexibility entries as nested lists, from the unit-field
+    table and the section rigidities."""
     rows = []
     for field_i in fields:
         row = []
@@ -147,7 +136,26 @@ def flexibility_matrix(geometry: Geometry, material: Material) -> np.ndarray:
                 total += length * axial_i * axial_j / ea
             row.append(total)
         rows.append(row)
-    return np.array(rows)
+    return rows
+
+
+def flexibility_matrix(geometry: Geometry, material: Material) -> np.ndarray:
+    """3x3 flexibility of the released structure at the cold anchor.
+
+    Entry (i, j) is the virtual-work integral of unit fields i and j
+    over the release path, bending plus axial.  Three-point Gauss per
+    member integrates the quadratic moment products exactly.  All nine
+    entries are computed independently; symmetry is a property, not an
+    assumption.
+    """
+    fields, lengths = unit_fields(geometry)
+    return np.array(_flexibility(fields, lengths, *_rigidities(geometry, material)))
+
+
+def _pivot_root(pivot: float) -> float:
+    if not pivot > 0.0:
+        raise FrameSingularError("flexibility matrix is not positive definite")
+    return math.sqrt(pivot)
 
 
 def solve_redundants(flex: np.ndarray, load: ThermalLoad) -> np.ndarray:
@@ -159,36 +167,54 @@ def solve_redundants(flex: np.ndarray, load: ThermalLoad) -> np.ndarray:
     (m/N, 1/N, 1/(N m)) and is raw-conditioned around 1e11, so it is
     symmetrically equilibrated to unit diagonal (condition ~1e1) before
     a Cholesky solve plus two steps of iterative refinement.  The
-    residual is verified in the equilibrated norm, the scale-invariant
-    measure; the raw-norm residual is floor-limited near 1e-10 by the
-    float64 representation of the solution itself.  Returns the anchor
-    force along the arm (N), transverse force (N) and couple (N m).
+    factor is a hand-written 3x3 lower Cholesky in plain floats that
+    reads only the lower triangle; a pivot that is not positive means
+    the matrix is not positive definite.  The residual is verified in
+    the equilibrated norm, the scale-invariant measure; the raw-norm
+    residual is floor-limited near 1e-10 by the float64 representation
+    of the solution itself.  Returns the anchor force along the arm
+    (N), transverse force (N) and couple (N m) as a length-3 array.
     """
     flex = np.asarray(flex, dtype=float)
-    if flex.shape != (3, 3) or not np.all(np.isfinite(flex)):
+    entries = flex.ravel().tolist()
+    if flex.shape != (3, 3) or not all(map(math.isfinite, entries)):
         raise FrameSingularError("flexibility matrix is not a finite 3x3")
-    diag = np.diag(flex)
-    if np.any(diag <= 0.0):
+    f00, f01, f02, f10, f11, f12, f20, f21, f22 = entries
+    if not (f00 > 0.0 and f11 > 0.0 and f22 > 0.0):
         raise FrameSingularError("flexibility matrix has a non-positive diagonal")
-    scale = 1.0 / np.sqrt(diag)
-    equilibrated = flex * scale[:, None] * scale[None, :]
-    try:
-        factor = cholesky(equilibrated, lower=True)
-    except LinAlgError as exc:
-        raise FrameSingularError("flexibility matrix is not positive definite") from exc
+    s0, s1, s2 = 1.0 / math.sqrt(f00), 1.0 / math.sqrt(f11), 1.0 / math.sqrt(f22)
 
-    rhs = np.array([load.hot_elongation - load.cold_elongation, 0.0, 0.0])
-    x = scale * cho_solve((factor, True), scale * rhs)
-    for _ in range(2):
-        x = x + scale * cho_solve((factor, True), scale * (rhs - flex @ x))
+    # L L^T = S F S with S = diag(s): entry (i, j) of S F S is f_ij s_i s_j.
+    l00 = _pivot_root(f00 * s0 * s0)
+    l10 = f10 * s1 * s0 / l00
+    l20 = f20 * s2 * s0 / l00
+    l11 = _pivot_root(f11 * s1 * s1 - l10 * l10)
+    l21 = (f21 * s2 * s1 - l20 * l10) / l11
+    l22 = _pivot_root(f22 * s2 * s2 - l20 * l20 - l21 * l21)
 
-    rhs_norm = float(np.linalg.norm(scale * rhs))
+    rhs = load.hot_elongation - load.cold_elongation
+    x0 = x1 = x2 = 0.0
+    r0, r1, r2 = rhs, 0.0, 0.0
+    for _ in range(3):
+        # x += S (S F S)^-1 S r, then r = (rhs, 0, 0) - F x
+        z0 = s0 * r0 / l00
+        z1 = (s1 * r1 - l10 * z0) / l11
+        z2 = (s2 * r2 - l20 * z0 - l21 * z1) / l22
+        y2 = z2 / l22
+        y1 = (z1 - l21 * y2) / l11
+        y0 = (z0 - l10 * y1 - l20 * y2) / l00
+        x0, x1, x2 = x0 + s0 * y0, x1 + s1 * y1, x2 + s2 * y2
+        r0 = rhs - (f00 * x0 + f01 * x1 + f02 * x2)
+        r1 = -(f10 * x0 + f11 * x1 + f12 * x2)
+        r2 = -(f20 * x0 + f21 * x1 + f22 * x2)
+
+    rhs_norm = abs(s0 * rhs)
     if rhs_norm > 0.0:
-        residual = float(np.linalg.norm(scale * (rhs - flex @ x))) / rhs_norm
+        residual = math.hypot(s0 * r0, s1 * r1, s2 * r2) / rhs_norm
         if not residual <= 1.0e-12:
             raise FrameSingularError(
                 f"compatibility solve residual {residual:.3e} exceeds 1e-12")
-    return x
+    return np.array([x0, x1, x2])
 
 
 def simulate(spec: ActuatorSpec) -> FrameSolution:
@@ -206,10 +232,11 @@ def simulate(spec: ActuatorSpec) -> FrameSolution:
     geometry, material = spec.geometry, spec.material
     profile = solve_temperature_profile(spec)
     load = arm_elongations(profile, geometry, material)
-    flex = flexibility_matrix(geometry, material)
+    fields, lengths = unit_fields(geometry)
+    ei, ea = _rigidities(geometry, material)
+    flex = np.array(_flexibility(fields, lengths, ei, ea))
     redundants = solve_redundants(flex, load)
 
-    fields, lengths = unit_fields(geometry)
     weights = redundants.tolist()
     moments = []
     for actions in zip(*fields):
@@ -222,7 +249,6 @@ def simulate(spec: ActuatorSpec) -> FrameSolution:
 
     hot_start, hot_end, _ = moments[0]
     hot_length = lengths[0]
-    ei, _ = _rigidities(geometry, material)
     deflection = rotation = 0.0
     for t, wgt in zip(_GAUSS_POINTS, _GAUSS_WEIGHTS):
         moment = hot_start + (hot_end - hot_start) * t
@@ -276,8 +302,12 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     temperature rise as an equivalent axial load pair, clamps both
     anchors and solves the sparse global system.  Independent of the
     flexibility route by construction; used for cross-validation and
-    never by the studies.
+    never by the studies.  It is the only user of scipy in this module,
+    which it imports on its first call.
     """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.linalg import spsolve
+
     if elements_per_member < 1:
         raise ValueError("elements_per_member must be at least 1")
     geo, mat = spec.geometry, spec.material

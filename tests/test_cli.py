@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -5,6 +8,7 @@ import pytest
 import thermoact.cli as cli
 import thermoact.study as study
 from thermoact.cli import main
+from thermoact.config import MAX_GRID_POINTS
 from thermoact.model import default_spec
 from thermoact.thermomech import simulate
 
@@ -76,6 +80,16 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"drive.voltage = 8\xff\n")
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: cannot read config: ")
+
+
 def test_bad_config_contents_exit_one(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("geometry.hot_arm_length = 300\n"
@@ -109,7 +123,12 @@ def test_infinite_config_value_is_a_config_error(tmp_path, capsys, key):
     (["simulate", "--out", "{missing}/x.csv"], "cannot write output"),
     (["sweep", "--param", "gap", "--out", "{missing}/s.csv"], "cannot write output"),
     (["sweep", "--param", "gap", "--svg", "{missing}/s.svg"], "cannot write output"),
-], ids=["grid-2", "grid-negative", "simulate-out", "sweep-out", "sweep-svg"])
+    (["optimize-ratio", "--grid", str(MAX_GRID_POINTS + 1)],
+     f"--grid must be at most {MAX_GRID_POINTS}"),
+    (["sweep", "--from", "0.1", "--to", "0.8", "--steps", str(MAX_GRID_POINTS + 1)],
+     f"sweep needs at most {MAX_GRID_POINTS} steps"),
+], ids=["grid-2", "grid-negative", "simulate-out", "sweep-out", "sweep-svg",
+        "grid-over-cap", "steps-over-cap"])
 def test_bad_command_line_is_one_error_line(tmp_path, capsys, args, needle):
     args = [a.format(missing=tmp_path / "missing") for a in args]
     assert main(args) == 1
@@ -202,3 +221,22 @@ def test_validate_flags_a_broken_oracle(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "validation breach" in err
     assert "mechanical" in err
+
+
+def test_only_the_oracles_import_scipy(tmp_path):
+    """Importing the CLI, simulating and optimising load no scipy module;
+    the oracles behind ``validate`` load it on first use."""
+    script = (
+        "import sys\n"
+        "from thermoact.cli import main\n"
+        "assert main(['simulate']) == 0\n"
+        "assert main(['optimize-ratio', '--grid', '5']) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+        "assert main(['validate']) == 0\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("validation ok\n")

@@ -3,8 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermoact.config import (ConfigError, StudySettings, parse_config,
-                              resolve_sweep, serialize_config)
+from thermoact.config import (MAX_GRID_POINTS, ConfigError, StudySettings,
+                              parse_config, resolve_sweep, serialize_config)
 from thermoact.model import default_spec
 
 LEGACY = Path(__file__).parent / "golden" / "legacy.cfg"
@@ -131,6 +131,15 @@ def test_study_settings_are_validated():
         parse_config("study.optimize_grid = 2\n")
 
 
+@pytest.mark.parametrize("key", ["steps", "optimize_grid"])
+def test_study_grid_sizes_are_capped(key):
+    parse_config(f"study.{key} = {MAX_GRID_POINTS}\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"study.{key} = {MAX_GRID_POINTS + 1}\n")
+    assert err.value.diagnostics == [
+        f"study.{key} must be at most {MAX_GRID_POINTS}"]
+
+
 def test_default_sweep_grids():
     settings = StudySettings()
     param, values = resolve_sweep(settings)
@@ -169,3 +178,8 @@ def test_partial_ranges_are_refused():
         resolve_sweep(StudySettings(), start=1.0, stop=0.5, steps=4)
     with pytest.raises(ConfigError):
         resolve_sweep(StudySettings(), start=0.1, stop=0.8, steps=1)
+    with pytest.raises(ConfigError) as err:
+        resolve_sweep(StudySettings(), start=0.1, stop=0.8,
+                      steps=MAX_GRID_POINTS + 1)
+    assert err.value.diagnostics == [
+        f"sweep needs at most {MAX_GRID_POINTS} steps"]

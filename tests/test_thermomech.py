@@ -151,6 +151,42 @@ def test_singular_and_indefinite_matrices_are_rejected():
         solve_redundants(indefinite, load)
     with pytest.raises(FrameSingularError):
         solve_redundants(np.full((3, 3), np.nan), load)
+    zero_second_pivot = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(FrameSingularError, match="not positive definite"):
+        solve_redundants(zero_second_pivot, load)
+
+
+def test_a_zero_load_gives_exactly_zero_redundants(flex):
+    still = ThermalLoad(hot_elongation=2.5e-7, cold_elongation=2.5e-7)
+    assert solve_redundants(flex, still).tolist() == [0.0, 0.0, 0.0]
+
+
+def test_solver_agrees_with_a_general_solve_on_random_frames():
+    """The frames of acceptance criterion 9: the equilibrated Cholesky
+    route matches an LU solve of the raw system to 1e-12, measured in
+    the equilibrated variables S^-1 x with S = diag(flex)^-1/2."""
+    rng = np.random.default_rng(20260824)
+    load = ThermalLoad(hot_elongation=1.0e-6, cold_elongation=0.0)
+    rhs = np.array([1.0e-6, 0.0, 0.0])
+    worst = 0.0
+    for _ in range(1000):
+        hot = rng.uniform(50.0, 2000.0) * 1.0e-6
+        geometry = Geometry(
+            hot_arm_length=hot,
+            cold_arm_length=rng.uniform(0.05, 1.0) * hot,
+            gap=rng.uniform(1.0, 50.0) * 1.0e-6,
+            beam_width=rng.uniform(1.0, 10.0) * 1.0e-6,
+            beam_thickness=rng.uniform(0.5, 5.0) * 1.0e-6,
+            extension_length=rng.uniform(5.0, 100.0) * 1.0e-6,
+        )
+        material = Material(young_modulus=rng.uniform(50.0, 300.0) * 1.0e9)
+        flex = flexibility_matrix(geometry, material)
+        root = np.sqrt(np.diag(flex))
+        ours = solve_redundants(flex, load) * root
+        reference = np.linalg.solve(flex, rhs) * root
+        worst = max(worst, float(np.linalg.norm(ours - reference)
+                                 / np.linalg.norm(reference)))
+    assert worst <= 1.0e-12
 
 
 def test_moment_field_is_continuous_at_the_joints(solution):
