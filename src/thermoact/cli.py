@@ -6,7 +6,8 @@
     thermoact validate       cross-check closed forms against oracles
 
 Exit codes: 0 success, 1 configuration problems, 2 solver guard
-tripped (rotation outside the small-angle regime, singular system),
+tripped (rotation outside the small-angle regime, singular system,
+non-finite thermal load) or an arithmetic failure on extreme inputs,
 3 validation breach from the ``validate`` subcommand.
 """
 
@@ -204,6 +205,12 @@ def main(argv=None) -> int:
         return 1
     except (SmallAngleError, FrameSingularError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        # Accepted but extreme inputs can overflow or divide by zero in
+        # the closed forms; that is a solver failure, not a crash.
+        print(f"error: numerical failure ({type(exc).__name__}: {exc})",
+              file=sys.stderr)
         return 2
 
 

@@ -188,7 +188,13 @@ def parse_config(text: str):
             f"study.optimize_grid must be at most {MAX_GRID_POINTS}")
     if (settings.start is None) != (settings.stop is None):
         study_problems.append("study.start and study.stop must appear together")
-    if settings.start is not None and settings.stop is not None \
+    finite = True
+    for name in ("start", "stop"):
+        value = getattr(settings, name)
+        if value is not None and not math.isfinite(value):
+            study_problems.append(f"study.{name} must be finite")
+            finite = False
+    if finite and settings.start is not None and settings.stop is not None \
             and not settings.start < settings.stop:
         study_problems.append("study.start must be below study.stop")
     if study_problems:
@@ -249,7 +255,8 @@ def resolve_sweep(settings: StudySettings, parameter: str | None = None,
                   steps: int | None = None):
     """Merge CLI overrides with config settings into (parameter, values).
 
-    Values come out in SI, strictly increasing.  When no range is given
+    Values come out in SI, finite and strictly increasing; a range
+    whose grid is not is a ConfigError.  When no range is given
     anywhere, the parameter's built-in study grid applies (71 ratios in
     [0.1, 0.8], gaps 5..10 um, 17 voltages in [0, 8], hot-arm lengths
     {500, 600, 750} um).
@@ -264,17 +271,28 @@ def resolve_sweep(settings: StudySettings, parameter: str | None = None,
     if not any(given):
         display = _DEFAULT_GRIDS[param]
     elif all(given):
+        for name, value in (("start", lo), ("stop", hi)):
+            if not math.isfinite(value):
+                raise ConfigError([f"sweep {name} must be finite"])
         if not lo < hi:
             raise ConfigError(["sweep start must be below stop"])
         if n < 2:
             raise ConfigError(["sweep needs at least 2 steps"])
         if n > MAX_GRID_POINTS:
             raise ConfigError([f"sweep needs at most {MAX_GRID_POINTS} steps"])
-        display = tuple(float(v) for v in np.linspace(lo, hi, n))
+        with np.errstate(all="ignore"):     # a bad grid is refused below
+            display = tuple(float(v) for v in np.linspace(lo, hi, n))
     else:
         missing = [name for name, ok in
                    zip(("start", "stop", "steps"), given) if not ok]
         raise ConfigError(
             [f"incomplete sweep range: missing {', '.join(missing)}"])
     scale = DISPLAY_UNITS[param][1]
-    return param, tuple(v * scale for v in display)
+    values = tuple(v * scale for v in display)
+    # A range too narrow for its steps repeats values, one too wide
+    # overflows, and the SI scaling can underflow distinct values.
+    if not all(map(math.isfinite, values)) \
+            or any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError([f"sweep from {lo!r} to {hi!r} in {n} steps does "
+                           "not give strictly increasing finite values"])
+    return param, values

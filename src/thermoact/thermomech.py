@@ -5,11 +5,11 @@ pipeline releases the cold-arm anchor D and tabulates, for each of the
 three unit redundant actions at D, the linear moment and constant axial
 force on the release path AB, BC, CD (``unit_fields``).  From that one
 table it forms the 3x3 flexibility matrix of the released cantilever by
-virtual work (3-point Gauss per member, exact for the linear moment
-fields involved), solves the compatibility system for the redundants,
+virtual work, solves the compatibility system for the redundants,
 superposes the unit fields, and recovers the junction deflection and
-rotation by a second application of virtual work on the hot arm.  The
-rigid extension carries them to the jaw tip.
+rotation by a second application of virtual work on the hot arm; the
+rigid extension carries them to the jaw tip.  Every integrand is a
+product of two linear fields, which one closed rule integrates exactly.
 
 A completely independent direct-stiffness solution on a refined beam
 mesh (``stiffness_oracle``) serves as cross-check; it builds its own
@@ -37,9 +37,6 @@ from .model import ActuatorSpec, Geometry, Material
 # Rotations beyond this invalidate the linear kinematics of the tip
 # lever arm, so the solution refuses to report one.
 SMALL_ANGLE_LIMIT = 0.1
-
-_GAUSS_POINTS = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
-_GAUSS_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
 
 
 class FrameSingularError(ArithmeticError):
@@ -118,6 +115,13 @@ def unit_fields(geometry: Geometry):
     return fields, lengths
 
 
+def _product_integral(length, a_start, a_end, b_start, b_end):
+    """Exact integral over a member of the product of two linear fields,
+    grouped so that swapping the fields repeats every rounding step."""
+    return length * (2.0 * (a_start * b_start + a_end * b_end)
+                     + (a_start * b_end + a_end * b_start)) / 6.0
+
+
 def _flexibility(fields, lengths, ei, ea):
     """The nine flexibility entries as nested lists, from the unit-field
     table and the section rigidities."""
@@ -128,11 +132,8 @@ def _flexibility(fields, lengths, ei, ea):
             total = 0.0
             for (start_i, end_i, axial_i), (start_j, end_j, axial_j), length \
                     in zip(field_i, field_j, lengths):
-                bend = 0.0
-                for t, wgt in zip(_GAUSS_POINTS, _GAUSS_WEIGHTS):
-                    bend += wgt * (start_i + (end_i - start_i) * t) \
-                        * (start_j + (end_j - start_j) * t)
-                total += length * bend / ei
+                total += _product_integral(length, start_i, end_i,
+                                           start_j, end_j) / ei
                 total += length * axial_i * axial_j / ea
             row.append(total)
         rows.append(row)
@@ -143,10 +144,10 @@ def flexibility_matrix(geometry: Geometry, material: Material) -> np.ndarray:
     """3x3 flexibility of the released structure at the cold anchor.
 
     Entry (i, j) is the virtual-work integral of unit fields i and j
-    over the release path, bending plus axial.  Three-point Gauss per
-    member integrates the quadratic moment products exactly.  All nine
-    entries are computed independently; symmetry is a property, not an
-    assumption.
+    over the release path, bending plus axial, each member's bending
+    part in closed form.  All nine entries are computed independently;
+    the closed rule treats both fields alike, so symmetry holds to the
+    bit as a property, not an assumption.
     """
     fields, lengths = unit_fields(geometry)
     return np.array(_flexibility(fields, lengths, *_rigidities(geometry, material)))
@@ -172,8 +173,9 @@ def solve_redundants(flex: np.ndarray, load: ThermalLoad) -> np.ndarray:
     the matrix is not positive definite.  The residual is verified in
     the equilibrated norm, the scale-invariant measure; the raw-norm
     residual is floor-limited near 1e-10 by the float64 representation
-    of the solution itself.  Returns the anchor force along the arm
-    (N), transverse force (N) and couple (N m) as a length-3 array.
+    of the solution itself.  A non-finite thermal load is refused.
+    Returns the anchor force along the arm (N), transverse force (N)
+    and couple (N m) as a length-3 array.
     """
     flex = np.asarray(flex, dtype=float)
     entries = flex.ravel().tolist()
@@ -193,6 +195,8 @@ def solve_redundants(flex: np.ndarray, load: ThermalLoad) -> np.ndarray:
     l22 = _pivot_root(f22 * s2 * s2 - l20 * l20 - l21 * l21)
 
     rhs = load.hot_elongation - load.cold_elongation
+    if not math.isfinite(rhs):
+        raise FrameSingularError("thermal load is not finite")
     x0 = x1 = x2 = 0.0
     r0, r1, r2 = rhs, 0.0, 0.0
     for _ in range(3):
@@ -247,15 +251,9 @@ def simulate(spec: ActuatorSpec) -> FrameSolution:
             axial += weight * act_axial
         moments.append((start, end, axial))
 
-    hot_start, hot_end, _ = moments[0]
-    hot_length = lengths[0]
-    deflection = rotation = 0.0
-    for t, wgt in zip(_GAUSS_POINTS, _GAUSS_WEIGHTS):
-        moment = hot_start + (hot_end - hot_start) * t
-        deflection += wgt * moment * (hot_length * (1.0 - t))
-        rotation += wgt * moment
-    deflection *= hot_length / ei
-    rotation *= hot_length / ei
+    (m_start, m_end, _), length1 = moments[0], lengths[0]
+    deflection = _product_integral(length1, m_start, m_end, length1, 0.0) / ei
+    rotation = _product_integral(length1, m_start, m_end, 1.0, 1.0) / ei
     if not abs(rotation) < SMALL_ANGLE_LIMIT:
         raise SmallAngleError(
             f"junction rotation {rotation:.4f} rad exceeds the "

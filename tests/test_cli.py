@@ -127,14 +127,50 @@ def test_infinite_config_value_is_a_config_error(tmp_path, capsys, key):
      f"--grid must be at most {MAX_GRID_POINTS}"),
     (["sweep", "--from", "0.1", "--to", "0.8", "--steps", str(MAX_GRID_POINTS + 1)],
      f"sweep needs at most {MAX_GRID_POINTS} steps"),
+    (["sweep", "--param", "voltage", "--from", "1", "--to", "1.0000000000000002",
+      "--steps", "5"], "does not give strictly increasing finite values"),
+    (["sweep", "--param", "gap", "--from", "5", "--to", "1e400", "--steps", "3"],
+     "sweep stop must be finite"),
 ], ids=["grid-2", "grid-negative", "simulate-out", "sweep-out", "sweep-svg",
-        "grid-over-cap", "steps-over-cap"])
+        "grid-over-cap", "steps-over-cap", "sweep-too-narrow", "sweep-to-inf"])
 def test_bad_command_line_is_one_error_line(tmp_path, capsys, args, needle):
     args = [a.format(missing=tmp_path / "missing") for a in args]
     assert main(args) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and needle in err
+
+
+def test_a_sweep_range_that_overflows_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("study.parameter = voltage\nstudy.start = -1e308\n"
+                   "study.stop = 1e308\nstudy.steps = 3\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: sweep from -1e+308 to 1e+308 in 3 steps "
+                            "does not give strictly increasing finite values\n")
+
+
+@pytest.mark.parametrize("line,message", [
+    ("geometry.beam_width = 1e200", "error: numerical failure (OverflowError: "),
+    ("geometry.beam_width = 1e-300", "error: numerical failure (ZeroDivisionError: "),
+    ("material.thermal_conductivity = 1e-320",
+     "error: numerical failure (ZeroDivisionError: "),
+    ("drive.voltage = 1e200", "error: thermal load is not finite"),
+    ("environment.convection_coefficient = 1e308",
+     "error: thermal load is not finite"),
+], ids=["overflow", "zero-width", "zero-conductivity", "infinite-load", "nan-load"])
+def test_extreme_accepted_input_is_a_solver_error(tmp_path, capsys, line, message):
+    """Values the validator accepts but the arithmetic cannot carry end
+    in one error line and exit 2, not in a traceback."""
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(message)
 
 
 def test_overdrive_trips_the_rotation_guard(capsys):

@@ -131,6 +131,18 @@ def test_study_settings_are_validated():
         parse_config("study.optimize_grid = 2\n")
 
 
+@pytest.mark.parametrize("text,diagnostics", [
+    ("study.start = nan\nstudy.stop = 5\n", ["study.start must be finite"]),
+    ("study.start = 5\nstudy.stop = inf\n", ["study.stop must be finite"]),
+    ("study.start = inf\nstudy.stop = -inf\n",
+     ["study.start must be finite", "study.stop must be finite"]),
+])
+def test_study_range_must_be_finite(text, diagnostics):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.diagnostics == diagnostics
+
+
 @pytest.mark.parametrize("key", ["steps", "optimize_grid"])
 def test_study_grid_sizes_are_capped(key):
     parse_config(f"study.{key} = {MAX_GRID_POINTS}\n")
@@ -183,3 +195,20 @@ def test_partial_ranges_are_refused():
                       steps=MAX_GRID_POINTS + 1)
     assert err.value.diagnostics == [
         f"sweep needs at most {MAX_GRID_POINTS} steps"]
+
+
+@pytest.mark.parametrize("param,start,stop,steps,needle", [
+    ("voltage", 1.0, 1.0000000000000002, 5, "strictly increasing finite"),
+    ("voltage", -1.0e308, 1.0e308, 3, "strictly increasing finite"),
+    ("gap", 1.0e-320, 2.0e-320, 2, "strictly increasing finite"),
+    ("gap", 5.0, float("inf"), 3, "sweep stop must be finite"),
+    ("ratio", float("nan"), 0.8, 3, "sweep start must be finite"),
+])
+def test_a_range_without_a_grid_is_refused(param, start, stop, steps, needle):
+    """Too narrow for its steps, overflowing, underflowing in SI or not
+    finite: every such range is a config error, not a bad grid."""
+    with pytest.raises(ConfigError) as err:
+        resolve_sweep(StudySettings(), parameter=param, start=start,
+                      stop=stop, steps=steps)
+    assert len(err.value.diagnostics) == 1
+    assert needle in err.value.diagnostics[0]

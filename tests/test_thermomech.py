@@ -98,7 +98,8 @@ def test_flexibility_entries_against_closed_integrals(flex):
 
 def test_flexibility_against_midpoint_quadrature(table, flex):
     """Brute-force the virtual-work integrals with 200 000 midpoint
-    slices per member; the Gauss rule must agree to 1e-9 on each entry."""
+    slices per member; the closed product rule must agree to 1e-9 on
+    each entry."""
     fields, lengths = table
     slices = 200_000
     t = (np.arange(slices) + 0.5) / slices
@@ -120,6 +121,32 @@ def test_flexibility_is_symmetric_and_positive_definite(flex):
     scale = np.abs(flex).max()
     assert np.abs(flex - flex.T).max() <= 1.0e-12 * scale
     assert np.all(np.linalg.eigvalsh(flex) > 0.0)
+
+
+def _random_frame_flexibilities():
+    """Flexibility matrices of the 1000 seeded frames of acceptance
+    criterion 9."""
+    rng = np.random.default_rng(20260824)
+    for _ in range(1000):
+        hot = rng.uniform(50.0, 2000.0) * 1.0e-6
+        geometry = Geometry(
+            hot_arm_length=hot,
+            cold_arm_length=rng.uniform(0.05, 1.0) * hot,
+            gap=rng.uniform(1.0, 50.0) * 1.0e-6,
+            beam_width=rng.uniform(1.0, 10.0) * 1.0e-6,
+            beam_thickness=rng.uniform(0.5, 5.0) * 1.0e-6,
+            extension_length=rng.uniform(5.0, 100.0) * 1.0e-6,
+        )
+        material = Material(young_modulus=rng.uniform(50.0, 300.0) * 1.0e9)
+        yield flexibility_matrix(geometry, material)
+
+
+def test_flexibility_is_reciprocal_to_the_bit():
+    """All nine entries are integrated independently, and the product
+    rule treats both unit fields alike, so F_ij and F_ji round the same."""
+    asymmetric = sum(not np.array_equal(flex, flex.T)
+                     for flex in _random_frame_flexibilities())
+    assert asymmetric == 0
 
 
 def test_redundants_close_the_compatibility_system(flex):
@@ -156,6 +183,14 @@ def test_singular_and_indefinite_matrices_are_rejected():
         solve_redundants(zero_second_pivot, load)
 
 
+@pytest.mark.parametrize("hot,cold", [(np.inf, 0.0), (np.inf, np.inf),
+                                      (np.nan, 0.0)])
+def test_a_non_finite_load_is_refused(flex, hot, cold):
+    load = ThermalLoad(hot_elongation=hot, cold_elongation=cold)
+    with pytest.raises(FrameSingularError, match="^thermal load is not finite$"):
+        solve_redundants(flex, load)
+
+
 def test_a_zero_load_gives_exactly_zero_redundants(flex):
     still = ThermalLoad(hot_elongation=2.5e-7, cold_elongation=2.5e-7)
     assert solve_redundants(flex, still).tolist() == [0.0, 0.0, 0.0]
@@ -165,22 +200,10 @@ def test_solver_agrees_with_a_general_solve_on_random_frames():
     """The frames of acceptance criterion 9: the equilibrated Cholesky
     route matches an LU solve of the raw system to 1e-12, measured in
     the equilibrated variables S^-1 x with S = diag(flex)^-1/2."""
-    rng = np.random.default_rng(20260824)
     load = ThermalLoad(hot_elongation=1.0e-6, cold_elongation=0.0)
     rhs = np.array([1.0e-6, 0.0, 0.0])
     worst = 0.0
-    for _ in range(1000):
-        hot = rng.uniform(50.0, 2000.0) * 1.0e-6
-        geometry = Geometry(
-            hot_arm_length=hot,
-            cold_arm_length=rng.uniform(0.05, 1.0) * hot,
-            gap=rng.uniform(1.0, 50.0) * 1.0e-6,
-            beam_width=rng.uniform(1.0, 10.0) * 1.0e-6,
-            beam_thickness=rng.uniform(0.5, 5.0) * 1.0e-6,
-            extension_length=rng.uniform(5.0, 100.0) * 1.0e-6,
-        )
-        material = Material(young_modulus=rng.uniform(50.0, 300.0) * 1.0e9)
-        flex = flexibility_matrix(geometry, material)
+    for flex in _random_frame_flexibilities():
         root = np.sqrt(np.diag(flex))
         ours = solve_redundants(flex, load) * root
         reference = np.linalg.solve(flex, rhs) * root
