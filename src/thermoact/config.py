@@ -23,11 +23,9 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .model import (ActuatorSpec, Drive, Environment, Geometry,
                     InvalidSpecError, Material)
-from .study import PARAMETERS
+from .study import PARAMETERS, _linspace
 
 _MICRO = 1.0e-6
 
@@ -66,9 +64,9 @@ DISPLAY_UNITS = {
 }
 
 _DEFAULT_GRIDS = {
-    "ratio": tuple(float(v) for v in np.linspace(0.1, 0.8, 71)),
+    "ratio": tuple(_linspace(0.1, 0.8, 71)),
     "gap": (5.0, 6.0, 7.0, 8.0, 9.0, 10.0),
-    "voltage": tuple(float(v) for v in np.linspace(0.0, 8.0, 17)),
+    "voltage": tuple(_linspace(0.0, 8.0, 17)),
     "hot_arm_length": (500.0, 600.0, 750.0),
 }
 
@@ -280,8 +278,7 @@ def resolve_sweep(settings: StudySettings, parameter: str | None = None,
             raise ConfigError(["sweep needs at least 2 steps"])
         if n > MAX_GRID_POINTS:
             raise ConfigError([f"sweep needs at most {MAX_GRID_POINTS} steps"])
-        with np.errstate(all="ignore"):     # a bad grid is refused below
-            display = tuple(float(v) for v in np.linspace(lo, hi, n))
+        display = _linspace(lo, hi, n)     # a bad grid is refused below
     else:
         missing = [name for name, ok in
                    zip(("start", "stop", "steps"), given) if not ok]

@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import ActuatorSpec, Geometry, Material
 
 # Below this value of (decay parameter x path length) the boundary
@@ -104,19 +102,40 @@ def solve_temperature_profile(spec: ActuatorSpec) -> TemperatureProfile:
     )
 
 
-def _rise(profile, x):
-    """Temperature rise above ambient at path coordinate(s) x.
+def _coordinates(profile, x):
+    """Path coordinate(s) x, checked against [0, path_length], and the
+    expm1 that evaluates them: a plain number stays a float and takes
+    ``math.expm1``, anything else becomes an ndarray and takes
+    ``numpy.expm1``, so only array arguments import numpy."""
+    if isinstance(x, (int, float)):
+        coords, expm1 = float(x), math.expm1
+        outside = coords < 0.0 or coords > profile.path_length
+    else:
+        import numpy as np
+        coords, expm1 = np.asarray(x, dtype=float), np.expm1
+        outside = np.any(coords < 0.0) or np.any(coords > profile.path_length)
+    if outside:
+        raise ValueError("path coordinate outside [0, path_length]")
+    return coords, expm1
 
-    Accepts a scalar or ndarray.  Uses the factored identity
+
+def _result(value):
+    """A float for a scalar or 0-d result, the array itself otherwise."""
+    return value if getattr(value, "ndim", 0) else float(value)
+
+
+def _rise(profile, x, expm1):
+    """Temperature rise above ambient at checked path coordinate(s) x.
+
+    Uses the factored identity
     1 - cosh(u)/cosh(b) = -expm1(u-b) * -expm1(-u-b) / (1 + exp(-2b))
     with u = m x - b, b = m L / 2: every exponent is <= 0, so the value
     is exact (0.0) at both ends and finite for arbitrarily large b.
     """
-    x = np.asarray(x, dtype=float)
     if profile.regime == "convective":
         b = profile.decay_parameter * (0.5 * profile.path_length)
         u = profile.decay_parameter * x - b
-        shape = np.expm1(u - b) * np.expm1(-u - b) / (1.0 + math.exp(-2.0 * b))
+        shape = expm1(u - b) * expm1(-u - b) / (1.0 + math.exp(-2.0 * b))
         return profile.source_plateau * shape
     half = profile.heating_rate / (2.0 * profile.conductivity)
     return half * x * (profile.path_length - x)
@@ -125,27 +144,29 @@ def _rise(profile, x):
 def temperature_at(profile: TemperatureProfile, x) -> float:
     """Temperature (C) at path coordinate x in [0, path_length].
 
-    x may be a scalar or an ndarray; out-of-range coordinates raise."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > profile.path_length):
-        raise ValueError("path coordinate outside [0, path_length]")
-    value = profile.ambient + _rise(profile, arr)
-    return float(value) if np.ndim(x) == 0 else value
+    A plain number gives a float from the stdlib alone; an array gives
+    an ndarray from the same expressions evaluated by numpy, imported on
+    first use (a 0-d array gives a float).  The two can differ in the
+    last bits, where math and numpy round expm1, or the cube in
+    ``rise_integral``, differently.  Out-of-range coordinates raise
+    ValueError.
+    """
+    coords, expm1 = _coordinates(profile, x)
+    return _result(profile.ambient + _rise(profile, coords, expm1))
 
 
 def rise_integral(profile: TemperatureProfile, upto) -> float:
     """Integral of the rise from the anchor at 0 to path coordinate
     ``upto``, in C m.
 
-    Closed form in both regimes.  Scalar or ndarray argument.  This is
-    the quantity the arm elongations and equivalent thermal loads are
-    built from: measuring the hot arm from one anchor and the cold arm
-    from the other makes the two arm integrals the same function of arm
-    length, so equal arms yield an exactly zero differential.
+    Closed form in both regimes; plain numbers and arrays are taken and
+    returned as by ``temperature_at``.  This is the quantity the arm
+    elongations and equivalent thermal loads are built from: measuring
+    the hot arm from one anchor and the cold arm from the other makes
+    the two arm integrals the same function of arm length, so equal
+    arms yield an exactly zero differential.
     """
-    xi = np.asarray(upto, dtype=float)
-    if np.any(xi < 0.0) or np.any(xi > profile.path_length):
-        raise ValueError("path coordinate outside [0, path_length]")
+    xi, expm1 = _coordinates(profile, upto)
     if profile.regime == "convective":
         m = profile.decay_parameter
         b = m * (0.5 * profile.path_length)
@@ -153,14 +174,14 @@ def rise_integral(profile: TemperatureProfile, upto) -> float:
 
         def anti(v):
             # antiderivative of the shape factor's cosh deficit
-            return np.expm1(v - b) - np.expm1(-v - b)
+            return expm1(v - b) - expm1(-v - b)
 
         denom = m * (1.0 + math.exp(-2.0 * b))
         value = profile.source_plateau * (xi - (anti(u) - anti(-b)) / denom)
     else:
         half = profile.heating_rate / (2.0 * profile.conductivity)
         value = half * (profile.path_length * xi * xi / 2.0 - xi ** 3 / 3.0)
-    return float(value) if np.ndim(upto) == 0 else value
+    return _result(value)
 
 
 def arm_elongations(profile: TemperatureProfile, geometry: Geometry,
@@ -189,9 +210,11 @@ def fd_temperature_oracle(spec: ActuatorSpec, nodes: int = 4097):
     (positions, temperatures) as ndarrays.  Second-order accurate, and
     exact for the conduction-only parabola.  Used by the test suite and
     the ``validate`` command to cross-check the closed form; the
-    simulation pipeline never calls it.  It imports scipy's banded
-    solver on its first call, so the closed form runs without scipy.
+    simulation pipeline never calls it.  It imports numpy and scipy's
+    banded solver on its first call, so the closed form runs on the
+    stdlib alone.
     """
+    import numpy as np
     from scipy.linalg import solve_banded
 
     if nodes < 3:

@@ -18,16 +18,36 @@ inherits the pipeline's validation status unchanged.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .model import ActuatorSpec, Drive, InvalidSpecError
 from .thermomech import FrameSolution, simulate
 
 PARAMETERS = ("voltage", "ratio", "gap", "hot_arm_length")
 
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``num`` >= 2 evenly spaced floats from start to stop, the same
+    bits as ``numpy.linspace(start, stop, num).tolist()``.
+
+    Point i is i * step + start, or (i / (num - 1)) * delta + start
+    when the step underflows to zero, and the last point is ``stop``
+    itself.  A range whose width overflows gives the same non-finite
+    values numpy does, without raising.
+    """
+    start, stop = float(start), float(stop)
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:
+        values = [i / div * delta + start for i in range(div)]
+    else:
+        values = [i * step + start for i in range(div)]
+    values.append(stop)
+    return values
 
 
 def apply_parameter(base: ActuatorSpec, parameter: str, value: float) -> ActuatorSpec:
@@ -191,31 +211,31 @@ def find_optimal_ratio(base: ActuatorSpec, lo: float = 0.1, hi: float = 0.8,
         raise ValueError("need 0 < lo < hi")
     if grid < 3:
         raise ValueError("grid must have at least 3 points")
-    ratios = np.linspace(lo, hi, grid)
+    ratios = _linspace(lo, hi, grid)
 
     def objective(ratio: float) -> float:
         return simulate(apply_parameter(base, "ratio", ratio)).tip_deflection
 
-    deflections = np.array([objective(r) for r in ratios])
-    low = float(deflections.min())
-    high = float(deflections.max())
+    deflections = [objective(r) for r in ratios]
+    low = min(deflections)
+    high = max(deflections)
     gain = high / low if low > 0.0 else float("nan")
-    peak = int(np.argmax(deflections))
+    peak = deflections.index(high)
 
     if high == low:
-        return OptimumReport(base.geometry.hot_arm_length, float(ratios[peak]),
+        return OptimumReport(base.geometry.hot_arm_length, ratios[peak],
                              high, grid, gain, "flat")
-    rising = deflections[1:] > deflections[:-1]
-    unimodal = np.all(rising[:peak]) and not np.any(rising[peak:])
+    rising = [b > a for a, b in zip(deflections, deflections[1:])]
+    unimodal = all(rising[:peak]) and not any(rising[peak:])
     if not unimodal:
-        return OptimumReport(base.geometry.hot_arm_length, float(ratios[peak]),
-                             float(deflections[peak]), grid, gain, "non_unimodal")
+        return OptimumReport(base.geometry.hot_arm_length, ratios[peak],
+                             deflections[peak], grid, gain, "non_unimodal")
 
-    bracket_lo = float(ratios[max(peak - 1, 0)])
-    bracket_hi = float(ratios[min(peak + 1, grid - 1)])
+    bracket_lo = ratios[max(peak - 1, 0)]
+    bracket_hi = ratios[min(peak + 1, grid - 1)]
     best_ratio, best_deflection = golden_section_max(objective, bracket_lo, bracket_hi)
     if deflections[peak] > best_deflection:
-        best_ratio, best_deflection = float(ratios[peak]), float(deflections[peak])
+        best_ratio, best_deflection = ratios[peak], deflections[peak]
     return OptimumReport(base.geometry.hot_arm_length, best_ratio,
                          best_deflection, grid, gain, None)
 

@@ -28,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .electrothermal import (ThermalLoad, arm_elongations, rise_integral,
                              solve_temperature_profile, temperature_at)
 from .model import ActuatorSpec, Geometry, Material
@@ -52,18 +50,18 @@ class FrameSolution:
     """Everything the studies need from one operating point.
 
     Displacements in metres, rotation in radians, temperatures in C,
-    deflections positive toward the cold arm.  ``redundants`` holds the
-    anchor actions at the released cold-arm support: force along the
-    arm (N), transverse force (N), couple (N m).  ``moments`` holds the
-    superposed internal actions on the release path, rows AB, BC, CD
-    and columns moment at the start, moment at the end (N m), axial
-    force (N); the extension BJ carries no load and has no row.
+    deflections positive toward the cold arm.  ``redundants`` is the
+    3-tuple of anchor actions at the released cold-arm support: force
+    along the arm (N), transverse force (N), couple (N m).  ``moments``
+    is a 3x3 tuple of tuples of the superposed internal actions on the
+    release path, rows AB, BC, CD and columns moment at the start,
+    moment at the end (N m), axial force (N); the extension BJ carries
+    no load and has no row.
     """
 
     thermal_load: ThermalLoad
-    flexibility: np.ndarray
-    redundants: np.ndarray
-    moments: np.ndarray
+    redundants: tuple[float, float, float]
+    moments: tuple[tuple[float, float, float], ...]
     junction_deflection: float
     junction_rotation: float
     tip_deflection: float
@@ -140,15 +138,18 @@ def _flexibility(fields, lengths, ei, ea):
     return rows
 
 
-def flexibility_matrix(geometry: Geometry, material: Material) -> np.ndarray:
+def flexibility_matrix(geometry: Geometry, material: Material):
     """3x3 flexibility of the released structure at the cold anchor.
 
     Entry (i, j) is the virtual-work integral of unit fields i and j
     over the release path, bending plus axial, each member's bending
     part in closed form.  All nine entries are computed independently;
     the closed rule treats both fields alike, so symmetry holds to the
-    bit as a property, not an assumption.
+    bit as a property, not an assumption.  Returns an ndarray, importing
+    numpy on first use; ``simulate`` takes the same entries as lists.
     """
+    import numpy as np
+
     fields, lengths = unit_fields(geometry)
     return np.array(_flexibility(fields, lengths, *_rigidities(geometry, material)))
 
@@ -159,7 +160,7 @@ def _pivot_root(pivot: float) -> float:
     return math.sqrt(pivot)
 
 
-def solve_redundants(flex: np.ndarray, load: ThermalLoad) -> np.ndarray:
+def solve_redundants(flex, load: ThermalLoad) -> tuple[float, float, float]:
     """Solve compatibility at the released anchor for the redundants.
 
     The right-hand side is the differential free elongation of the two
@@ -174,14 +175,15 @@ def solve_redundants(flex: np.ndarray, load: ThermalLoad) -> np.ndarray:
     the equilibrated norm, the scale-invariant measure; the raw-norm
     residual is floor-limited near 1e-10 by the float64 representation
     of the solution itself.  A non-finite thermal load is refused.
-    Returns the anchor force along the arm (N), transverse force (N)
-    and couple (N m) as a length-3 array.
+    ``flex`` is any 3x3 nested sequence of numbers, an ndarray
+    included.  Returns the anchor force along the arm (N), transverse
+    force (N) and couple (N m) as a 3-tuple of floats.
     """
-    flex = np.asarray(flex, dtype=float)
-    entries = flex.ravel().tolist()
-    if flex.shape != (3, 3) or not all(map(math.isfinite, entries)):
+    rows = [[float(entry) for entry in row] for row in flex]
+    if len(rows) != 3 or any(len(row) != 3 for row in rows) \
+            or not all(math.isfinite(entry) for row in rows for entry in row):
         raise FrameSingularError("flexibility matrix is not a finite 3x3")
-    f00, f01, f02, f10, f11, f12, f20, f21, f22 = entries
+    (f00, f01, f02), (f10, f11, f12), (f20, f21, f22) = rows
     if not (f00 > 0.0 and f11 > 0.0 and f22 > 0.0):
         raise FrameSingularError("flexibility matrix has a non-positive diagonal")
     s0, s1, s2 = 1.0 / math.sqrt(f00), 1.0 / math.sqrt(f11), 1.0 / math.sqrt(f22)
@@ -218,7 +220,7 @@ def solve_redundants(flex: np.ndarray, load: ThermalLoad) -> np.ndarray:
         if not residual <= 1.0e-12:
             raise FrameSingularError(
                 f"compatibility solve residual {residual:.3e} exceeds 1e-12")
-    return np.array([x0, x1, x2])
+    return x0, x1, x2
 
 
 def simulate(spec: ActuatorSpec) -> FrameSolution:
@@ -238,14 +240,12 @@ def simulate(spec: ActuatorSpec) -> FrameSolution:
     load = arm_elongations(profile, geometry, material)
     fields, lengths = unit_fields(geometry)
     ei, ea = _rigidities(geometry, material)
-    flex = np.array(_flexibility(fields, lengths, ei, ea))
-    redundants = solve_redundants(flex, load)
+    redundants = solve_redundants(_flexibility(fields, lengths, ei, ea), load)
 
-    weights = redundants.tolist()
     moments = []
     for actions in zip(*fields):
         start = end = axial = 0.0
-        for weight, (act_start, act_end, act_axial) in zip(weights, actions):
+        for weight, (act_start, act_end, act_axial) in zip(redundants, actions):
             start += weight * act_start
             end += weight * act_end
             axial += weight * act_axial
@@ -261,9 +261,8 @@ def simulate(spec: ActuatorSpec) -> FrameSolution:
 
     return FrameSolution(
         thermal_load=load,
-        flexibility=flex,
         redundants=redundants,
-        moments=np.array(moments),
+        moments=tuple(moments),
         junction_deflection=deflection,
         junction_rotation=rotation,
         tip_deflection=deflection + geometry.extension_length * rotation,
@@ -274,6 +273,8 @@ def simulate(spec: ActuatorSpec) -> FrameSolution:
 def _local_stiffness(lengths, ei, ea):
     """(n, 6, 6) local frame-element stiffness blocks for an array of
     element lengths."""
+    import numpy as np
+
     n = lengths.shape[0]
     k = np.zeros((n, 6, 6))
     ax = ea / lengths
@@ -300,9 +301,11 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     temperature rise as an equivalent axial load pair, clamps both
     anchors and solves the sparse global system.  Independent of the
     flexibility route by construction; used for cross-validation and
-    never by the studies.  It is the only user of scipy in this module,
-    which it imports on its first call.
+    never by the studies.  With ``flexibility_matrix`` it is the only
+    user of numpy in this module, and the only user of scipy; it imports
+    both on its first call.
     """
+    import numpy as np
     from scipy.sparse import coo_matrix
     from scipy.sparse.linalg import spsolve
 

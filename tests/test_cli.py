@@ -152,21 +152,34 @@ def test_a_sweep_range_that_overflows_is_a_config_error(tmp_path, capsys):
                             "does not give strictly increasing finite values\n")
 
 
-@pytest.mark.parametrize("line,message", [
-    ("geometry.beam_width = 1e200", "error: numerical failure (OverflowError: "),
-    ("geometry.beam_width = 1e-300", "error: numerical failure (ZeroDivisionError: "),
-    ("material.thermal_conductivity = 1e-320",
+# Accepted configs whose thermal load is not finite: an overflowing
+# Joule source, and a decay parameter that overflows to give nan.
+NON_FINITE_LOADS = {"infinite-load": "drive.voltage = 1e200",
+                    "nan-load": "environment.convection_coefficient = 1e308"}
+
+
+@pytest.mark.parametrize("command,line,message", [
+    ("simulate", "geometry.beam_width = 1e200",
+     "error: numerical failure (OverflowError: "),
+    ("simulate", "geometry.beam_width = 1e-300",
      "error: numerical failure (ZeroDivisionError: "),
-    ("drive.voltage = 1e200", "error: thermal load is not finite"),
-    ("environment.convection_coefficient = 1e308",
+    ("simulate", "material.thermal_conductivity = 1e-320",
+     "error: numerical failure (ZeroDivisionError: "),
+    ("simulate", NON_FINITE_LOADS["infinite-load"],
      "error: thermal load is not finite"),
-], ids=["overflow", "zero-width", "zero-conductivity", "infinite-load", "nan-load"])
-def test_extreme_accepted_input_is_a_solver_error(tmp_path, capsys, line, message):
+    ("simulate", NON_FINITE_LOADS["nan-load"], "error: thermal load is not finite"),
+    ("validate", NON_FINITE_LOADS["infinite-load"],
+     "error: thermal load is not finite"),
+    ("validate", NON_FINITE_LOADS["nan-load"], "error: thermal load is not finite"),
+], ids=["overflow", "zero-width", "zero-conductivity", "infinite-load", "nan-load",
+        "infinite-load-validate", "nan-load-validate"])
+def test_extreme_accepted_input_is_a_solver_error(tmp_path, capsys, command, line,
+                                                  message):
     """Values the validator accepts but the arithmetic cannot carry end
     in one error line and exit 2, not in a traceback."""
     cfg = tmp_path / "extreme.cfg"
     cfg.write_text(line + "\n")
-    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert main([command, "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
@@ -259,20 +272,45 @@ def test_validate_flags_a_broken_oracle(monkeypatch, capsys):
     assert "mechanical" in err
 
 
+def _child_env():
+    return dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+
+
 def test_only_the_oracles_import_scipy(tmp_path):
-    """Importing the CLI, simulating and optimising load no scipy module;
-    the oracles behind ``validate`` load it on first use."""
+    """Importing the CLI, simulating, sweeping, optimising and refusing
+    a bad config load neither numpy nor scipy; the oracles behind
+    ``validate`` load both on first use."""
     script = (
         "import sys\n"
         "from thermoact.cli import main\n"
         "assert main(['simulate']) == 0\n"
+        "assert main(['sweep', '--param', 'gap']) == 0\n"
         "assert main(['optimize-ratio', '--grid', '5']) == 0\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert main(['simulate', '--voltage', '-3']) == 1\n"
+        "loaded = sorted(m for m in sys.modules\n"
+        "                if m.split('.')[0] in ('numpy', 'scipy'))\n"
         "assert not loaded, loaded\n"
         "assert main(['validate']) == 0\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=_child_env(), capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("validation ok\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "validate"])
+@pytest.mark.parametrize("load", sorted(NON_FINITE_LOADS))
+def test_a_non_finite_load_is_one_stderr_line_from_the_process(tmp_path, command,
+                                                                load):
+    """The console script's whole stderr is the one error line: no
+    warning from the arithmetic reaches it.  In-process tests cannot
+    see this, because pytest captures warnings."""
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text(NON_FINITE_LOADS[load] + "\n")
+    proc = subprocess.run([sys.executable, "-m", "thermoact.cli", command,
+                           "--config", str(cfg)], cwd=tmp_path, env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: thermal load is not finite\n"

@@ -3,9 +3,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermoact.config import (MAX_GRID_POINTS, ConfigError, StudySettings,
-                              parse_config, resolve_sweep, serialize_config)
+from thermoact.config import (_DEFAULT_GRIDS, DISPLAY_UNITS, MAX_GRID_POINTS,
+                              ConfigError, StudySettings, parse_config,
+                              resolve_sweep, serialize_config)
 from thermoact.model import default_spec
+from thermoact.study import _linspace
 
 LEGACY = Path(__file__).parent / "golden" / "legacy.cfg"
 
@@ -212,3 +214,70 @@ def test_a_range_without_a_grid_is_refused(param, start, stop, steps, needle):
                       stop=stop, steps=steps)
     assert len(err.value.diagnostics) == 1
     assert needle in err.value.diagnostics[0]
+
+
+# Widths, in units of the start, of ranges only a few ulp wide.
+EPS_WIDTHS = tuple(k * np.finfo(float).eps for k in (1.0, 2.0, 3.0, 7.0, 64.0))
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _numpy_grid(start, stop, num):
+    with np.errstate(all="ignore"):
+        return np.linspace(start, stop, num).tolist()
+
+
+def test_default_grids_are_numpy_linspace_to_the_bit():
+    assert _bits(_DEFAULT_GRIDS["ratio"]) == _bits(_numpy_grid(0.1, 0.8, 71))
+    assert _bits(_DEFAULT_GRIDS["voltage"]) == _bits(_numpy_grid(0.0, 8.0, 17))
+
+
+@pytest.mark.parametrize("param,start,stop,steps", [
+    ("ratio", 0.1, 0.8, 71),
+    ("gap", 5.0, 10.0, 6),
+    ("gap", 1.0, 37.3, 113),
+    ("voltage", 0.0, 8.0, 5),
+    ("hot_arm_length", 300.0, 2000.0, 1001),
+    ("voltage", 0.5, 12.25, MAX_GRID_POINTS),
+])
+def test_sweep_grids_are_numpy_linspace_to_the_bit(param, start, stop, steps):
+    _, values = resolve_sweep(StudySettings(), parameter=param, start=start,
+                              stop=stop, steps=steps)
+    scale = DISPLAY_UNITS[param][1]
+    assert _bits(values) == _bits(v * scale
+                                  for v in _numpy_grid(start, stop, steps))
+
+
+def test_linspace_is_numpy_linspace_to_the_bit_on_random_ranges():
+    """Seeded ranges of every magnitude and sign, ranges of a few
+    subnormals whose step underflows to zero, ranges a few ulp wide, and
+    ranges whose width overflows: the stdlib grid repeats numpy's bits,
+    nan and inf included."""
+    rng = np.random.default_rng(20261018)
+    tiny = 5.0e-324
+    cases = [(-1.0e308, 1.0e308, 3), (1.0e308, -1.0e308, 5),
+             (-1.7976931348623157e308, 1.7976931348623157e308, 2),
+             (tiny, 2.0 * tiny, 4), (0.0, tiny, 7), (-tiny, tiny, 3),
+             (1.0, 1.0000000000000002, 5), (0.1, 0.8, MAX_GRID_POINTS)]
+    for _ in range(2000):
+        signs = rng.choice([-1.0, 1.0], 2)
+        start, stop = signs * 10.0 ** rng.uniform(-323.0, 308.25, 2)
+        cases.append((float(start), float(stop), int(rng.integers(2, 300))))
+    for _ in range(500):
+        start, stop = rng.integers(-20, 20, 2)
+        cases.append((float(start) * tiny, float(stop) * tiny,
+                      int(rng.integers(2, 60))))
+    for _ in range(500):
+        start = float(rng.uniform(-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)
+        stop = start + abs(start) * EPS_WIDTHS[int(rng.integers(len(EPS_WIDTHS)))]
+        cases.append((start, stop, int(rng.integers(2, 40))))
+    cases.append((-3.5, 1234.5, int(rng.integers(MAX_GRID_POINTS // 2,
+                                                 MAX_GRID_POINTS + 1))))
+    zero_steps = 0
+    for start, stop, num in cases:
+        zero_steps += (stop - start) / (num - 1) == 0.0
+        assert _bits(_linspace(start, stop, num)) == \
+            _bits(_numpy_grid(start, stop, num)), (start, stop, num)
+    assert zero_steps >= 100

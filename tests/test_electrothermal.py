@@ -281,3 +281,73 @@ def test_zero_voltage_means_no_heating_at_all():
     xs = np.linspace(0.0, profile.path_length, 33)
     assert np.all(temperature_at(profile, xs) == profile.ambient)
     assert rise_integral(profile, profile.path_length) == 0.0
+
+
+def _seeded_profiles(regime):
+    """Profiles at ambient 0, so that a temperature is its rise: 100
+    random drives, with convection coefficients spanning m L from about
+    1e-6 to 1e3 in the convective regime, or none at all."""
+    rng = np.random.default_rng(20261018)
+    for _ in range(100):
+        beta = 10.0 ** rng.uniform(-6.0, 7.0) if regime == "convective" else 0.0
+        spec = dataclasses.replace(
+            default_spec(),
+            environment=Environment(convection_coefficient=beta,
+                                    ambient_temperature=0.0),
+            drive=Drive(voltage=rng.uniform(0.1, 12.0)))
+        profile = solve_temperature_profile(spec)
+        if profile.regime == regime:
+            path = profile.path_length
+            yield profile, np.concatenate([rng.uniform(0.0, path, 24),
+                                           path * 10.0 ** rng.uniform(-12.0, 0.0, 8)])
+
+
+@pytest.mark.parametrize("regime", ["convective", "conduction-only"])
+def test_scalar_and_array_paths_are_exact_at_the_anchors(regime):
+    """A plain float and an array give the ambient itself at both ends
+    of the path and an exactly zero integral at the start."""
+    for profile, _ in _seeded_profiles(regime):
+        ends = np.array([0.0, profile.path_length])
+        assert temperature_at(profile, 0.0) == 0.0
+        assert temperature_at(profile, profile.path_length) == 0.0
+        assert temperature_at(profile, ends).tolist() == [0.0, 0.0]
+        assert rise_integral(profile, 0.0) == 0.0
+        assert rise_integral(profile, np.zeros(2)).tolist() == [0.0, 0.0]
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("regime", ["convective", "conduction-only"])
+def test_scalar_and_array_paths_agree_to_a_few_ulp(regime):
+    """The stdlib path for plain floats and the numpy path for arrays
+    evaluate one set of expressions, but ``math.expm1``/``numpy.expm1``
+    and the two ``** 3`` can round differently.  The rise agrees to
+    4 eps relative.  The integral agrees to 4 eps of the terms it is
+    the difference of: plateau x (x + 1/m) in the convective regime,
+    the value itself in the conduction-only one."""
+    for profile, xs in _seeded_profiles(regime):
+        temps = temperature_at(profile, xs)
+        integrals = rise_integral(profile, xs)
+        if regime == "convective":
+            scale = profile.source_plateau * (xs + 1.0 / profile.decay_parameter)
+        else:
+            scale = np.abs(integrals)
+        for x, temp, integral, bound in zip(xs.tolist(), temps, integrals, scale):
+            scalar_temp = temperature_at(profile, x)
+            scalar_integral = rise_integral(profile, x)
+            assert type(scalar_temp) is float and type(scalar_integral) is float
+            assert abs(scalar_temp - temp) <= 4.0 * EPS * abs(temp)
+            assert abs(scalar_integral - integral) <= 4.0 * EPS * bound
+
+
+def test_array_coordinates_are_checked_and_0d_gives_a_float():
+    profile = solve_temperature_profile(default_spec())
+    for bad in (-1.0e-9, profile.path_length * 1.0001):
+        with pytest.raises(ValueError):
+            temperature_at(profile, np.array([0.0, bad]))
+        with pytest.raises(ValueError):
+            rise_integral(profile, [bad])
+    mid = profile.path_length / 2.0
+    assert type(temperature_at(profile, np.array(mid))) is float
+    assert type(rise_integral(profile, np.array(mid))) is float

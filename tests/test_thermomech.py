@@ -193,7 +193,16 @@ def test_a_non_finite_load_is_refused(flex, hot, cold):
 
 def test_a_zero_load_gives_exactly_zero_redundants(flex):
     still = ThermalLoad(hot_elongation=2.5e-7, cold_elongation=2.5e-7)
-    assert solve_redundants(flex, still).tolist() == [0.0, 0.0, 0.0]
+    assert solve_redundants(flex, still) == (0.0, 0.0, 0.0)
+
+
+def test_redundants_take_any_nested_sequence(flex):
+    """Nested lists and an ndarray give the same plain-float 3-tuple."""
+    load = ThermalLoad(hot_elongation=4.0e-7, cold_elongation=1.0e-7)
+    from_array = solve_redundants(flex, load)
+    assert solve_redundants(flex.tolist(), load) == from_array
+    assert type(from_array) is tuple
+    assert [type(x) for x in from_array] == [float] * 3
 
 
 def test_solver_agrees_with_a_general_solve_on_random_frames():
@@ -214,14 +223,15 @@ def test_solver_agrees_with_a_general_solve_on_random_frames():
 
 def test_moment_field_is_continuous_at_the_joints(solution):
     moments = solution.moments
-    assert moments.shape == (3, 3)       # AB, BC, CD x start, end, axial
-    assert moments[0, 1] == moments[1, 0]
-    assert moments[1, 1] == moments[2, 0]
+    assert type(moments) is tuple        # AB, BC, CD x start, end, axial
+    assert [len(row) for row in moments] == [3, 3, 3]
+    assert moments[0][1] == moments[1][0]
+    assert moments[1][1] == moments[2][0]
 
 
 def test_moment_at_the_released_anchor_equals_the_couple(solution):
     # at D the two force redundants have no lever arm left
-    assert solution.moments[2, 1] == solution.redundants[2]
+    assert solution.moments[2][1] == solution.redundants[2]
 
 
 def test_moment_superposition_is_linear_in_the_redundants(table, solution):
@@ -265,9 +275,9 @@ def test_simulation_agrees_with_the_stiffness_oracle(solution):
 
 def test_anchor_reaction_balances_the_redundants(solution):
     oracle = stiffness_oracle(default_spec(), elements_per_member=64)
-    x = solution.redundants
     reaction = np.array(oracle.reaction_cold_anchor)
-    np.testing.assert_allclose(reaction, -x, rtol=2.0e-2)
+    np.testing.assert_allclose(reaction, [-x for x in solution.redundants],
+                               rtol=2.0e-2)
 
 
 def test_oracle_is_mesh_converged(solution):
@@ -299,8 +309,8 @@ def test_unpowered_device_does_not_move():
     assert quiet.tip_deflection == 0.0
     assert quiet.junction_deflection == 0.0
     assert quiet.junction_rotation == 0.0
-    assert quiet.redundants.tolist() == [0.0, 0.0, 0.0]
-    assert quiet.moments.tolist() == [[0.0, 0.0, 0.0]] * 3
+    assert quiet.redundants == (0.0, 0.0, 0.0)
+    assert quiet.moments == ((0.0, 0.0, 0.0),) * 3
     oracle = stiffness_oracle(spec, elements_per_member=8)
     assert oracle.tip_deflection == 0.0
     assert oracle.junction_rotation == 0.0
