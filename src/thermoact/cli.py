@@ -7,8 +7,8 @@
 
 Exit codes: 0 success, 1 configuration problems, 2 solver guard
 tripped (rotation outside the small-angle regime, singular system,
-non-finite thermal load) or an arithmetic failure on extreme inputs,
-3 validation breach from the ``validate`` subcommand.
+non-finite thermal load or oracle system) or an arithmetic failure on
+extreme inputs, 3 validation breach from the ``validate`` subcommand.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import warnings
 
 from .config import (_MICRO, MAX_GRID_POINTS, ConfigError, StudySettings,
                      parse_config, resolve_sweep)
-from .electrothermal import fd_temperature_oracle, solve_temperature_profile, temperature_at
+from .electrothermal import (ThermalSystemError, fd_temperature_oracle,
+                             solve_temperature_profile, temperature_at)
 from .model import ActuatorSpec, Drive, InvalidSpecError
 from .output import sweep_chart_svg, sweep_csv
 from .study import PARAMETERS, SweepPlan, find_optimal_ratio, run_sweep
@@ -143,11 +144,11 @@ def _cmd_optimize(spec: ActuatorSpec, settings: StudySettings, args) -> int:
 
 
 def _cmd_validate(spec: ActuatorSpec) -> int:
+    # The closed form runs first, so a point it refuses ends in its
+    # named error before numpy is loaded or the oracles see it.
+    solution = simulate(spec)
     import numpy as np
 
-    # The closed form runs first, so a point it refuses ends in its
-    # named error before the oracles see it.
-    solution = simulate(spec)
     profile = solve_temperature_profile(spec)
     xs, fd_temps = fd_temperature_oracle(spec, nodes=4097)
     closed = temperature_at(profile, xs)
@@ -205,7 +206,7 @@ def main(argv=None) -> int:
         for line in exc.diagnostics:
             print(f"error: {line}", file=sys.stderr)
         return 1
-    except (SmallAngleError, FrameSingularError) as exc:
+    except (SmallAngleError, FrameSingularError, ThermalSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

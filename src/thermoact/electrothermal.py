@@ -33,6 +33,10 @@ from .model import ActuatorSpec, Geometry, Material
 PLATEAU_THRESHOLD = 1.0e-6
 
 
+class ThermalSystemError(ArithmeticError):
+    """The finite-difference system of the thermal oracle is not finite."""
+
+
 @dataclass(frozen=True)
 class TemperatureProfile:
     """Closed-form steady temperature field along the current path.
@@ -210,9 +214,11 @@ def fd_temperature_oracle(spec: ActuatorSpec, nodes: int = 4097):
     (positions, temperatures) as ndarrays.  Second-order accurate, and
     exact for the conduction-only parabola.  Used by the test suite and
     the ``validate`` command to cross-check the closed form; the
-    simulation pipeline never calls it.  It imports numpy and scipy's
-    banded solver on its first call, so the closed form runs on the
-    stdlib alone.
+    simulation pipeline never calls it.  A system whose coefficients
+    or right-hand side overflow (an extreme conductivity or Joule
+    source) raises ThermalSystemError before the solve.  It imports
+    numpy and scipy's banded solver on its first call, so the closed
+    form runs on the stdlib alone.
     """
     import numpy as np
     from scipy.linalg import solve_banded
@@ -236,7 +242,9 @@ def fd_temperature_oracle(spec: ActuatorSpec, nodes: int = 4097):
     ab[1, :] = -2.0 * k / dx ** 2 - loss
     ab[2, :-1] = k / dx ** 2         # sub-diagonal
     rhs = np.full(n, -q)
-    theta = solve_banded((1, 1), ab, rhs)
+    if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(rhs))):
+        raise ThermalSystemError("finite-difference thermal system is not finite")
+    theta = solve_banded((1, 1), ab, rhs, check_finite=False)
 
     temps = np.empty(nodes)
     temps[0] = temps[-1] = env.ambient_temperature

@@ -299,11 +299,21 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     Meshes all four members with ``elements_per_member`` 6-DOF
     Euler-Bernoulli frame elements, applies each heated element's mean
     temperature rise as an equivalent axial load pair, clamps both
-    anchors and solves the sparse global system.  Independent of the
-    flexibility route by construction; used for cross-validation and
-    never by the studies.  With ``flexibility_matrix`` it is the only
-    user of numpy in this module, and the only user of scipy; it imports
-    both on its first call.
+    anchors and solves the sparse system of the free degrees of freedom.
+    The element blocks are rotated to global axes by one batched matmul;
+    every rotation entry of the rectilinear frame is exactly 0 or +-1, so
+    the rotation rounds nothing.  The clamped system is assembled
+    directly: each global DOF has a monotone reduced index, the six
+    DOFs of anchors A and D have none, and element entries in a clamped
+    row or column are dropped before the one COO-to-CSR conversion,
+    which sums the rest in their element order.  The reaction at D is
+    K u - f over the element entries of D's three rows alone.  A mesh
+    whose nodes coincide in floating point (an element length that is
+    not finite and positive) raises FrameSingularError before any
+    division.  Independent of the flexibility route by construction;
+    used for cross-validation and never by the studies.  With
+    ``flexibility_matrix`` it is the only user of numpy in this module,
+    and the only user of scipy; it imports both on its first call.
     """
     import numpy as np
     from scipy.sparse import coo_matrix
@@ -353,6 +363,11 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
 
     delta = coords[node2] - coords[node1]
     lengths = np.hypot(delta[:, 0], delta[:, 1])
+    # Nodes that coincide in floating point (a member far shorter than
+    # the frame) give a zero length and no element to divide by.
+    if not np.all((lengths > 0.0) & (lengths < np.inf)):
+        raise FrameSingularError(
+            "stiffness mesh has an element length that is not finite and positive")
     cos = delta[:, 0] / lengths
     sin = delta[:, 1] / lengths
 
@@ -364,16 +379,27 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
         rot[:, block + 1, block] = -sin
         rot[:, block + 1, block + 1] = cos
         rot[:, block + 2, block + 2] = 1.0
-    kg = np.einsum("eji,ejk,ekl->eil", rot, local, rot)
+    kg = rot.transpose(0, 2, 1) @ local @ rot
 
     dofs = np.empty((node1.shape[0], 6), dtype=np.int64)
     dofs[:, 0:3] = 3 * node1[:, None] + np.arange(3)
     dofs[:, 3:6] = 3 * node2[:, None] + np.arange(3)
     rows = np.repeat(dofs, 6, axis=1).ravel()
     cols = np.tile(dofs, (1, 6)).ravel()
+    values = kg.ravel()
+
+    # Entries in a clamped row or column are dropped; the free DOFs are
+    # renumbered in their global order.
     ndof = 3 * n_nodes
-    stiffness = coo_matrix((kg.ravel(), (rows, cols)),
-                           shape=(ndof, ndof)).tocsr()
+    anchor_a, anchor_d = 3 * idx["A"], 3 * idx["D"]
+    free = np.ones(ndof, dtype=bool)
+    free[anchor_a:anchor_a + 3] = free[anchor_d:anchor_d + 3] = False
+    kept = free[rows] & free[cols]
+    reduced = np.cumsum(free) - 1
+    n_free = ndof - 6
+    stiffness = coo_matrix(
+        (values[kept], (reduced[rows[kept]], reduced[cols[kept]])),
+        shape=(n_free, n_free)).tocsr()
 
     # Equivalent loads: heated members are the release path AB, BC, CD,
     # whose elements tile the path coordinate [0, path_length] in order.
@@ -395,15 +421,16 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     np.add.at(load, dofs[:heated, 3], axial_force * hcos)
     np.add.at(load, dofs[:heated, 4], axial_force * hsin)
 
-    fixed = np.array([3 * idx["A"], 3 * idx["A"] + 1, 3 * idx["A"] + 2,
-                      3 * idx["D"], 3 * idx["D"] + 1, 3 * idx["D"] + 2])
-    free = np.setdiff1d(np.arange(ndof), fixed)
     solution = np.zeros(ndof)
-    solution[free] = spsolve(stiffness[free][:, free], load[free])
+    solution[free] = spsolve(stiffness, load[free])
     if not np.all(np.isfinite(solution)):
         raise FrameSingularError("stiffness system did not solve")
 
-    reaction = (stiffness @ solution - load)[3 * idx["D"]: 3 * idx["D"] + 3]
+    # K u at D's rows, summed entry by entry in COO order.
+    at_d = (rows >= anchor_d) & (rows < anchor_d + 3)
+    reaction = np.bincount(rows[at_d] - anchor_d,
+                           weights=values[at_d] * solution[cols[at_d]],
+                           minlength=3) - load[anchor_d:anchor_d + 3]
     return StiffnessResult(
         junction_deflection=float(-solution[3 * idx["B"] + 1]),
         junction_rotation=float(-solution[3 * idx["B"] + 2]),

@@ -299,18 +299,56 @@ def test_only_the_oracles_import_scipy(tmp_path):
     assert proc.stdout.endswith("validation ok\n")
 
 
-@pytest.mark.parametrize("command", ["simulate", "sweep", "validate"])
-@pytest.mark.parametrize("load", sorted(NON_FINITE_LOADS))
+# Accepted configs that only the oracles behind ``validate`` cannot
+# carry: k / dx^2 overflows in the finite-difference system, and an
+# extension below one ulp of the hot arm collapses the stiffness mesh.
+ORACLE_REFUSALS = [
+    pytest.param("validate", "material.thermal_conductivity = 1e300",
+                 "error: finite-difference thermal system is not finite",
+                 id="huge-conductivity-validate"),
+    pytest.param("validate", "geometry.extension_length = 1e-200",
+                 "error: stiffness mesh has an element length that is not "
+                 "finite and positive", id="tiny-extension-validate"),
+]
+
+
+@pytest.mark.parametrize("command,line,message", [
+    pytest.param(command, NON_FINITE_LOADS[load],
+                 "error: thermal load is not finite", id=f"{load}-{command}")
+    for load in sorted(NON_FINITE_LOADS)
+    for command in ("simulate", "sweep", "validate")
+] + ORACLE_REFUSALS)
 def test_a_non_finite_load_is_one_stderr_line_from_the_process(tmp_path, command,
-                                                                load):
+                                                                line, message):
     """The console script's whole stderr is the one error line: no
-    warning from the arithmetic reaches it.  In-process tests cannot
-    see this, because pytest captures warnings."""
+    warning from the arithmetic and no traceback reaches it.  In-process
+    tests cannot see this, because pytest captures warnings."""
     cfg = tmp_path / "extreme.cfg"
-    cfg.write_text(NON_FINITE_LOADS[load] + "\n")
+    cfg.write_text(line + "\n")
     proc = subprocess.run([sys.executable, "-m", "thermoact.cli", command,
                            "--config", str(cfg)], cwd=tmp_path, env=_child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == "error: thermal load is not finite\n"
+    assert proc.stderr == message + "\n"
+
+
+def test_an_overdriven_validate_refuses_before_numpy_loads(tmp_path):
+    """``validate`` runs the closed form first, so a point it refuses
+    ends in exit 2 without loading numpy or scipy."""
+    cfg = tmp_path / "overdriven.cfg"
+    cfg.write_text("drive.voltage = 150\n")
+    script = (
+        "import sys\n"
+        "from thermoact.cli import main\n"
+        f"assert main(['validate', '--config', {str(cfg)!r}]) == 2\n"
+        "loaded = sorted(m for m in sys.modules\n"
+        "                if m.split('.')[0] in ('numpy', 'scipy'))\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=_child_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.startswith("error: junction rotation ")
+    assert "exceeds the small-angle limit" in proc.stderr

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from thermoact.electrothermal import (PLATEAU_THRESHOLD, arm_elongations,
-                                      current_density, fd_temperature_oracle,
-                                      rise_integral, solve_temperature_profile,
-                                      temperature_at)
+from thermoact.electrothermal import (PLATEAU_THRESHOLD, ThermalSystemError,
+                                      arm_elongations, current_density,
+                                      fd_temperature_oracle, rise_integral,
+                                      solve_temperature_profile, temperature_at)
 from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
                              default_spec)
 
@@ -134,6 +134,19 @@ def test_fd_oracle_converges_at_second_order():
 def test_fd_oracle_rejects_degenerate_meshes():
     with pytest.raises(ValueError):
         fd_temperature_oracle(default_spec(), nodes=2)
+
+
+@pytest.mark.parametrize("spec", [
+    dataclasses.replace(default_spec(), material=dataclasses.replace(
+        default_spec().material, thermal_conductivity=1.0e300)),
+    dataclasses.replace(default_spec(), drive=Drive(voltage=1.0e200)),
+], ids=["overflowing-coefficients", "overflowing-source"])
+def test_fd_oracle_refuses_a_system_that_is_not_finite(spec):
+    """k / dx^2 or the Joule source overflows: a named arithmetic error,
+    not the banded solver's ValueError."""
+    with pytest.raises(ThermalSystemError, match="not finite"):
+        fd_temperature_oracle(spec, nodes=4097)
+    assert issubclass(ThermalSystemError, ArithmeticError)
 
 
 def test_no_side_loss_gives_the_parabolic_profile():

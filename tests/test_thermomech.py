@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +292,54 @@ def test_oracle_is_mesh_converged(solution):
 def test_oracle_rejects_an_empty_mesh():
     with pytest.raises(ValueError):
         stiffness_oracle(default_spec(), elements_per_member=0)
+
+
+def test_oracle_refuses_a_collapsed_element_before_dividing():
+    """An extension far shorter than one ulp of the hot arm puts J on B
+    in floating point: the oracle refuses the zero-length elements
+    before any warning from a division."""
+    spec = dataclasses.replace(default_spec(), geometry=dataclasses.replace(
+        default_spec().geometry, extension_length=1.0e-200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FrameSingularError, match="element length"):
+            stiffness_oracle(spec, elements_per_member=4)
+
+
+_CONDUCTION_ONLY = dataclasses.replace(
+    default_spec(), environment=Environment(convection_coefficient=0.0))
+
+# float.hex of every StiffnessResult field: junction deflection,
+# junction rotation, tip deflection and the reaction at D.  The
+# rectilinear frame rotates by exact 0 and +-1 entries and the clamped
+# assembly keeps each row's entry order, so a rewrite of the oracle's
+# kernels must keep these bits.
+_PINNED_ORACLE = [
+    (default_spec(), 1,
+     ("0x1.65de39c80424ap-17", "0x1.c9a60f4f64e4cp-5", "0x1.b0d966f854e65p-17",
+      "-0x1.1f3e2929c3f78p-15", "0x1.6b2492bf54d48p-23", "0x1.0ea6edf6b3e86p-33")),
+    (default_spec(), 16,
+     ("0x1.65de395627fcbp-17", "0x1.c9a60f322c902p-5", "0x1.b0d96681b924bp-17",
+      "-0x1.1f3e2991ca3fep-15", "0x1.6b248ee179500p-23", "0x1.0ea6ed39a81d8p-33")),
+    (default_spec(), 64,
+     ("0x1.65de3dc03fcaep-17", "0x1.c9a610a87cc29p-5", "0x1.b0d96b2ab9003p-17",
+      "-0x1.1f3e439722e3dp-15", "0x1.6b24b1e1e0000p-23", "0x1.0ea6f429476d6p-33")),
+    (_CONDUCTION_ONLY, 64,
+     ("0x1.c3be85e0ac90cp-17", "0x1.20d966405364bp-4", "0x1.113279c9d81fep-16",
+      "-0x1.6a97a1bd77854p-15", "0x1.ca66e220d8c00p-23", "0x1.55a62ce00021ep-33")),
+]
+
+
+@pytest.mark.parametrize("spec,elements,expected", _PINNED_ORACLE,
+                         ids=["default-1", "default-16", "default-64",
+                              "conduction-only-64"])
+def test_oracle_keeps_its_pinned_bits(spec, elements, expected):
+    result = stiffness_oracle(spec, elements_per_member=elements)
+    fields = (result.junction_deflection, result.junction_rotation,
+              result.tip_deflection, *result.reaction_cold_anchor)
+    assert all(type(value) is float for value in fields)
+    assert tuple(value.hex() for value in fields) == expected
+    assert result.elements_per_member == elements
 
 
 def test_agreement_holds_away_from_the_default_point():
