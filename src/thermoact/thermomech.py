@@ -1,15 +1,13 @@
 """Frame mechanics: from differential arm elongation to jaw-tip sweep.
 
 The U-frame is statically indeterminate to the third degree.  The main
-pipeline releases the cold-arm anchor D and tabulates, for each of the
-three unit redundant actions at D, the linear moment and constant axial
-force on the release path AB, BC, CD (``unit_fields``).  From that one
-table it forms the 3x3 flexibility matrix of the released cantilever by
-virtual work, solves the compatibility system for the redundants,
-superposes the unit fields, and recovers the junction deflection and
-rotation by a second application of virtual work on the hot arm; the
-rigid extension carries them to the jaw tip.  Every integrand is a
-product of two linear fields, which one closed rule integrates exactly.
+pipeline releases the cold-arm anchor D, whose three unit redundant
+actions induce fields on the release path AB, BC, CD that are linear in
+the arm lengths and the gap.  So the 3x3 flexibility has six closed-form
+entries, symmetric by construction, and so do the internal actions once
+the compatibility system gives the redundants.  Virtual work on the hot
+arm, one closed product rule, recovers the junction deflection and
+rotation; the rigid extension carries them to the jaw tip.
 
 A completely independent direct-stiffness solution on a refined beam
 mesh (``stiffness_oracle``) serves as cross-check; it builds its own
@@ -88,31 +86,6 @@ def _rigidities(geometry: Geometry, material: Material):
     return material.young_modulus * second_moment, material.young_modulus * area
 
 
-def unit_fields(geometry: Geometry):
-    """Internal actions on the release path for each unit redundant.
-
-    Returns ``(fields, lengths)``.  ``fields[i][k]`` is
-    ``(moment_start, moment_end, axial)`` on member k (AB, BC, CD) under
-    unit redundant i (0: force along x at D, 1: force along y at D,
-    2: couple at D), from statics of the cut segment on the anchor-D
-    side.  ``lengths`` are the three member lengths, taken straight from
-    the geometry instead of re-derived node distances so that they stay
-    exact in floating point.
-    """
-    length1, length2, gap = (geometry.hot_arm_length, geometry.cold_arm_length,
-                             geometry.gap)
-    nodes = ((0.0, 0.0), (length1, 0.0), (length1, -gap), (length1 - length2, -gap))
-    lengths = (length1, gap, length2)
-    anchor_x, anchor_y = nodes[3]
-    fields = tuple(
-        tuple(((anchor_x - sx) * fy - (anchor_y - sy) * fx + couple,
-               (anchor_x - ex) * fy - (anchor_y - ey) * fx + couple,
-               fx * ((ex - sx) / length) + fy * ((ey - sy) / length))
-              for (sx, sy), (ex, ey), length in zip(nodes, nodes[1:], lengths))
-        for fx, fy, couple in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
-    return fields, lengths
-
-
 def _product_integral(length, a_start, a_end, b_start, b_end):
     """Exact integral over a member of the product of two linear fields,
     grouped so that swapping the fields repeats every rounding step."""
@@ -120,38 +93,46 @@ def _product_integral(length, a_start, a_end, b_start, b_end):
                      + (a_start * b_end + a_end * b_start)) / 6.0
 
 
-def _flexibility(fields, lengths, ei, ea):
-    """The nine flexibility entries as nested lists, from the unit-field
-    table and the section rigidities."""
-    rows = []
-    for field_i in fields:
-        row = []
-        for field_j in fields:
-            total = 0.0
-            for (start_i, end_i, axial_i), (start_j, end_j, axial_j), length \
-                    in zip(field_i, field_j, lengths):
-                total += _product_integral(length, start_i, end_i,
-                                           start_j, end_j) / ei
-                total += length * axial_i * axial_j / ea
-            row.append(total)
-        rows.append(row)
-    return rows
+def _flexibility(length1, length2, gap, ei, ea):
+    """The six distinct flexibility entries f00, f11, f22, f01, f02, f12.
+
+    Unit redundant i at D induces, along AB, BC, CD, the moments
+    (g, g), (g, 0), (0, 0) and axial forces 1, 0, -1 for the pull
+    (i = 0); (L1 - L2, -L2), (-L2, -L2), (-L2, 0) and 0, -1, 0 for the
+    transverse force (i = 1); and a unit moment with no axial force for
+    the couple (i = 2).  Each entry is the virtual-work integral of two
+    of these fields, reduced by hand; powers are written as products so
+    that an overflow gives inf, not an exception.
+    """
+    lever = length1 - 2.0 * length2
+    d = length1 - length2
+    return (
+        gap * gap * (length1 + gap / 3.0) / ei + (length1 + length2) / ea,
+        (length1 * (d * d - d * length2 + length2 * length2)
+         + length2 * length2 * (3.0 * gap + length2)) / (3.0 * ei) + gap / ea,
+        (length1 + gap + length2) / ei,
+        gap * (length1 * lever - gap * length2) / (2.0 * ei),
+        gap * (length1 + gap / 2.0) / ei,
+        (length1 * lever - length2 * (2.0 * gap + length2)) / (2.0 * ei),
+    )
 
 
 def flexibility_matrix(geometry: Geometry, material: Material):
     """3x3 flexibility of the released structure at the cold anchor.
 
     Entry (i, j) is the virtual-work integral of unit fields i and j
-    over the release path, bending plus axial, each member's bending
-    part in closed form.  All nine entries are computed independently;
-    the closed rule treats both fields alike, so symmetry holds to the
-    bit as a property, not an assumption.  Returns an ndarray, importing
-    numpy on first use; ``simulate`` takes the same entries as lists.
+    over the release path AB, BC, CD, bending plus axial, in the closed
+    form ``simulate`` uses.  The six distinct entries are mirrored, so
+    the matrix is symmetric by construction; acceptance criterion 9
+    still checks that it is positive definite on 1000 random frames.
+    Returns an ndarray, importing numpy on first use.
     """
     import numpy as np
 
-    fields, lengths = unit_fields(geometry)
-    return np.array(_flexibility(fields, lengths, *_rigidities(geometry, material)))
+    f00, f11, f22, f01, f02, f12 = _flexibility(
+        geometry.hot_arm_length, geometry.cold_arm_length, geometry.gap,
+        *_rigidities(geometry, material))
+    return np.array([[f00, f01, f02], [f01, f11, f12], [f02, f12, f22]])
 
 
 def _pivot_root(pivot: float) -> float:
@@ -226,10 +207,11 @@ def solve_redundants(flex, load: ThermalLoad) -> tuple[float, float, float]:
 def simulate(spec: ActuatorSpec) -> FrameSolution:
     """Full pipeline: temperatures, elongations, redundants, tip sweep.
 
-    After the compatibility solve the unit fields are superposed with
-    the redundants as weights.  Unit-load virtual work on the hot arm
-    then gives the junction deflection and rotation: both virtual
-    systems load the primary cantilever at the junction B, so a unit
+    The redundants x give the moment g x0 + (L1 - L2) x1 + x2 at A,
+    g x0 - L2 x1 + x2 at B, x2 - L2 x1 at C and x2 at D, and the axial
+    forces x0, -x1, -x0 on AB, BC, CD.  Unit-load virtual work on the
+    hot arm then gives the junction deflection and rotation: both
+    virtual systems load the primary cantilever at B, so a unit
     transverse force gives a field falling linearly from the anchored
     end to zero at B and a unit couple a constant one.  The rigid-lever
     extension carries the junction motion out to the jaw tip, which is
@@ -238,22 +220,18 @@ def simulate(spec: ActuatorSpec) -> FrameSolution:
     geometry, material = spec.geometry, spec.material
     profile = solve_temperature_profile(spec)
     load = arm_elongations(profile, geometry, material)
-    fields, lengths = unit_fields(geometry)
+    length1, length2, gap = (geometry.hot_arm_length, geometry.cold_arm_length,
+                             geometry.gap)
     ei, ea = _rigidities(geometry, material)
-    redundants = solve_redundants(_flexibility(fields, lengths, ei, ea), load)
+    f00, f11, f22, f01, f02, f12 = _flexibility(length1, length2, gap, ei, ea)
+    x0, x1, x2 = redundants = solve_redundants(
+        ((f00, f01, f02), (f01, f11, f12), (f02, f12, f22)), load)
 
-    moments = []
-    for actions in zip(*fields):
-        start = end = axial = 0.0
-        for weight, (act_start, act_end, act_axial) in zip(redundants, actions):
-            start += weight * act_start
-            end += weight * act_end
-            axial += weight * act_axial
-        moments.append((start, end, axial))
-
-    (m_start, m_end, _), length1 = moments[0], lengths[0]
-    deflection = _product_integral(length1, m_start, m_end, length1, 0.0) / ei
-    rotation = _product_integral(length1, m_start, m_end, 1.0, 1.0) / ei
+    at_a = gap * x0 + (length1 - length2) * x1 + x2
+    at_b = gap * x0 - length2 * x1 + x2
+    at_c = x2 - length2 * x1
+    deflection = _product_integral(length1, at_a, at_b, length1, 0.0) / ei
+    rotation = _product_integral(length1, at_a, at_b, 1.0, 1.0) / ei
     if not abs(rotation) < SMALL_ANGLE_LIMIT:
         raise SmallAngleError(
             f"junction rotation {rotation:.4f} rad exceeds the "
@@ -262,7 +240,7 @@ def simulate(spec: ActuatorSpec) -> FrameSolution:
     return FrameSolution(
         thermal_load=load,
         redundants=redundants,
-        moments=tuple(moments),
+        moments=((at_a, at_b, x0), (at_b, at_c, -x1), (at_c, x2, -x0)),
         junction_deflection=deflection,
         junction_rotation=rotation,
         tip_deflection=deflection + geometry.extension_length * rotation,
@@ -272,16 +250,23 @@ def simulate(spec: ActuatorSpec) -> FrameSolution:
 
 def _local_stiffness(lengths, ei, ea):
     """(n, 6, 6) local frame-element stiffness blocks for an array of
-    element lengths."""
+    element lengths.  The coefficients are formed with floating-point
+    errors silent, then one that is not finite and positive (a power of
+    the length left the float range) raises FrameSingularError."""
     import numpy as np
 
     n = lengths.shape[0]
     k = np.zeros((n, 6, 6))
-    ax = ea / lengths
-    b12 = 12.0 * ei / lengths ** 3
-    b6 = 6.0 * ei / lengths ** 2
-    b4 = 4.0 * ei / lengths
-    b2 = 2.0 * ei / lengths
+    with np.errstate(all="ignore"):
+        ax = ea / lengths
+        b12 = 12.0 * ei / lengths ** 3
+        b6 = 6.0 * ei / lengths ** 2
+        b4 = 4.0 * ei / lengths
+        b2 = 2.0 * ei / lengths
+    coefficients = np.array((ax, b12, b6, b4, b2))
+    if not (coefficients.min() > 0.0 and coefficients.max() < np.inf):
+        raise FrameSingularError(
+            "stiffness element has a coefficient that is not finite and positive")
     k[:, 0, 0] = k[:, 3, 3] = ax
     k[:, 0, 3] = k[:, 3, 0] = -ax
     k[:, 1, 1] = k[:, 4, 4] = b12
@@ -310,8 +295,10 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     K u - f over the element entries of D's three rows alone.  A mesh
     whose nodes coincide in floating point (an element length that is
     not finite and positive) raises FrameSingularError before any
-    division.  Independent of the flexibility route by construction;
-    used for cross-validation and never by the studies.  With
+    division.  So, before the solve, do an element stiffness coefficient
+    that is not finite and positive and a heated element whose path span
+    is not positive.  Independent of the flexibility route by
+    construction; used for cross-validation and never by the studies.  With
     ``flexibility_matrix`` it is the only user of numpy in this module,
     and the only user of scipy; it imports both on its first call.
     """
@@ -410,8 +397,11 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
         (geo.hot_arm_length + geo.gap)
         + np.linspace(0.0, geo.cold_arm_length, nel + 1)[1:],
     ])
+    widths = np.diff(spans)     # zero for a member below one ulp of the path
+    if not np.all(widths > 0.0):
+        raise FrameSingularError("heated element has a path span that is not positive")
     integrals = rise_integral(profile, spans)
-    mean_rise = np.diff(integrals) / np.diff(spans)
+    mean_rise = np.diff(integrals) / widths
     axial_force = ea * mat.expansion_coefficient * mean_rise
 
     load = np.zeros(ndof)

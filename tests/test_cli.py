@@ -300,8 +300,13 @@ def test_only_the_oracles_import_scipy(tmp_path):
 
 
 # Accepted configs that only the oracles behind ``validate`` cannot
-# carry: k / dx^2 overflows in the finite-difference system, and an
-# extension below one ulp of the hot arm collapses the stiffness mesh.
+# carry: k / dx^2 overflows in the finite-difference system, an
+# extension below one ulp of the hot arm collapses the stiffness mesh, a
+# gap below one ulp of the path collapses the heated spans, and members
+# far too short or long for their section take the element stiffness
+# out of the float range.
+_COEFFICIENT = "error: stiffness element has a coefficient that is not " \
+    "finite and positive"
 ORACLE_REFUSALS = [
     pytest.param("validate", "material.thermal_conductivity = 1e300",
                  "error: finite-difference thermal system is not finite",
@@ -309,6 +314,18 @@ ORACLE_REFUSALS = [
     pytest.param("validate", "geometry.extension_length = 1e-200",
                  "error: stiffness mesh has an element length that is not "
                  "finite and positive", id="tiny-extension-validate"),
+    pytest.param("validate", "geometry.gap = 1e-30",
+                 "error: heated element has a path span that is not positive",
+                 id="tiny-gap-validate"),
+    pytest.param("validate", "geometry.gap = 1e-200", _COEFFICIENT,
+                 id="tinier-gap-validate"),
+    pytest.param("validate", "geometry.hot_arm_length = 1e-100\n"
+                 "geometry.cold_arm_length = 1e-101", _COEFFICIENT,
+                 id="tiny-arms-validate"),
+    pytest.param("validate", "geometry.extension_length = 1e+300",
+                 _COEFFICIENT, id="huge-extension-validate"),
+    pytest.param("validate", "geometry.beam_thickness = 1e+300",
+                 _COEFFICIENT, id="huge-thickness-validate"),
 ]
 
 

@@ -1,8 +1,9 @@
 """Property test of the CLI contract: whatever finite, extreme or
 non-finite values a config file holds, and whatever sweep range the
 command line asks for, ``main`` returns an exit code of the documented
-taxonomy (0 success, 1 configuration problem, 2 solver guard) and never
-raises.  A ``simulate`` that succeeds reports only finite numbers.
+taxonomy (0 success, 1 configuration problem, 2 solver guard, 3
+validation breach from ``validate`` alone), never raises and never
+warns.  A ``simulate`` that succeeds reports only finite numbers.
 
 The examples are derandomized and the database is off, so every run
 draws the same cases."""
@@ -59,23 +60,38 @@ COMMANDS = st.one_of(
 )
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=250)
-@given(text=_config_text(), command=COMMANDS)
-def test_every_input_ends_in_a_documented_exit_code(text, command):
+def _run(command, text):
+    """Exit code, stdout and stderr of ``main`` on a config file holding
+    ``text``, with every warning raised as an error."""
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "fuzz.cfg"
         config.write_text(text, encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings():
-            # these commands run on plain floats, which warn of nothing
-            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("error")
             code = main(command + ["--config", str(config)])
-    assert code in (0, 1, 2), err.getvalue()
-    if code != 0:
+    if code in (1, 2):
         assert any(line.startswith("error: ")
-                   for line in err.getvalue().splitlines())
+                   for line in err.getvalue().splitlines()), err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=250)
+@given(text=_config_text(), command=COMMANDS)
+def test_every_input_ends_in_a_documented_exit_code(text, command):
+    code, out, err = _run(command, text)
+    assert code in (0, 1, 2), err
     if command[0] == "simulate" and code == 0:
-        for line in out.getvalue().splitlines():
+        for line in out.splitlines():
             _, _, reading = line.partition(" = ")
             assert math.isfinite(float(reading.split()[0])), line
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(text=_config_text())
+def test_validate_ends_in_a_documented_exit_code(text):
+    """``validate`` runs both oracles on numpy and scipy; none of them
+    may warn before its exit line."""
+    code, _, err = _run(["validate"], text)
+    assert code in (0, 1, 2, 3), err

@@ -4,17 +4,73 @@ import warnings
 import numpy as np
 import pytest
 
-from thermoact.electrothermal import arm_elongations, solve_temperature_profile
+from thermoact.electrothermal import (arm_elongations, solve_temperature_profile,
+                                      temperature_at)
 from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
                              Material, default_spec)
 from thermoact.thermomech import (FrameSingularError, SmallAngleError,
                                   ThermalLoad, flexibility_matrix, simulate,
-                                  solve_redundants, stiffness_oracle,
-                                  unit_fields)
+                                  solve_redundants, stiffness_oracle)
 
 W, T, E = 2.8e-6, 2.0e-6, 158.0e9
 EI = E * (T * W ** 3 / 12.0)
 EA = E * (W * T)
+
+
+def unit_fields(geometry):
+    """Reference statics table of the release path, independent of the
+    closed form in production.
+
+    Returns ``(fields, lengths)``.  ``fields[i][k]`` is
+    ``(moment_start, moment_end, axial)`` on member k (AB, BC, CD) under
+    unit redundant i (0: force along x at D, 1: force along y at D,
+    2: couple at D), from statics of the cut segment on the anchor-D
+    side, with the moments taken about the member's nodes.  ``lengths``
+    are the three member lengths.
+    """
+    length1, length2, gap = (geometry.hot_arm_length, geometry.cold_arm_length,
+                             geometry.gap)
+    nodes = ((0.0, 0.0), (length1, 0.0), (length1, -gap), (length1 - length2, -gap))
+    lengths = (length1, gap, length2)
+    anchor_x, anchor_y = nodes[3]
+    fields = tuple(
+        tuple(((anchor_x - sx) * fy - (anchor_y - sy) * fx + couple,
+               (anchor_x - ex) * fy - (anchor_y - ey) * fx + couple,
+               fx * ((ex - sx) / length) + fy * ((ey - sy) / length))
+              for (sx, sy), (ex, ey), length in zip(nodes, nodes[1:], lengths))
+        for fx, fy, couple in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
+    return fields, lengths
+
+
+def _simpson(length, a_start, a_end, b_start, b_end):
+    """Simpson's rule, exact for the product of two linear fields."""
+    middle = (a_start + a_end) * (b_start + b_end) / 4.0
+    return length * (a_start * b_start + 4.0 * middle + a_end * b_end) / 6.0
+
+
+def _table_route(spec):
+    """The frame solved from the statics table: its nine flexibility
+    entries by Simpson's rule, the production solver, the superposed
+    moment on the hot arm and virtual work there.  Returns the
+    flexibility matrix and the tip, junction deflection and rotation."""
+    geometry, material = spec.geometry, spec.material
+    ei = material.young_modulus * (geometry.beam_thickness
+                                   * geometry.beam_width ** 3 / 12.0)
+    ea = material.young_modulus * geometry.beam_width * geometry.beam_thickness
+    fields, lengths = unit_fields(geometry)
+    flex = np.array([[sum(_simpson(length, a_start, a_end, b_start, b_end) / ei
+                          + length * a_axial * b_axial / ea
+                          for (a_start, a_end, a_axial), (b_start, b_end, b_axial),
+                          length in zip(field_a, field_b, lengths))
+                      for field_b in fields] for field_a in fields])
+    load = arm_elongations(solve_temperature_profile(spec), geometry, material)
+    redundants = solve_redundants(flex, load)
+    start = sum(x * field[0][0] for x, field in zip(redundants, fields))
+    end = sum(x * field[0][1] for x, field in zip(redundants, fields))
+    deflection = _simpson(lengths[0], start, end, lengths[0], 0.0) / ei
+    rotation = _simpson(lengths[0], start, end, 1.0, 1.0) / ei
+    tip = deflection + geometry.extension_length * rotation
+    return flex, (tip, deflection, rotation)
 
 
 @pytest.fixture(scope="module")
@@ -124,9 +180,8 @@ def test_flexibility_is_symmetric_and_positive_definite(flex):
     assert np.all(np.linalg.eigvalsh(flex) > 0.0)
 
 
-def _random_frame_flexibilities():
-    """Flexibility matrices of the 1000 seeded frames of acceptance
-    criterion 9."""
+def _random_frames():
+    """The 1000 seeded frames of acceptance criterion 9, as specs."""
     rng = np.random.default_rng(20260824)
     for _ in range(1000):
         hot = rng.uniform(50.0, 2000.0) * 1.0e-6
@@ -139,15 +194,55 @@ def _random_frame_flexibilities():
             extension_length=rng.uniform(5.0, 100.0) * 1.0e-6,
         )
         material = Material(young_modulus=rng.uniform(50.0, 300.0) * 1.0e9)
-        yield flexibility_matrix(geometry, material)
+        yield ActuatorSpec(geometry=geometry, material=material)
+
+
+def _random_frame_flexibilities():
+    for spec in _random_frames():
+        yield flexibility_matrix(spec.geometry, spec.material)
 
 
 def test_flexibility_is_reciprocal_to_the_bit():
-    """All nine entries are integrated independently, and the product
-    rule treats both unit fields alike, so F_ij and F_ji round the same."""
+    """The six distinct entries are mirrored, so F_ij and F_ji are one
+    float by construction; this holds ``flexibility_matrix`` to it."""
     asymmetric = sum(not np.array_equal(flex, flex.T)
                      for flex in _random_frame_flexibilities())
     assert asymmetric == 0
+
+
+def test_closed_form_matches_the_statics_table_route():
+    """Production's closed-form entries and moments against the route
+    through the statics table.  The flexibility agrees to 1e-13 on the
+    criterion 9 frames, measured in the equilibrated matrix S F S with
+    S = diag(F)^-1/2; on the 1278-point acceptance grid the tip, junction
+    deflection and rotation agree to 1e-12 relative, and the thermal
+    results, which the two routes share, to the bit."""
+    worst_flex = 0.0
+    for spec in _random_frames():
+        reference, _ = _table_route(spec)
+        scale = 1.0 / np.sqrt(np.diag(reference))
+        defect = (flexibility_matrix(spec.geometry, spec.material) - reference) \
+            * scale[:, None] * scale[None, :]
+        worst_flex = max(worst_flex, float(np.abs(defect).max()))
+    assert worst_flex <= 1.0e-13
+
+    worst_frame = 0.0
+    for hot_um in (500.0, 600.0, 750.0):
+        for ratio in np.linspace(0.1, 0.8, 71).tolist():
+            for gap_um in (5.0, 6.0, 7.0, 8.0, 9.0, 10.0):
+                spec = _spec(hot_um, ratio, gap_um)
+                ours = simulate(spec)
+                _, expected = _table_route(spec)
+                got = (ours.tip_deflection, ours.junction_deflection,
+                       ours.junction_rotation)
+                worst_frame = max(worst_frame, *(abs(a - b) / abs(b)
+                                                 for a, b in zip(got, expected)))
+                profile = solve_temperature_profile(spec)
+                assert ours.thermal_load == arm_elongations(
+                    profile, spec.geometry, spec.material)
+                assert ours.peak_temperature == temperature_at(
+                    profile, profile.path_length / 2.0)
+    assert worst_frame <= 1.0e-12
 
 
 def test_redundants_close_the_compatibility_system(flex):
