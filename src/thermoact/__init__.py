@@ -21,7 +21,7 @@ from .study import (OptimumReport, SweepPlan, SweepTable, find_optimal_ratio,
                     run_sweep, sensitivity_summary)
 from .thermomech import (FrameSingularError, FrameSolution, SmallAngleError,
                          StiffnessResult, flexibility_matrix, simulate,
-                         solve_redundants, stiffness_oracle)
+                         stiffness_oracle)
 
 __version__ = "0.1.0"
 
@@ -35,6 +35,6 @@ __all__ = [
     "find_optimal_ratio", "flexibility_matrix", "line_chart_svg",
     "parse_config", "resolve_sweep", "rise_integral", "run_sweep",
     "sensitivity_summary", "serialize_config", "simulate",
-    "solve_redundants", "solve_temperature_profile", "stiffness_oracle",
-    "sweep_chart_svg", "sweep_csv", "temperature_at",
+    "solve_temperature_profile", "stiffness_oracle", "sweep_chart_svg",
+    "sweep_csv", "temperature_at",
 ]

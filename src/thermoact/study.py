@@ -152,7 +152,8 @@ class OptimumReport:
     objective does not vary over the grid, "non_unimodal" when the grid
     shows multiple rises and falls; in both flagged cases the best grid
     point is reported unrefined.  gain_over_range is the max/min tip
-    deflection across the grid (nan when the minimum is not positive).
+    deflection across the grid: 1.0 on a flat grid, where no ratio
+    gains anything, else nan when the minimum is not positive.
     """
 
     hot_arm_length: float
@@ -224,7 +225,7 @@ def find_optimal_ratio(base: ActuatorSpec, lo: float = 0.1, hi: float = 0.8,
 
     if high == low:
         return OptimumReport(base.geometry.hot_arm_length, ratios[peak],
-                             high, grid, gain, "flat")
+                             high, grid, 1.0, "flat")
     rising = [b > a for a, b in zip(deflections, deflections[1:])]
     unimodal = all(rising[:peak]) and not any(rising[peak:])
     if not unimodal:

@@ -150,31 +150,29 @@ def solve_redundants(flex, load: ThermalLoad) -> tuple[float, float, float]:
     (m/N, 1/N, 1/(N m)) and is raw-conditioned around 1e11, so it is
     symmetrically equilibrated to unit diagonal (condition ~1e1) before
     a Cholesky solve plus two steps of iterative refinement.  The
-    factor is a hand-written 3x3 lower Cholesky in plain floats that
-    reads only the lower triangle; a pivot that is not positive means
-    the matrix is not positive definite.  The residual is verified in
-    the equilibrated norm, the scale-invariant measure; the raw-norm
-    residual is floor-limited near 1e-10 by the float64 representation
-    of the solution itself.  A non-finite thermal load is refused.
-    ``flex`` is any 3x3 nested sequence of numbers, an ndarray
-    included.  Returns the anchor force along the arm (N), transverse
-    force (N) and couple (N m) as a 3-tuple of floats.
+    factor is a hand-written 3x3 lower Cholesky in plain floats; a
+    pivot that is not positive means the matrix is not positive
+    definite.  The residual is verified in the equilibrated norm, the
+    scale-invariant measure; the raw-norm residual is floor-limited
+    near 1e-10 by the float64 representation of the solution itself.
+    A non-finite thermal load is refused.  Internal to ``simulate``,
+    which passes ``_flexibility``'s six entries (f00, f11, f22, f01,
+    f02, f12) as ``flex``.  Returns the anchor force along the arm (N),
+    transverse force (N) and couple (N m) as a 3-tuple of floats.
     """
-    rows = [[float(entry) for entry in row] for row in flex]
-    if len(rows) != 3 or any(len(row) != 3 for row in rows) \
-            or not all(math.isfinite(entry) for row in rows for entry in row):
+    f00, f11, f22, f01, f02, f12 = flex
+    if not all(map(math.isfinite, flex)):
         raise FrameSingularError("flexibility matrix is not a finite 3x3")
-    (f00, f01, f02), (f10, f11, f12), (f20, f21, f22) = rows
     if not (f00 > 0.0 and f11 > 0.0 and f22 > 0.0):
         raise FrameSingularError("flexibility matrix has a non-positive diagonal")
     s0, s1, s2 = 1.0 / math.sqrt(f00), 1.0 / math.sqrt(f11), 1.0 / math.sqrt(f22)
 
     # L L^T = S F S with S = diag(s): entry (i, j) of S F S is f_ij s_i s_j.
     l00 = _pivot_root(f00 * s0 * s0)
-    l10 = f10 * s1 * s0 / l00
-    l20 = f20 * s2 * s0 / l00
+    l10 = f01 * s1 * s0 / l00
+    l20 = f02 * s2 * s0 / l00
     l11 = _pivot_root(f11 * s1 * s1 - l10 * l10)
-    l21 = (f21 * s2 * s1 - l20 * l10) / l11
+    l21 = (f12 * s2 * s1 - l20 * l10) / l11
     l22 = _pivot_root(f22 * s2 * s2 - l20 * l20 - l21 * l21)
 
     rhs = load.hot_elongation - load.cold_elongation
@@ -192,8 +190,8 @@ def solve_redundants(flex, load: ThermalLoad) -> tuple[float, float, float]:
         y0 = (z0 - l10 * y1 - l20 * y2) / l00
         x0, x1, x2 = x0 + s0 * y0, x1 + s1 * y1, x2 + s2 * y2
         r0 = rhs - (f00 * x0 + f01 * x1 + f02 * x2)
-        r1 = -(f10 * x0 + f11 * x1 + f12 * x2)
-        r2 = -(f20 * x0 + f21 * x1 + f22 * x2)
+        r1 = -(f01 * x0 + f11 * x1 + f12 * x2)
+        r2 = -(f02 * x0 + f12 * x1 + f22 * x2)
 
     rhs_norm = abs(s0 * rhs)
     if rhs_norm > 0.0:
@@ -207,7 +205,8 @@ def solve_redundants(flex, load: ThermalLoad) -> tuple[float, float, float]:
 def simulate(spec: ActuatorSpec) -> FrameSolution:
     """Full pipeline: temperatures, elongations, redundants, tip sweep.
 
-    The redundants x give the moment g x0 + (L1 - L2) x1 + x2 at A,
+    The redundants x, solved from ``_flexibility``'s six entries as
+    they are, give the moment g x0 + (L1 - L2) x1 + x2 at A,
     g x0 - L2 x1 + x2 at B, x2 - L2 x1 at C and x2 at D, and the axial
     forces x0, -x1, -x0 on AB, BC, CD.  Unit-load virtual work on the
     hot arm then gives the junction deflection and rotation: both
@@ -223,9 +222,8 @@ def simulate(spec: ActuatorSpec) -> FrameSolution:
     length1, length2, gap = (geometry.hot_arm_length, geometry.cold_arm_length,
                              geometry.gap)
     ei, ea = _rigidities(geometry, material)
-    f00, f11, f22, f01, f02, f12 = _flexibility(length1, length2, gap, ei, ea)
     x0, x1, x2 = redundants = solve_redundants(
-        ((f00, f01, f02), (f01, f11, f12), (f02, f12, f22)), load)
+        _flexibility(length1, length2, gap, ei, ea), load)
 
     at_a = gap * x0 + (length1 - length2) * x1 + x2
     at_b = gap * x0 - length2 * x1 + x2

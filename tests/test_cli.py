@@ -245,6 +245,7 @@ def test_optimize_ratio_warns_on_a_flat_objective(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "flat" in captured.err
     assert "optimal_ratio=" in captured.out
+    assert "gain_over_range = 1" in captured.out.splitlines()
 
 
 def test_validate_passes_on_the_default_device(capsys):

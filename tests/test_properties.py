@@ -3,7 +3,8 @@ non-finite values a config file holds, and whatever sweep range the
 command line asks for, ``main`` returns an exit code of the documented
 taxonomy (0 success, 1 configuration problem, 2 solver guard, 3
 validation breach from ``validate`` alone), never raises and never
-warns.  A ``simulate`` that succeeds reports only finite numbers.
+warns.  A ``simulate`` or ``optimize-ratio`` that succeeds reports
+only finite numbers; a flat objective is one explicit example.
 
 The examples are derandomized and the database is off, so every run
 draws the same cases."""
@@ -15,7 +16,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermoact.cli import main
@@ -79,12 +80,13 @@ def _run(command, text):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=250)
 @given(text=_config_text(), command=COMMANDS)
+@example(text="drive.voltage = 0.0\n", command=["optimize-ratio", "--grid", "5"])
 def test_every_input_ends_in_a_documented_exit_code(text, command):
     code, out, err = _run(command, text)
     assert code in (0, 1, 2), err
-    if command[0] == "simulate" and code == 0:
+    if command[0] in ("simulate", "optimize-ratio") and code == 0:
         for line in out.splitlines():
-            _, _, reading = line.partition(" = ")
+            _, _, reading = line.partition("=")
             assert math.isfinite(float(reading.split()[0])), line
 
 

@@ -136,7 +136,7 @@ def test_flat_objective_is_flagged_not_refined():
     report = find_optimal_ratio(_base(volts=0.0), grid=11)
     assert report.flag == "flat"
     assert report.optimal_tip_deflection == 0.0
-    assert np.isnan(report.gain_over_range)
+    assert report.gain_over_range == 1.0
 
 
 def test_multi_peak_objective_is_flagged(monkeypatch):

@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,9 +52,10 @@ def _simpson(length, a_start, a_end, b_start, b_end):
 
 def _table_route(spec):
     """The frame solved from the statics table: its nine flexibility
-    entries by Simpson's rule, the production solver, the superposed
-    moment on the hot arm and virtual work there.  Returns the
-    flexibility matrix and the tip, junction deflection and rotation."""
+    entries by Simpson's rule, the production solver on their lower
+    triangle, the superposed moment on the hot arm and virtual work
+    there.  Returns the flexibility matrix and the tip, junction
+    deflection and rotation."""
     geometry, material = spec.geometry, spec.material
     ei = material.young_modulus * (geometry.beam_thickness
                                    * geometry.beam_width ** 3 / 12.0)
@@ -64,13 +67,22 @@ def _table_route(spec):
                           length in zip(field_a, field_b, lengths))
                       for field_b in fields] for field_a in fields])
     load = arm_elongations(solve_temperature_profile(spec), geometry, material)
-    redundants = solve_redundants(flex, load)
+    redundants = solve_redundants(
+        (flex[0, 0], flex[1, 1], flex[2, 2], flex[1, 0], flex[2, 0], flex[2, 1]),
+        load)
     start = sum(x * field[0][0] for x, field in zip(redundants, fields))
     end = sum(x * field[0][1] for x, field in zip(redundants, fields))
     deflection = _simpson(lengths[0], start, end, lengths[0], 0.0) / ei
     rotation = _simpson(lengths[0], start, end, 1.0, 1.0) / ei
     tip = deflection + geometry.extension_length * rotation
     return flex, (tip, deflection, rotation)
+
+
+def _entries(flex):
+    """The six distinct entries of a flexibility matrix as plain floats,
+    in the order ``solve_redundants`` takes them."""
+    return tuple(flex[i, j].item()
+                 for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)))
 
 
 @pytest.fixture(scope="module")
@@ -251,7 +263,7 @@ def test_redundants_close_the_compatibility_system(flex):
     spec = default_spec()
     profile = solve_temperature_profile(spec)
     load = arm_elongations(profile, spec.geometry, spec.material)
-    x = solve_redundants(flex, load)
+    x = solve_redundants(_entries(flex), load)
     rhs = np.array([load.hot_elongation - load.cold_elongation, 0.0, 0.0])
     residual = np.abs(rhs - flex @ x)
     scale = np.abs(flex) @ np.abs(x) + np.abs(rhs)
@@ -268,13 +280,13 @@ def test_redundant_magnitudes_are_sane(solution):
 def test_singular_and_indefinite_matrices_are_rejected():
     load = ThermalLoad(hot_elongation=1.0e-9, cold_elongation=0.0)
     with pytest.raises(FrameSingularError):
-        solve_redundants(np.zeros((3, 3)), load)
-    indefinite = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        solve_redundants((0.0,) * 6, load)
+    indefinite = (1.0, 1.0, 1.0, 2.0, 0.0, 0.0)
     with pytest.raises(FrameSingularError):
         solve_redundants(indefinite, load)
     with pytest.raises(FrameSingularError):
-        solve_redundants(np.full((3, 3), np.nan), load)
-    zero_second_pivot = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        solve_redundants((float("nan"),) * 6, load)
+    zero_second_pivot = (1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
     with pytest.raises(FrameSingularError, match="not positive definite"):
         solve_redundants(zero_second_pivot, load)
 
@@ -284,21 +296,20 @@ def test_singular_and_indefinite_matrices_are_rejected():
 def test_a_non_finite_load_is_refused(flex, hot, cold):
     load = ThermalLoad(hot_elongation=hot, cold_elongation=cold)
     with pytest.raises(FrameSingularError, match="^thermal load is not finite$"):
-        solve_redundants(flex, load)
+        solve_redundants(_entries(flex), load)
 
 
 def test_a_zero_load_gives_exactly_zero_redundants(flex):
     still = ThermalLoad(hot_elongation=2.5e-7, cold_elongation=2.5e-7)
-    assert solve_redundants(flex, still) == (0.0, 0.0, 0.0)
+    assert solve_redundants(_entries(flex), still) == (0.0, 0.0, 0.0)
 
 
 def test_redundants_take_any_nested_sequence(flex):
-    """Nested lists and an ndarray give the same plain-float 3-tuple."""
+    """The six entries give a plain-float 3-tuple."""
     load = ThermalLoad(hot_elongation=4.0e-7, cold_elongation=1.0e-7)
-    from_array = solve_redundants(flex, load)
-    assert solve_redundants(flex.tolist(), load) == from_array
-    assert type(from_array) is tuple
-    assert [type(x) for x in from_array] == [float] * 3
+    redundants = solve_redundants(_entries(flex), load)
+    assert type(redundants) is tuple
+    assert [type(x) for x in redundants] == [float] * 3
 
 
 def test_solver_agrees_with_a_general_solve_on_random_frames():
@@ -310,11 +321,33 @@ def test_solver_agrees_with_a_general_solve_on_random_frames():
     worst = 0.0
     for flex in _random_frame_flexibilities():
         root = np.sqrt(np.diag(flex))
-        ours = solve_redundants(flex, load) * root
+        ours = solve_redundants(_entries(flex), load) * root
         reference = np.linalg.solve(flex, rhs) * root
         worst = max(worst, float(np.linalg.norm(ours - reference)
                                  / np.linalg.norm(reference)))
     assert worst <= 1.0e-12
+
+
+def test_solver_agrees_with_an_exact_solve_on_random_frames():
+    """The frames of acceptance criterion 9 against a rational cofactor
+    solve of the same float entries: the solver's forward error is
+    within 1e-14 relative in the equilibrated variables S^-1 x."""
+    load = ThermalLoad(hot_elongation=1.0e-6, cold_elongation=0.0)
+    rhs = Fraction(load.hot_elongation - load.cold_elongation)
+    worst = 0.0
+    for flex in _random_frame_flexibilities():
+        entries = _entries(flex)
+        a, b, c, d, e, f = map(Fraction, entries)
+        cofactors = (b * c - f * f, e * f - d * c, d * f - b * e)
+        det = a * cofactors[0] + d * cofactors[1] + e * cofactors[2]
+        ours = solve_redundants(entries, load)
+        error = exact = 0.0
+        for x, cofactor, diagonal in zip(ours, cofactors, entries[:3]):
+            reference = rhs * cofactor / det
+            error = math.hypot(error, math.sqrt(diagonal) * float(x - reference))
+            exact = math.hypot(exact, math.sqrt(diagonal) * float(reference))
+        worst = max(worst, error / exact)
+    assert worst <= 1.0e-14
 
 
 def test_moment_field_is_continuous_at_the_joints(solution):
@@ -435,6 +468,40 @@ def test_oracle_keeps_its_pinned_bits(spec, elements, expected):
     assert all(type(value) is float for value in fields)
     assert tuple(value.hex() for value in fields) == expected
     assert result.elements_per_member == elements
+
+
+# float.hex of the closed form's tip, junction deflection, rotation,
+# three redundants, hot and cold elongations and peak temperature, on
+# the default device, the conduction-only branch and one point in the
+# benchmark's single-point ranges.  A rewrite of the solve or the
+# moment superposition that regroups no operation keeps these bits.
+_PINNED_CLOSED_FORM = [
+    (default_spec(),
+     ("0x1.b0f6accf0985ep-17", "0x1.65fb502e98055p-17", "0x1.c9a730d944c32p-5",
+      "0x1.1f3a15802df9ap-15", "-0x1.6b07ca93068eap-23", "-0x1.0ea23c7431e7dp-33",
+      "0x1.f69df1c6ffd04p-22", "0x1.38164d4337cc1p-23", "0x1.48765170d8037p+8")),
+    (_CONDUCTION_ONLY,
+     ("0x1.1144dac06cdfcp-16", "0x1.c3e30c801439fp-17", "0x1.20da1b419ac9dp-4",
+      "0x1.6a9262787caf9p-15", "-0x1.ca42915d26d2fp-23", "-0x1.55a03f6e55c6ap-33",
+      "0x1.3b90845356fd0p-21", "0x1.834938ce3cdcep-23", "0x1.9a3e7063e7064p+8")),
+    (dataclasses.replace(_spec(920.0, 0.15, 2.5, volts=6.5),
+                         environment=Environment(convection_coefficient=5000.0)),
+     ("0x1.880939a0c03c7p-22", "0x1.f31d1ca64c246p-23", "0x1.b2cfdb4692b96p-9",
+      "0x1.1245bcf98f693p-17", "-0x1.8bf20d8805605p-27", "-0x1.018c3d1e0e262p-36",
+      "0x1.564305805cb03p-26", "0x1.fd029a1b6d2dbp-30", "0x1.cc1e5366cfef0p+4")),
+]
+
+
+@pytest.mark.parametrize("spec,expected", _PINNED_CLOSED_FORM,
+                         ids=["default", "conduction-only", "benchmark-point"])
+def test_closed_form_keeps_its_pinned_bits(spec, expected):
+    solution = simulate(spec)
+    fields = (solution.tip_deflection, solution.junction_deflection,
+              solution.junction_rotation, *solution.redundants,
+              solution.thermal_load.hot_elongation,
+              solution.thermal_load.cold_elongation, solution.peak_temperature)
+    assert all(type(value) is float for value in fields)
+    assert tuple(value.hex() for value in fields) == expected
 
 
 def test_agreement_holds_away_from_the_default_point():
