@@ -10,7 +10,9 @@ anchor temperature.  An energy balance on a slice gives
 whose solution is a plateau at the source temperature minus a pair of
 exponential boundary layers, or a parabola when there is no side-surface
 heat loss.  Everything downstream needs only the pointwise rise and its
-running integral, so both are exposed in closed form.
+running integral, so both are exposed in closed form; ``simulate`` takes
+its two arm integrals and its peak from one scalar pass over the same
+private helpers, with the constants they share worked out once.
 
 Numerical care: the textbook form 1 - cosh(m x') / cosh(m L/2) overflows
 for long or strongly cooled beams and cancels catastrophically for short
@@ -80,37 +82,33 @@ def current_density(spec: ActuatorSpec) -> float:
     return spec.drive.voltage / (spec.material.resistivity * path)
 
 
-def solve_temperature_profile(spec: ActuatorSpec) -> TemperatureProfile:
-    """Solve the fin equation for ``spec`` and return the closed form."""
-    geo, mat, env = spec.geometry, spec.material, spec.environment
+def _fin(spec: ActuatorSpec):
+    """The fin equation's path length, j, q, m and source plateau."""
+    geo, mat = spec.geometry, spec.material
     w, h = geo.beam_width, geo.beam_thickness
     path = _path_length(geo)
     j = current_density(spec)
     q = j * j * mat.resistivity
-    loss = 2.0 * (h + w) * env.convection_coefficient
+    loss = 2.0 * (h + w) * spec.environment.convection_coefficient
     m = math.sqrt(loss / (mat.thermal_conductivity * w * h))
-    if loss > 0.0:
-        plateau = q * w * h / loss
-    else:
-        plateau = math.inf
-    regime = "convective" if m * path >= PLATEAU_THRESHOLD else "conduction-only"
+    return path, j, q, m, q * w * h / loss if loss > 0.0 else math.inf
+
+
+def solve_temperature_profile(spec: ActuatorSpec) -> TemperatureProfile:
+    """Solve the fin equation for ``spec`` and return the closed form."""
+    path, j, q, m, plateau = _fin(spec)
     return TemperatureProfile(
-        path_length=path,
-        decay_parameter=m,
-        source_plateau=plateau,
-        ambient=env.ambient_temperature,
-        current_density=j,
-        heating_rate=q,
-        conductivity=mat.thermal_conductivity,
-        regime=regime,
-    )
+        path_length=path, decay_parameter=m, source_plateau=plateau,
+        ambient=spec.environment.ambient_temperature, current_density=j,
+        heating_rate=q, conductivity=spec.material.thermal_conductivity,
+        regime="convective" if m * path >= PLATEAU_THRESHOLD else "conduction-only")
 
 
-def _coordinates(profile, x):
-    """Path coordinate(s) x, checked against [0, path_length], and the
-    expm1 that evaluates them: a plain number stays a float and takes
-    ``math.expm1``, anything else becomes an ndarray and takes
-    ``numpy.expm1``, so only array arguments import numpy."""
+def _prepare(profile, x):
+    """The profile's shape, path coordinate(s) x checked against [0,
+    path_length] and the expm1 that evaluates them: a plain number stays
+    a float and takes ``math.expm1``, anything else becomes an ndarray
+    and takes ``numpy.expm1``, so only array arguments import numpy."""
     if isinstance(x, (int, float)):
         coords, expm1 = float(x), math.expm1
         outside = coords < 0.0 or coords > profile.path_length
@@ -120,7 +118,9 @@ def _coordinates(profile, x):
         outside = np.any(coords < 0.0) or np.any(coords > profile.path_length)
     if outside:
         raise ValueError("path coordinate outside [0, path_length]")
-    return coords, expm1
+    return _shape(profile.regime == "convective", profile.path_length,
+                  profile.decay_parameter, profile.source_plateau,
+                  profile.heating_rate, profile.conductivity, expm1), coords, expm1
 
 
 def _result(value):
@@ -128,21 +128,39 @@ def _result(value):
     return value if getattr(value, "ndim", 0) else float(value)
 
 
-def _rise(profile, x, expm1):
-    """Temperature rise above ambient at checked path coordinate(s) x.
+def _anti(v, b, expm1):
+    # antiderivative of the shape factor's cosh deficit
+    return expm1(v - b) - expm1(-v - b)
 
-    Uses the factored identity
-    1 - cosh(u)/cosh(b) = -expm1(u-b) * -expm1(-u-b) / (1 + exp(-2b))
-    with u = m x - b, b = m L / 2: every exponent is <= 0, so the value
-    is exact (0.0) at both ends and finite for arbitrarily large b.
-    """
-    if profile.regime == "convective":
-        b = profile.decay_parameter * (0.5 * profile.path_length)
-        u = profile.decay_parameter * x - b
-        shape = expm1(u - b) * expm1(-u - b) / (1.0 + math.exp(-2.0 * b))
-        return profile.source_plateau * shape
-    half = profile.heating_rate / (2.0 * profile.conductivity)
-    return half * x * (profile.path_length - x)
+
+def _shape(convective, path, m, plateau, heating, conductivity, expm1):
+    """The constants the rise and its integral share: path length, m,
+    plateau, then q / (2 k), None, None, None when conduction-only, or
+    None, b = m L / 2, 1 + exp(-2b) and anti(-b) when convective."""
+    if not convective:
+        return path, m, plateau, heating / (2.0 * conductivity), None, None, None
+    b = m * (0.5 * path)
+    return path, m, plateau, None, b, 1.0 + math.exp(-2.0 * b), _anti(-b, b, expm1)
+
+
+def _rise(shape, x, expm1):
+    """Rise above ambient at checked coordinate(s) x.  The convective
+    1 - cosh(u)/cosh(b) = -expm1(u-b) * -expm1(-u-b) / (1 + exp(-2b)),
+    with u = m x - b, keeps every exponent <= 0: the value is exact
+    (0.0) at both ends and finite for arbitrarily large b."""
+    path, m, plateau, half, b, scale, _ = shape
+    if half is not None:
+        return half * x * (path - x)
+    u = m * x - b
+    return plateau * (expm1(u - b) * expm1(-u - b) / scale)
+
+
+def _integral(shape, x, expm1):
+    """Integral of the rise from the anchor to checked coordinate(s) x."""
+    path, m, plateau, half, b, scale, anchor = shape
+    if half is not None:
+        return half * (path * x * x / 2.0 - x ** 3 / 3.0)
+    return plateau * (x - (_anti(m * x - b, b, expm1) - anchor) / (m * scale))
 
 
 def temperature_at(profile: TemperatureProfile, x) -> float:
@@ -155,8 +173,8 @@ def temperature_at(profile: TemperatureProfile, x) -> float:
     ``rise_integral``, differently.  Out-of-range coordinates raise
     ValueError.
     """
-    coords, expm1 = _coordinates(profile, x)
-    return _result(profile.ambient + _rise(profile, coords, expm1))
+    shape, coords, expm1 = _prepare(profile, x)
+    return _result(profile.ambient + _rise(shape, coords, expm1))
 
 
 def rise_integral(profile: TemperatureProfile, upto) -> float:
@@ -170,22 +188,8 @@ def rise_integral(profile: TemperatureProfile, upto) -> float:
     the two arm integrals the same function of arm length, so equal
     arms yield an exactly zero differential.
     """
-    xi, expm1 = _coordinates(profile, upto)
-    if profile.regime == "convective":
-        m = profile.decay_parameter
-        b = m * (0.5 * profile.path_length)
-        u = m * xi - b
-
-        def anti(v):
-            # antiderivative of the shape factor's cosh deficit
-            return expm1(v - b) - expm1(-v - b)
-
-        denom = m * (1.0 + math.exp(-2.0 * b))
-        value = profile.source_plateau * (xi - (anti(u) - anti(-b)) / denom)
-    else:
-        half = profile.heating_rate / (2.0 * profile.conductivity)
-        value = half * (profile.path_length * xi * xi / 2.0 - xi ** 3 / 3.0)
-    return _result(value)
+    shape, xi, expm1 = _prepare(profile, upto)
+    return _result(_integral(shape, xi, expm1))
 
 
 def arm_elongations(profile: TemperatureProfile, geometry: Geometry,
@@ -204,6 +208,20 @@ def arm_elongations(profile: TemperatureProfile, geometry: Geometry,
         hot_elongation=alpha * rise_integral(profile, geometry.hot_arm_length),
         cold_elongation=alpha * rise_integral(profile, geometry.cold_arm_length),
     )
+
+
+def _load_and_peak(spec: ActuatorSpec):
+    """The arm elongations and the mid-span (peak) temperature of
+    ``spec`` in one scalar pass, with no profile record: the bits of
+    ``arm_elongations`` and ``temperature_at``, which take floats."""
+    path, _, q, m, plateau = _fin(spec)
+    mat, geo, expm1 = spec.material, spec.geometry, math.expm1
+    shape = _shape(m * path >= PLATEAU_THRESHOLD, path, m, plateau, q,
+                   mat.thermal_conductivity, expm1)
+    alpha = mat.expansion_coefficient
+    return (ThermalLoad(alpha * _integral(shape, float(geo.hot_arm_length), expm1),
+                        alpha * _integral(shape, float(geo.cold_arm_length), expm1)),
+            spec.environment.ambient_temperature + _rise(shape, path / 2.0, expm1))
 
 
 def fd_temperature_oracle(spec: ActuatorSpec, nodes: int = 4097):

@@ -17,11 +17,10 @@ inherits the pipeline's validation status unchanged.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
-from .model import ActuatorSpec, Drive, InvalidSpecError
+from .model import ActuatorSpec, Drive, Geometry, InvalidSpecError
 from .thermomech import FrameSolution, simulate
 
 PARAMETERS = ("voltage", "ratio", "gap", "hot_arm_length")
@@ -56,22 +55,23 @@ def apply_parameter(base: ActuatorSpec, parameter: str, value: float) -> Actuato
     Raises InvalidSpecError when the induced spec violates a bound and
     ValueError for an unknown parameter name.
     """
+    g, drive = base.geometry, base.drive
+    hot, cold, gap = g.hot_arm_length, g.cold_arm_length, g.gap
     if parameter == "voltage":
-        return dataclasses.replace(base, drive=Drive(voltage=value))
-    if parameter == "ratio":
-        geometry = dataclasses.replace(
-            base.geometry, cold_arm_length=value * base.geometry.hot_arm_length)
-        return dataclasses.replace(base, geometry=geometry)
-    if parameter == "gap":
-        geometry = dataclasses.replace(base.geometry, gap=value)
-        return dataclasses.replace(base, geometry=geometry)
-    if parameter == "hot_arm_length":
-        keep_ratio = base.geometry.cold_arm_length / base.geometry.hot_arm_length
-        geometry = dataclasses.replace(
-            base.geometry, hot_arm_length=value,
-            cold_arm_length=keep_ratio * value)
-        return dataclasses.replace(base, geometry=geometry)
-    raise ValueError(f"unknown study parameter {parameter!r}")
+        drive = Drive(voltage=value)
+    elif parameter == "ratio":
+        cold = value * hot
+    elif parameter == "gap":
+        gap = value
+    elif parameter == "hot_arm_length":
+        hot, cold = value, cold / hot * value
+    else:
+        raise ValueError(f"unknown study parameter {parameter!r}")
+    geometry = Geometry(hot_arm_length=hot, cold_arm_length=cold, gap=gap,
+                        beam_width=g.beam_width, beam_thickness=g.beam_thickness,
+                        extension_length=g.extension_length)
+    return ActuatorSpec(material=base.material, environment=base.environment,
+                        geometry=geometry, drive=drive)
 
 
 @dataclass(frozen=True)
@@ -232,9 +232,11 @@ def find_optimal_ratio(base: ActuatorSpec, lo: float = 0.1, hi: float = 0.8,
         return OptimumReport(base.geometry.hot_arm_length, ratios[peak],
                              deflections[peak], grid, gain, "non_unimodal")
 
+    known = dict(zip(ratios, deflections))     # the bracket ends are grid points
     bracket_lo = ratios[max(peak - 1, 0)]
     bracket_hi = ratios[min(peak + 1, grid - 1)]
-    best_ratio, best_deflection = golden_section_max(objective, bracket_lo, bracket_hi)
+    best_ratio, best_deflection = golden_section_max(
+        lambda r: known[r] if r in known else objective(r), bracket_lo, bracket_hi)
     if deflections[peak] > best_deflection:
         best_ratio, best_deflection = ratios[peak], deflections[peak]
     return OptimumReport(base.geometry.hot_arm_length, best_ratio,

@@ -26,8 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .electrothermal import (ThermalLoad, arm_elongations, rise_integral,
-                             solve_temperature_profile, temperature_at)
+from .electrothermal import (ThermalLoad, _load_and_peak, rise_integral,
+                             solve_temperature_profile)
 from .model import ActuatorSpec, Geometry, Material
 
 # Rotations beyond this invalidate the linear kinematics of the tip
@@ -203,7 +203,8 @@ def solve_redundants(flex, load: ThermalLoad) -> tuple[float, float, float]:
 
 
 def simulate(spec: ActuatorSpec) -> FrameSolution:
-    """Full pipeline: temperatures, elongations, redundants, tip sweep.
+    """Full pipeline: the thermal load and the peak temperature from one
+    scalar pass over the fin's closed form, then redundants and tip sweep.
 
     The redundants x, solved from ``_flexibility``'s six entries as
     they are, give the moment g x0 + (L1 - L2) x1 + x2 at A,
@@ -217,8 +218,7 @@ def simulate(spec: ActuatorSpec) -> FrameSolution:
     refused when the rotation leaves the small-angle regime.
     """
     geometry, material = spec.geometry, spec.material
-    profile = solve_temperature_profile(spec)
-    load = arm_elongations(profile, geometry, material)
+    load, peak = _load_and_peak(spec)
     length1, length2, gap = (geometry.hot_arm_length, geometry.cold_arm_length,
                              geometry.gap)
     ei, ea = _rigidities(geometry, material)
@@ -242,7 +242,7 @@ def simulate(spec: ActuatorSpec) -> FrameSolution:
         junction_deflection=deflection,
         junction_rotation=rotation,
         tip_deflection=deflection + geometry.extension_length * rotation,
-        peak_temperature=temperature_at(profile, profile.path_length / 2.0),
+        peak_temperature=peak,
     )
 
 

@@ -10,6 +10,7 @@ from thermoact.electrothermal import (PLATEAU_THRESHOLD, ThermalSystemError,
                                       solve_temperature_profile, temperature_at)
 from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
                              default_spec)
+from thermoact.thermomech import simulate
 
 
 def _with(spec, **geometry):
@@ -364,3 +365,45 @@ def test_array_coordinates_are_checked_and_0d_gives_a_float():
     mid = profile.path_length / 2.0
     assert type(temperature_at(profile, np.array(mid))) is float
     assert type(rise_integral(profile, np.array(mid))) is float
+
+
+def _public_route_cases():
+    """The acceptance grid (3 hot arms x 71 ratios x 6 gaps at 8 V), then
+    conduction-only, both sides of the plateau threshold, equal arms
+    and no drive."""
+    for hot_um in (500.0, 600.0, 750.0):
+        for ratio in np.linspace(0.1, 0.8, 71).tolist():
+            for gap_um in (5.0, 6.0, 7.0, 8.0, 9.0, 10.0):
+                yield _with(default_spec(), hot_arm_length=hot_um * 1.0e-6,
+                            cold_arm_length=ratio * hot_um * 1.0e-6,
+                            gap=gap_um * 1.0e-6)
+    base = default_spec()
+    conduction = dataclasses.replace(
+        base, environment=Environment(convection_coefficient=0.0))
+    for spec in (base, conduction):
+        yield spec
+        yield _with(spec, cold_arm_length=spec.geometry.hot_arm_length)
+        yield dataclasses.replace(spec, drive=Drive(voltage=0.0))
+    for factor in (0.5, 0.999, 1.001, 2.0):
+        beta = _beta_for_decay(base, factor * PLATEAU_THRESHOLD)
+        yield dataclasses.replace(
+            base, environment=Environment(convection_coefficient=beta))
+
+
+def test_simulate_takes_its_thermal_stage_from_the_public_route():
+    """``simulate`` computes its thermal load and peak temperature in
+    one private scalar pass; each must equal, to the bit, the public
+    route through the profile that the FD oracle checks."""
+    regimes = set()
+    for spec in _public_route_cases():
+        solution = simulate(spec)
+        profile = solve_temperature_profile(spec)
+        regimes.add(profile.regime)
+        load = arm_elongations(profile, spec.geometry, spec.material)
+        public = (load.hot_elongation, load.cold_elongation,
+                  temperature_at(profile, profile.path_length / 2.0))
+        ours = (solution.thermal_load.hot_elongation,
+                solution.thermal_load.cold_elongation,
+                solution.peak_temperature)
+        assert [v.hex() for v in ours] == [v.hex() for v in public], spec
+    assert regimes == {"convective", "conduction-only"}

@@ -1,11 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import thermoact.study as study
-from thermoact.model import (ActuatorSpec, Drive, Geometry, InvalidSpecError,
-                             default_spec)
+from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
+                             InvalidSpecError, Material, default_spec)
 from thermoact.study import (OptimumReport, SweepPlan, apply_parameter,
                              find_optimal_ratio, golden_section_max, run_sweep,
                              sensitivity_summary)
@@ -36,6 +37,61 @@ def test_apply_parameter_touches_only_its_target():
     kept = h.geometry.cold_arm_length / h.geometry.hot_arm_length
     want = base.geometry.cold_arm_length / base.geometry.hot_arm_length
     assert kept == pytest.approx(want, rel=1.0e-12)
+
+
+# Every field away from its default, so that a copy which drops a
+# field of the base shows.
+_OFF_DEFAULT = ActuatorSpec(
+    material=Material(young_modulus=150.0e9, thermal_conductivity=30.0,
+                      expansion_coefficient=2.5e-6, resistivity=4.0e-4),
+    environment=Environment(convection_coefficient=60.0,
+                            ambient_temperature=25.0),
+    geometry=Geometry(hot_arm_length=700.0e-6, cold_arm_length=320.0e-6,
+                      gap=4.0e-6, beam_width=3.0e-6, beam_thickness=2.2e-6,
+                      extension_length=35.0e-6),
+    drive=Drive(voltage=7.0))
+
+
+def _replace_route(base, parameter, value):
+    """The swept spec built by ``dataclasses.replace``, the reference
+    for the direct construction in ``apply_parameter``."""
+    if parameter == "voltage":
+        return dataclasses.replace(base, drive=Drive(voltage=value))
+    g = base.geometry
+    changes = {"ratio": {"cold_arm_length": value * g.hot_arm_length},
+               "gap": {"gap": value},
+               "hot_arm_length": {
+                   "hot_arm_length": value,
+                   "cold_arm_length": g.cold_arm_length / g.hot_arm_length * value},
+               }[parameter]
+    return dataclasses.replace(base, geometry=dataclasses.replace(g, **changes))
+
+
+def test_the_reference_base_leaves_no_field_at_its_default():
+    for part in (_OFF_DEFAULT.material, _OFF_DEFAULT.environment,
+                 _OFF_DEFAULT.geometry, _OFF_DEFAULT.drive):
+        for f in dataclasses.fields(part):
+            assert getattr(part, f.name) != f.default, f.name
+
+
+@pytest.mark.parametrize("parameter,value", [
+    ("voltage", 3.0), ("ratio", 0.5), ("gap", 8.0e-6),
+    ("hot_arm_length", 500.0e-6)])
+def test_apply_parameter_equals_the_replace_route(parameter, value):
+    assert (apply_parameter(_OFF_DEFAULT, parameter, value)
+            == _replace_route(_OFF_DEFAULT, parameter, value))
+
+
+@pytest.mark.parametrize("parameter,value", [
+    ("ratio", 1.5), ("gap", 0.0), ("gap", math.inf), ("voltage", -1.0),
+    ("hot_arm_length", math.nan), ("hot_arm_length", -5.0e-6)])
+def test_apply_parameter_refuses_as_the_replace_route(parameter, value):
+    with pytest.raises(InvalidSpecError) as ours:
+        apply_parameter(_OFF_DEFAULT, parameter, value)
+    with pytest.raises(InvalidSpecError) as reference:
+        _replace_route(_OFF_DEFAULT, parameter, value)
+    assert ours.value.diagnostics == reference.value.diagnostics
+    assert str(ours.value) == str(reference.value)
 
 
 def test_apply_parameter_rejects_unknown_names():
@@ -130,6 +186,32 @@ def test_refinement_only_improves_on_the_grid():
         simulate(apply_parameter(_base(), "ratio", r)).tip_deflection
         for r in ratios)
     assert report.optimal_tip_deflection >= grid_best
+
+
+@pytest.mark.parametrize("lo,hi", [(0.1, 0.8), (0.5, 0.8)],
+                         ids=["interior-peak", "edge-peak"])
+def test_refinement_takes_its_bracket_ends_from_the_grid(monkeypatch, lo, hi):
+    """Golden-section search starts from two grid points, whose
+    deflections the scan already has: the optimisation simulates every
+    grid point and every refinement point but those two."""
+    calls = {"simulate": 0, "refine": 0}
+
+    def counting_simulate(spec, simulate=study.simulate):
+        calls["simulate"] += 1
+        return simulate(spec)
+
+    def counting_golden(func, lo, hi, tol=1.0e-4, golden=golden_section_max):
+        def counted(x):
+            calls["refine"] += 1
+            return func(x)
+        return golden(counted, lo, hi, tol)
+
+    monkeypatch.setattr(study, "simulate", counting_simulate)
+    monkeypatch.setattr(study, "golden_section_max", counting_golden)
+    report = find_optimal_ratio(_base(), lo=lo, hi=hi, grid=31)
+    assert report.flag is None
+    assert calls["refine"] > 2
+    assert calls["simulate"] == 31 + calls["refine"] - 2
 
 
 def test_flat_objective_is_flagged_not_refined():
