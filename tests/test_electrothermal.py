@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -130,6 +131,38 @@ def test_fd_oracle_converges_at_second_order():
         errors.append(np.max(np.abs(temperature_at(profile, xs) - temps)))
     assert errors[0] / errors[1] > 3.5
     assert errors[1] / errors[2] > 3.5
+
+
+# sha256 of the newline-joined float.hex of every FD temperature, on the
+# default device, the conduction-only branch and strong convection.
+# Three nodes leave one unknown, the tridiagonal solver's smallest case.
+# A change of the FD solve route must keep these bits.
+_PINNED_FD = {
+    ("default", 3): "26eedb76c1b57ebce0d1cb9018aae2e571ad681a59526920e4a60c94d7bb8ab4",
+    ("default", 513): "a9296bc8108fd26d5b2498768bf8444f46afbbea1527c42ca6b298fec5544ef5",
+    ("default", 4097): "657567f7f7c0b73870501bf4ffb4049a84601ff936189f91bf2c791540432ae6",
+    ("conduction-only", 3): "ff6cd41ebc69acc615bdca60ab4b32f4aa3aaa340ebe4024f3e7e414fce9b73e",
+    ("conduction-only", 513): "af9a05a24a2a6acc4d370c7e603bba3d5ee398fed60fec960508ffdd644092e7",
+    ("conduction-only", 4097): "df5803d57b19b8d9c5b6ebcc313117a143a64f366f0b228b8f9dd15d8f345291",
+    ("convection-5000", 3): "4e10b0aa9abf16b2d507a408244e764356e337bba27b4cef0498d2c3549b889c",
+    ("convection-5000", 513): "202d5c718a6bcc20e605e2991aa0f0386847bc0996d702ddb148e257edc45def",
+    ("convection-5000", 4097): "f5a2f61f218292fa401bfb153267f2c6e889427b37f0f1bcdf4877457aa9b30c",
+}
+_FD_SPECS = {
+    "default": default_spec(),
+    "conduction-only": dataclasses.replace(
+        default_spec(), environment=Environment(convection_coefficient=0.0)),
+    "convection-5000": dataclasses.replace(
+        default_spec(), environment=Environment(convection_coefficient=5000.0)),
+}
+
+
+@pytest.mark.parametrize("name,nodes", sorted(_PINNED_FD),
+                         ids=[f"{name}-{nodes}" for name, nodes in sorted(_PINNED_FD)])
+def test_fd_oracle_keeps_its_pinned_bits(name, nodes):
+    _, temps = fd_temperature_oracle(_FD_SPECS[name], nodes=nodes)
+    dump = "\n".join(float(value).hex() for value in temps)
+    assert hashlib.sha256(dump.encode()).hexdigest() == _PINNED_FD[name, nodes]
 
 
 def test_fd_oracle_rejects_degenerate_meshes():
