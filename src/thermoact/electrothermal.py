@@ -36,7 +36,8 @@ PLATEAU_THRESHOLD = 1.0e-6
 
 
 class ThermalSystemError(ArithmeticError):
-    """The finite-difference system of the thermal oracle is not finite."""
+    """The finite-difference system of the thermal oracle is not finite
+    or is singular."""
 
 
 @dataclass(frozen=True)
@@ -228,18 +229,20 @@ def fd_temperature_oracle(spec: ActuatorSpec, nodes: int = 4097):
     """Independent finite-difference solution of the fin equation.
 
     Central differences on ``nodes`` equally spaced points including
-    both clamped ends, solved as a tridiagonal system.  Returns
-    (positions, temperatures) as ndarrays.  Second-order accurate, and
-    exact for the conduction-only parabola.  Used by the test suite and
-    the ``validate`` command to cross-check the closed form; the
-    simulation pipeline never calls it.  A system whose coefficients
-    or right-hand side overflow (an extreme conductivity or Joule
-    source) raises ThermalSystemError before the solve.  It imports
-    numpy and scipy's banded solver on its first call, so the closed
-    form runs on the stdlib alone.
+    both clamped ends, solved as a tridiagonal system by LAPACK's
+    ``gtsv``, called directly.  Returns (positions, temperatures) as
+    ndarrays.  Second-order accurate, and exact for the conduction-only
+    parabola.  Used by the test suite and the ``validate`` command to
+    cross-check the closed form; the simulation pipeline never calls it.
+    A system whose coefficients or right-hand side overflow (an extreme
+    conductivity or Joule source) raises ThermalSystemError before the
+    solve, and so does, from the solve, a singular one (k / dx^2
+    underflowing to zero with no side loss).  It imports numpy and
+    scipy's LAPACK wrappers on its first call, so the closed form runs
+    on the stdlib alone.
     """
     import numpy as np
-    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import dgtsv
 
     if nodes < 3:
         raise ValueError("need at least 3 nodes")
@@ -255,14 +258,18 @@ def fd_temperature_oracle(spec: ActuatorSpec, nodes: int = 4097):
     dx = path / (nodes - 1)
     n = nodes - 2  # interior unknowns, theta = T - ambient
 
-    ab = np.zeros((3, n))
-    ab[0, 1:] = k / dx ** 2          # super-diagonal
-    ab[1, :] = -2.0 * k / dx ** 2 - loss
-    ab[2, :-1] = k / dx ** 2         # sub-diagonal
-    rhs = np.full(n, -q)
-    if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(rhs))):
+    off = k / dx ** 2                     # sub- and super-diagonal
+    diagonal = -2.0 * k / dx ** 2 - loss
+    if not (math.isfinite(off) and math.isfinite(diagonal) and math.isfinite(q)):
         raise ThermalSystemError("finite-difference thermal system is not finite")
-    theta = solve_banded((1, 1), ab, rhs, check_finite=False)
+    # The wrapper wants an off-diagonal entry even for one unknown,
+    # which LAPACK then never reads.
+    sides = max(n - 1, 1)
+    *_, theta, info = dgtsv(np.full(sides, off), np.full(n, diagonal),
+                            np.full(sides, off), np.full(n, -q), overwrite_dl=1,
+                            overwrite_d=1, overwrite_du=1, overwrite_b=1)
+    if info > 0:
+        raise ThermalSystemError("finite-difference thermal system is singular")
 
     temps = np.empty(nodes)
     temps[0] = temps[-1] = env.ambient_temperature

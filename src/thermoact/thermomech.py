@@ -23,6 +23,7 @@ arm, the direction the jaw sweeps when driven.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -276,6 +277,69 @@ def _local_stiffness(lengths, ei, ea):
     return k
 
 
+@functools.lru_cache(maxsize=4)
+def _oracle_mesh(nel: int):
+    """The stiffness oracle's read-only arrays that depend on the mesh
+    size ``nel`` alone.  Nodes are chained A=0 .. B=nel .. C=2nel ..
+    D=3nel, then the extension leaves B and runs to J=4nel.  The members
+    run along +x (AB), -y (BC), -x (CD) and +x (BJ), so every rotation
+    entry is exactly 0 or +-1 and rounds nothing."""
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    n_el, ndof = 4 * nel, 3 * (4 * nel + 1)
+    ends = np.array([[0, nel], [nel, 2 * nel], [2 * nel, 3 * nel], [nel, 4 * nel]])
+    chain = np.empty((4, nel + 1), dtype=np.int64)
+    chain[:, 0], chain[:, -1] = ends[:, 0], ends[:, 1]
+    chain[:, 1:-1] = nel * np.arange(4)[:, None] + np.arange(1, nel)
+    node1, node2 = chain[:, :-1].ravel(), chain[:, 1:].ravel()
+
+    # cos and sin exactly as delta / length gives them: the off-axis
+    # delta of every element is +0.0.
+    direction = np.repeat([[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0], [1.0, 0.0]],
+                          nel, axis=0)
+    cos, sin = direction[:, 0], direction[:, 1]
+    rot = np.zeros((n_el, 6, 6))
+    for block in (0, 3):
+        rot[:, block, block] = cos
+        rot[:, block, block + 1] = sin
+        rot[:, block + 1, block] = -sin
+        rot[:, block + 1, block + 1] = cos
+        rot[:, block + 2, block + 2] = 1.0
+
+    dofs = np.empty((n_el, 6), dtype=np.int64)
+    dofs[:, 0:3] = 3 * node1[:, None] + np.arange(3)
+    dofs[:, 3:6] = 3 * node2[:, None] + np.arange(3)
+    rows = np.repeat(dofs, 6, axis=1).ravel()
+    cols = np.tile(dofs, (1, 6)).ravel()
+
+    # Entries in a clamped row or column are dropped and the free DOFs
+    # renumbered in their global order.  A kept entry's CSR slot is the
+    # rank of its (row, column) pair; entries that share a slot are
+    # summed by the caller's bincount in element (COO) order, the order
+    # in which COO-to-CSR conversion sums them for this pattern.
+    anchor_d = 3 * 3 * nel
+    free = np.ones(ndof, dtype=bool)
+    free[0:3] = free[anchor_d:anchor_d + 3] = False
+    kept = np.flatnonzero(free[rows] & free[cols])
+    reduced, n_free = np.cumsum(free) - 1, ndof - 6
+    pairs, slot = np.unique(reduced[rows[kept]] * n_free + reduced[cols[kept]],
+                            return_inverse=True)
+    indices = (pairs % n_free).astype(np.int32)
+    indptr = np.searchsorted(pairs // n_free, np.arange(n_free + 1)).astype(np.int32)
+
+    at_d = np.flatnonzero((rows >= anchor_d) & (rows < anchor_d + 3))
+    mesh = SimpleNamespace(
+        fractions=np.linspace(0.0, 1.0, nel + 1)[1:-1, None], node1=node1,
+        node2=node2, direction=direction, rot=rot, dofs=dofs, kept=kept, slot=slot,
+        indices=indices, indptr=indptr, free=free, at_d=at_d,
+        d_rows=rows[at_d] - anchor_d, d_cols=cols[at_d])
+    for array in vars(mesh).values():
+        array.flags.writeable = False
+    return mesh
+
+
 def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> StiffnessResult:
     """Displacement-method solution on a refined mesh of beam elements.
 
@@ -283,31 +347,34 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     Euler-Bernoulli frame elements, applies each heated element's mean
     temperature rise as an equivalent axial load pair, clamps both
     anchors and solves the sparse system of the free degrees of freedom.
-    The element blocks are rotated to global axes by one batched matmul;
-    every rotation entry of the rectilinear frame is exactly 0 or +-1, so
-    the rotation rounds nothing.  The clamped system is assembled
-    directly: each global DOF has a monotone reduced index, the six
-    DOFs of anchors A and D have none, and element entries in a clamped
-    row or column are dropped before the one COO-to-CSR conversion,
-    which sums the rest in their element order.  The reaction at D is
-    K u - f over the element entries of D's three rows alone.  A mesh
-    whose nodes coincide in floating point (an element length that is
-    not finite and positive) raises FrameSingularError before any
-    division.  So, before the solve, do an element stiffness coefficient
-    that is not finite and positive and a heated element whose path span
-    is not positive.  Independent of the flexibility route by
-    construction; used for cross-validation and never by the studies.  With
+    What depends on the mesh size alone is built once per size and kept
+    in a small bounded cache of read-only arrays: the node numbering and
+    DOF table, the exact 0 and +-1 member rotations, the CSR pattern of
+    the clamped system with each kept element entry's slot in it, and
+    the entries of D's rows.  Nothing from a spec is cached.  Each call
+    forms the coordinates, element lengths and stiffness blocks, rotates
+    the blocks to global axes by one batched matmul, and fills the
+    clamped system by one bincount that sums each slot's entries in
+    their element order.  The reaction at D is K u - f over the element
+    entries of D's three rows alone.  A mesh whose nodes coincide in
+    floating point (an element length along its member that is not
+    finite and positive) raises FrameSingularError before any division.
+    So, before the solve, do an element stiffness coefficient that is
+    not finite and positive and a heated element whose path span is not
+    positive.  Independent of the flexibility route by construction;
+    used for cross-validation and never by the studies.  With
     ``flexibility_matrix`` it is the only user of numpy in this module,
     and the only user of scipy; it imports both on its first call.
     """
     import numpy as np
-    from scipy.sparse import coo_matrix
+    from scipy.sparse import csr_matrix
     from scipy.sparse.linalg import spsolve
 
     if elements_per_member < 1:
         raise ValueError("elements_per_member must be at least 1")
     geo, mat = spec.geometry, spec.material
     nel = elements_per_member
+    mesh = _oracle_mesh(nel)
     profile = solve_temperature_profile(spec)
 
     second_moment = geo.beam_thickness * geo.beam_width ** 3 / 12.0
@@ -315,76 +382,35 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     ei = mat.young_modulus * second_moment
     ea = mat.young_modulus * area
 
+    # Corners A, B, C, D, J sit at nodes 0, nel, .., 4nel; member k's
+    # interior nodes follow its start corner.
     length1, gap = geo.hot_arm_length, geo.gap
-    coords_of = {"A": (0.0, 0.0), "B": (length1, 0.0), "C": (length1, -gap),
-                 "D": (length1 - geo.cold_arm_length, -gap),
-                 "J": (length1 + geo.extension_length, 0.0)}
-    # Chain node numbering: A=0 .. B=nel .. C=2nel .. D=3nel, then the
-    # extension reuses B and runs to J=4nel.
-    idx = {"A": 0, "B": nel, "C": 2 * nel, "D": 3 * nel, "J": 4 * nel}
-    n_nodes = 4 * nel + 1
-    coords = np.zeros((n_nodes, 2))
-    chains = (("A", "B", 0), ("B", "C", nel), ("C", "D", 2 * nel),
-              ("B", "J", 3 * nel))
-    ends1 = []
-    ends2 = []
-    for a, b, base in chains:
-        pa = np.array(coords_of[a])
-        pb = np.array(coords_of[b])
-        ts = np.linspace(0.0, 1.0, nel + 1)[:, None]
-        pts = pa + ts * (pb - pa)
-        ids = np.empty(nel + 1, dtype=np.int64)
-        ids[0] = idx[a]
-        ids[-1] = idx[b]
-        if nel > 1:
-            ids[1:-1] = base + 1 + np.arange(nel - 1)
-            coords[ids[1:-1]] = pts[1:-1]
-        coords[idx[a]] = pa
-        coords[idx[b]] = pb
-        ends1.append(ids[:-1])
-        ends2.append(ids[1:])
-    node1 = np.concatenate(ends1)
-    node2 = np.concatenate(ends2)
+    corners = np.array([(0.0, 0.0), (length1, 0.0), (length1, -gap),
+                        (length1 - geo.cold_arm_length, -gap),
+                        (length1 + geo.extension_length, 0.0)])
+    starts, stops = corners[[0, 1, 2, 1]], corners[[1, 2, 3, 4]]
+    coords = np.empty((4 * nel + 1, 2))
+    coords[::nel] = corners
+    coords[1:].reshape(4, nel, 2)[:, :-1] = \
+        starts[:, None] + mesh.fractions * (stops - starts)[:, None]
 
-    delta = coords[node2] - coords[node1]
-    lengths = np.hypot(delta[:, 0], delta[:, 1])
-    # Nodes that coincide in floating point (a member far shorter than
-    # the frame) give a zero length and no element to divide by.
+    # Lengths along each member's direction equal the hypot, as the
+    # off-axis delta is exactly zero.  They are not positive for nodes
+    # that coincide in floating point (a member far shorter than the
+    # frame), which leave no element to divide by, or for nodes out of
+    # order, which the cached rotation would not fit.
+    delta = coords[mesh.node2] - coords[mesh.node1]
+    lengths = (delta * mesh.direction).sum(axis=1)
     if not np.all((lengths > 0.0) & (lengths < np.inf)):
         raise FrameSingularError(
             "stiffness mesh has an element length that is not finite and positive")
-    cos = delta[:, 0] / lengths
-    sin = delta[:, 1] / lengths
 
     local = _local_stiffness(lengths, ei, ea)
-    rot = np.zeros((node1.shape[0], 6, 6))
-    for block in (0, 3):
-        rot[:, block, block] = cos
-        rot[:, block, block + 1] = sin
-        rot[:, block + 1, block] = -sin
-        rot[:, block + 1, block + 1] = cos
-        rot[:, block + 2, block + 2] = 1.0
-    kg = rot.transpose(0, 2, 1) @ local @ rot
-
-    dofs = np.empty((node1.shape[0], 6), dtype=np.int64)
-    dofs[:, 0:3] = 3 * node1[:, None] + np.arange(3)
-    dofs[:, 3:6] = 3 * node2[:, None] + np.arange(3)
-    rows = np.repeat(dofs, 6, axis=1).ravel()
-    cols = np.tile(dofs, (1, 6)).ravel()
-    values = kg.ravel()
-
-    # Entries in a clamped row or column are dropped; the free DOFs are
-    # renumbered in their global order.
-    ndof = 3 * n_nodes
-    anchor_a, anchor_d = 3 * idx["A"], 3 * idx["D"]
-    free = np.ones(ndof, dtype=bool)
-    free[anchor_a:anchor_a + 3] = free[anchor_d:anchor_d + 3] = False
-    kept = free[rows] & free[cols]
-    reduced = np.cumsum(free) - 1
-    n_free = ndof - 6
-    stiffness = coo_matrix(
-        (values[kept], (reduced[rows[kept]], reduced[cols[kept]])),
-        shape=(n_free, n_free)).tocsr()
+    values = (mesh.rot.transpose(0, 2, 1) @ local @ mesh.rot).ravel()
+    data = np.bincount(mesh.slot, weights=values[mesh.kept],
+                       minlength=mesh.indices.size)
+    n_free = mesh.free.size - 6
+    stiffness = csr_matrix((data, mesh.indices, mesh.indptr), shape=(n_free, n_free))
 
     # Equivalent loads: heated members are the release path AB, BC, CD,
     # whose elements tile the path coordinate [0, path_length] in order.
@@ -402,27 +428,28 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     mean_rise = np.diff(integrals) / widths
     axial_force = ea * mat.expansion_coefficient * mean_rise
 
-    load = np.zeros(ndof)
-    hcos, hsin = cos[:heated], sin[:heated]
-    np.add.at(load, dofs[:heated, 0], -axial_force * hcos)
-    np.add.at(load, dofs[:heated, 1], -axial_force * hsin)
-    np.add.at(load, dofs[:heated, 3], axial_force * hcos)
-    np.add.at(load, dofs[:heated, 4], axial_force * hsin)
+    load = np.zeros(mesh.free.size)
+    dofs = mesh.dofs[:heated]
+    hcos, hsin = mesh.direction[:heated, 0], mesh.direction[:heated, 1]
+    np.add.at(load, dofs[:, 0], -axial_force * hcos)
+    np.add.at(load, dofs[:, 1], -axial_force * hsin)
+    np.add.at(load, dofs[:, 3], axial_force * hcos)
+    np.add.at(load, dofs[:, 4], axial_force * hsin)
 
-    solution = np.zeros(ndof)
-    solution[free] = spsolve(stiffness, load[free])
+    solution = np.zeros(mesh.free.size)
+    solution[mesh.free] = spsolve(stiffness, load[mesh.free])
     if not np.all(np.isfinite(solution)):
         raise FrameSingularError("stiffness system did not solve")
 
     # K u at D's rows, summed entry by entry in COO order.
-    at_d = (rows >= anchor_d) & (rows < anchor_d + 3)
-    reaction = np.bincount(rows[at_d] - anchor_d,
-                           weights=values[at_d] * solution[cols[at_d]],
+    anchor_d = 3 * 3 * nel
+    reaction = np.bincount(mesh.d_rows,
+                           weights=values[mesh.at_d] * solution[mesh.d_cols],
                            minlength=3) - load[anchor_d:anchor_d + 3]
     return StiffnessResult(
-        junction_deflection=float(-solution[3 * idx["B"] + 1]),
-        junction_rotation=float(-solution[3 * idx["B"] + 2]),
-        tip_deflection=float(-solution[3 * idx["J"] + 1]),
+        junction_deflection=float(-solution[3 * nel + 1]),
+        junction_rotation=float(-solution[3 * nel + 2]),
+        tip_deflection=float(-solution[3 * 4 * nel + 1]),
         reaction_cold_anchor=(float(reaction[0]), float(reaction[1]),
                               float(reaction[2])),
         elements_per_member=nel,

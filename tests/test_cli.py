@@ -301,7 +301,8 @@ def test_only_the_oracles_import_scipy(tmp_path):
 
 
 # Accepted configs that only the oracles behind ``validate`` cannot
-# carry: k / dx^2 overflows in the finite-difference system, an
+# carry: k / dx^2 overflows in the finite-difference system, or
+# underflows to zero with no side loss and leaves it singular, an
 # extension below one ulp of the hot arm collapses the stiffness mesh, a
 # gap below one ulp of the path collapses the heated spans, and members
 # far too short or long for their section take the element stiffness
@@ -327,6 +328,11 @@ ORACLE_REFUSALS = [
                  _COEFFICIENT, id="huge-extension-validate"),
     pytest.param("validate", "geometry.beam_thickness = 1e+300",
                  _COEFFICIENT, id="huge-thickness-validate"),
+    pytest.param("validate", "material.thermal_conductivity = 1e-310\n"
+                 "environment.convection_coefficient = 0\ndrive.voltage = 0\n"
+                 "geometry.hot_arm_length = 1e17\ngeometry.cold_arm_length = 1e16",
+                 "error: finite-difference thermal system is singular",
+                 id="singular-fd-validate"),
 ]
 
 

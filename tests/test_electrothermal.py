@@ -183,6 +183,21 @@ def test_fd_oracle_refuses_a_system_that_is_not_finite(spec):
     assert issubclass(ThermalSystemError, ArithmeticError)
 
 
+@pytest.mark.parametrize("nodes", [3, 4097])
+def test_fd_oracle_refuses_a_singular_system(nodes):
+    """k / dx^2 underflows to zero and there is no side loss: the
+    tridiagonal system is singular, a named arithmetic error."""
+    spec = ActuatorSpec(
+        material=dataclasses.replace(default_spec().material,
+                                     thermal_conductivity=1.0e-310),
+        environment=Environment(convection_coefficient=0.0),
+        geometry=dataclasses.replace(default_spec().geometry,
+                                     hot_arm_length=1.0e11, cold_arm_length=1.0e10),
+        drive=Drive(voltage=0.0))
+    with pytest.raises(ThermalSystemError, match="singular"):
+        fd_temperature_oracle(spec, nodes=nodes)
+
+
 def test_no_side_loss_gives_the_parabolic_profile():
     spec = dataclasses.replace(
         default_spec(), environment=Environment(convection_coefficient=0.0))

@@ -12,7 +12,8 @@ from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
                              Material, default_spec)
 from thermoact.thermomech import (FrameSingularError, SmallAngleError,
                                   ThermalLoad, flexibility_matrix, simulate,
-                                  solve_redundants, stiffness_oracle)
+                                  _oracle_mesh, solve_redundants,
+                                  stiffness_oracle)
 
 W, T, E = 2.8e-6, 2.0e-6, 158.0e9
 EI = E * (T * W ** 3 / 12.0)
@@ -455,19 +456,51 @@ _PINNED_ORACLE = [
     (_CONDUCTION_ONLY, 64,
      ("0x1.c3be85e0ac90cp-17", "0x1.20d966405364bp-4", "0x1.113279c9d81fep-16",
       "-0x1.6a97a1bd77854p-15", "0x1.ca66e220d8c00p-23", "0x1.55a62ce00021ep-33")),
+    (default_spec(), 2,
+     ("0x1.65de39c5fbcc3p-17", "0x1.c9a60f4ed392cp-5", "0x1.b0d966f634c00p-17",
+      "-0x1.1f3e292c2841cp-15", "0x1.6b2492adfe310p-23", "0x1.0ea6edf35df94p-33")),
+    # An unpowered device: the signs of the zeros are pinned too.
+    (dataclasses.replace(default_spec(), drive=Drive(voltage=0.0)), 64,
+     ("-0x0.0p+0", "-0x0.0p+0", "-0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0")),
+    (dataclasses.replace(default_spec(),
+                         environment=Environment(convection_coefficient=5000.0)), 64,
+     ("0x1.ddba53cfb93ecp-22", "0x1.317902b181c44p-9", "0x1.20e99e05b2603p-21",
+      "-0x1.7f7656a67b81fp-20", "0x1.e4cc717e8e800p-28", "0x1.695065a281842p-38")),
 ]
+_ORACLE_IDS = ["default-1", "default-16", "default-64", "conduction-only-64",
+               "default-2", "unpowered-64", "convection-5000-64"]
 
 
-@pytest.mark.parametrize("spec,elements,expected", _PINNED_ORACLE,
-                         ids=["default-1", "default-16", "default-64",
-                              "conduction-only-64"])
-def test_oracle_keeps_its_pinned_bits(spec, elements, expected):
+def _oracle_hex(spec, elements):
     result = stiffness_oracle(spec, elements_per_member=elements)
     fields = (result.junction_deflection, result.junction_rotation,
               result.tip_deflection, *result.reaction_cold_anchor)
     assert all(type(value) is float for value in fields)
-    assert tuple(value.hex() for value in fields) == expected
     assert result.elements_per_member == elements
+    return tuple(value.hex() for value in fields)
+
+
+@pytest.mark.parametrize("spec,elements,expected", _PINNED_ORACLE, ids=_ORACLE_IDS)
+def test_oracle_keeps_its_pinned_bits(spec, elements, expected):
+    assert _oracle_hex(spec, elements) == expected
+
+
+def test_oracle_mesh_cache_keeps_the_bits_and_is_read_only():
+    """The per-size mesh cache holds topology alone: interleaving mesh
+    sizes and specs, forwards then backwards, gives the pinned bits
+    every time, and no cached array can be written."""
+    pins = {_ORACLE_IDS[i]: _PINNED_ORACLE[i] for i in (1, 2, 3, 6)}
+    order = ["default-64", "default-16", "conduction-only-64",
+             "convection-5000-64", "default-16", "default-64"]
+    for name in order + order[::-1]:
+        spec, elements, expected = pins[name]
+        assert _oracle_hex(spec, elements) == expected
+    assert _oracle_mesh(64) is _oracle_mesh(64)
+    for elements in (16, 64):
+        for array in vars(_oracle_mesh(elements)).values():
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = array.flat[0]
 
 
 # float.hex of the closed form's tip, junction deflection, rotation,
