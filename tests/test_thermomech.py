@@ -489,7 +489,7 @@ def test_oracle_mesh_cache_keeps_the_bits_and_is_read_only():
     """The per-size mesh cache holds topology alone: interleaving mesh
     sizes and specs, forwards then backwards, gives the pinned bits
     every time, and no cached array can be written."""
-    pins = {_ORACLE_IDS[i]: _PINNED_ORACLE[i] for i in (1, 2, 3, 6)}
+    pins = dict(zip(_ORACLE_IDS, _PINNED_ORACLE))
     order = ["default-64", "default-16", "conduction-only-64",
              "convection-5000-64", "default-16", "default-64"]
     for name in order + order[::-1]:
@@ -499,8 +499,6 @@ def test_oracle_mesh_cache_keeps_the_bits_and_is_read_only():
     for elements in (16, 64):
         for array in vars(_oracle_mesh(elements)).values():
             assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array.flat[0] = array.flat[0]
 
 
 # float.hex of the closed form's tip, junction deflection, rotation,
