@@ -14,7 +14,6 @@ extreme inputs, 3 validation breach from the ``validate`` subcommand.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import warnings
 
@@ -22,9 +21,10 @@ from .config import (_MICRO, MAX_GRID_POINTS, ConfigError, StudySettings,
                      parse_config, resolve_sweep)
 from .electrothermal import (ThermalSystemError, fd_temperature_oracle,
                              solve_temperature_profile, temperature_at)
-from .model import ActuatorSpec, Drive, InvalidSpecError
+from .model import ActuatorSpec, InvalidSpecError
 from .output import sweep_chart_svg, sweep_csv
-from .study import PARAMETERS, SweepPlan, find_optimal_ratio, run_sweep
+from .study import (PARAMETERS, SweepPlan, apply_parameter, find_optimal_ratio,
+                    run_sweep)
 from .thermomech import (FrameSingularError, SmallAngleError, simulate,
                          stiffness_oracle)
 
@@ -90,7 +90,7 @@ def _write(path, text):
 
 def _cmd_simulate(spec: ActuatorSpec, args) -> int:
     if args.voltage is not None:
-        spec = dataclasses.replace(spec, drive=Drive(voltage=args.voltage))
+        spec = apply_parameter(spec, "voltage", args.voltage)
     table = run_sweep(SweepPlan(base=spec, parameter="voltage",
                                 values=(spec.drive.voltage,)))
     record = table.records[0]

@@ -200,23 +200,6 @@ def parse_config(text: str):
     return spec, settings
 
 
-def _micrometres(metres: float) -> float:
-    """Display value whose parse (x 1e-6) reproduces ``metres`` exactly.
-
-    Division then multiplication by 1e-6 can land one unit in the last
-    place off, so nudge until the round trip closes (metres values that
-    originated as micrometre inputs always close within a few steps).
-    """
-    display = metres / _MICRO
-    for _ in range(4):
-        back = display * _MICRO
-        if back == metres:
-            return display
-        display = math.nextafter(display,
-                                 math.inf if back < metres else -math.inf)
-    return metres / _MICRO
-
-
 def serialize_config(spec: ActuatorSpec, settings: StudySettings | None = None) -> str:
     """Render a spec (and optional study settings) as a config document.
 
@@ -233,7 +216,12 @@ def serialize_config(spec: ActuatorSpec, settings: StudySettings | None = None) 
         for f in fields(_SECTION_TYPES[section]):
             value = getattr(component, f.name)
             if section == "geometry":
-                value = _micrometres(value)
+                # The displays d that parse back (d x 1e-6) to this
+                # length fill an interval about length / 1e-6, and this
+                # quotient is the double nearest that point, so it parses
+                # back whenever any display does.  A length with no such
+                # display comes back one float off.
+                value = value / _MICRO
             lines.append(f"{section}.{f.name} = {value!r}")
     if settings is not None:
         lines.append("")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import ActuatorSpec, Geometry, Material
+from .model import ActuatorSpec, Geometry
 
 # Below this value of (decay parameter x path length) the boundary
 # layers overlap completely and the convective solution is replaced by
@@ -193,28 +193,11 @@ def rise_integral(profile: TemperatureProfile, upto) -> float:
     return _result(_integral(shape, xi, expm1))
 
 
-def arm_elongations(profile: TemperatureProfile, geometry: Geometry,
-                    material: Material) -> ThermalLoad:
-    """Free (unrestrained) thermal elongation of hot and cold arms.
-
-    The hot arm spans path coordinates [0, L1] from its anchor; the cold
-    arm spans [0, L2] from the other anchor, which by the symmetry of
-    the profile is the same integral evaluated at L2.
-    """
-    path = _path_length(geometry)
-    if path != profile.path_length:
-        raise ValueError("geometry does not match the profile path length")
-    alpha = material.expansion_coefficient
-    return ThermalLoad(
-        hot_elongation=alpha * rise_integral(profile, geometry.hot_arm_length),
-        cold_elongation=alpha * rise_integral(profile, geometry.cold_arm_length),
-    )
-
-
 def _load_and_peak(spec: ActuatorSpec):
     """The arm elongations and the mid-span (peak) temperature of
     ``spec`` in one scalar pass, with no profile record: the bits of
-    ``arm_elongations`` and ``temperature_at``, which take floats."""
+    ``alpha * rise_integral(profile, L)`` at each arm length L and of
+    ``temperature_at``, which take floats."""
     path, _, q, m, plateau = _fin(spec)
     mat, geo, expm1 = spec.material, spec.geometry, math.expm1
     shape = _shape(m * path >= PLATEAU_THRESHOLD, path, m, plateau, q,

@@ -118,24 +118,6 @@ def _flexibility(length1, length2, gap, ei, ea):
     )
 
 
-def flexibility_matrix(geometry: Geometry, material: Material):
-    """3x3 flexibility of the released structure at the cold anchor.
-
-    Entry (i, j) is the virtual-work integral of unit fields i and j
-    over the release path AB, BC, CD, bending plus axial, in the closed
-    form ``simulate`` uses.  The six distinct entries are mirrored, so
-    the matrix is symmetric by construction; acceptance criterion 9
-    still checks that it is positive definite on 1000 random frames.
-    Returns an ndarray, importing numpy on first use.
-    """
-    import numpy as np
-
-    f00, f11, f22, f01, f02, f12 = _flexibility(
-        geometry.hot_arm_length, geometry.cold_arm_length, geometry.gap,
-        *_rigidities(geometry, material))
-    return np.array([[f00, f01, f02], [f01, f11, f12], [f02, f12, f22]])
-
-
 def _pivot_root(pivot: float) -> float:
     if not pivot > 0.0:
         raise FrameSingularError("flexibility matrix is not positive definite")
@@ -362,9 +344,9 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     So, before the solve, do an element stiffness coefficient that is
     not finite and positive and a heated element whose path span is not
     positive.  Independent of the flexibility route by construction;
-    used for cross-validation and never by the studies.  With
-    ``flexibility_matrix`` it is the only user of numpy in this module,
-    and the only user of scipy; it imports both on its first call.
+    used for cross-validation and never by the studies.  With its mesh
+    helpers it is the only user of numpy in this module, and the only
+    user of scipy; it imports both on its first call.
     """
     import numpy as np
     from scipy.sparse import csr_matrix

@@ -101,7 +101,7 @@ def test_bad_config_contents_exit_one(tmp_path, capsys):
 
 def test_bad_voltage_override_exits_one(capsys):
     assert main(["simulate", "--voltage", "-3"]) == 1
-    assert "voltage" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: voltage must be non-negative\n"
 
 
 @pytest.mark.parametrize("key", ["material.young_modulus",

@@ -205,10 +205,12 @@ def test_partial_ranges_are_refused():
     ("gap", 1.0e-320, 2.0e-320, 2, "strictly increasing finite"),
     ("gap", 5.0, float("inf"), 3, "sweep stop must be finite"),
     ("ratio", float("nan"), 0.8, 3, "sweep start must be finite"),
+    ("bogus", 0.1, 0.8, 3, "unknown sweep parameter 'bogus'"),
 ])
 def test_a_range_without_a_grid_is_refused(param, start, stop, steps, needle):
-    """Too narrow for its steps, overflowing, underflowing in SI or not
-    finite: every such range is a config error, not a bad grid."""
+    """Too narrow for its steps, overflowing, underflowing in SI, not
+    finite or for a parameter with no grid: every such range is a
+    config error, not a bad grid."""
     with pytest.raises(ConfigError) as err:
         resolve_sweep(StudySettings(), parameter=param, start=start,
                       stop=stop, steps=steps)

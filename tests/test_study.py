@@ -237,6 +237,34 @@ def test_multi_peak_objective_is_flagged(monkeypatch):
     assert report.flag == "non_unimodal"
 
 
+def test_a_peak_on_the_grid_beats_the_refinement(monkeypatch):
+    """A sharp peak exactly on a grid ratio, which the golden-section
+    search brackets but never lands on: the report keeps the grid
+    point and its value."""
+    peak = study._linspace(0.1, 0.8, 71)[30]
+
+    def fake_simulate(spec):
+        ratio = spec.geometry.cold_arm_length / spec.geometry.hot_arm_length
+
+        class Stub:
+            tip_deflection = 1.0 - abs(ratio - peak)
+        return Stub()
+
+    refined = []
+
+    def recording_search(*args, **kwargs):
+        refined.append(golden_section_max(*args, **kwargs))
+        return refined[-1]
+
+    monkeypatch.setattr(study, "simulate", fake_simulate)
+    monkeypatch.setattr(study, "golden_section_max", recording_search)
+    report = find_optimal_ratio(_base(), grid=71)
+    expected = fake_simulate(apply_parameter(_base(), "ratio", peak)).tip_deflection
+    assert (report.optimal_ratio, report.optimal_tip_deflection) == (peak, expected)
+    assert report.flag is None
+    assert refined[0][1] < expected     # the search fell short of the grid
+
+
 def test_find_optimal_ratio_validates_its_inputs():
     with pytest.raises(ValueError):
         find_optimal_ratio(_base(), lo=0.5, hi=0.2)

@@ -6,13 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from thermoact.electrothermal import (arm_elongations, solve_temperature_profile,
+from thermoact.electrothermal import (rise_integral, solve_temperature_profile,
                                       temperature_at)
 from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
                              Material, default_spec)
 from thermoact.thermomech import (FrameSingularError, SmallAngleError,
-                                  ThermalLoad, flexibility_matrix, simulate,
-                                  _oracle_mesh, solve_redundants,
+                                  ThermalLoad, _flexibility, _oracle_mesh,
+                                  _rigidities, simulate, solve_redundants,
                                   stiffness_oracle)
 
 W, T, E = 2.8e-6, 2.0e-6, 158.0e9
@@ -45,6 +45,25 @@ def unit_fields(geometry):
     return fields, lengths
 
 
+def _flexibility_matrix(spec):
+    """The six entries ``simulate`` passes to the solver, mirrored into
+    the 3x3 flexibility matrix."""
+    geometry = spec.geometry
+    f00, f11, f22, f01, f02, f12 = _flexibility(
+        geometry.hot_arm_length, geometry.cold_arm_length, geometry.gap,
+        *_rigidities(geometry, spec.material))
+    return np.array([[f00, f01, f02], [f01, f11, f12], [f02, f12, f22]])
+
+
+def _public_load(spec):
+    """The free arm elongations by the public route: alpha times the rise
+    integral over each arm, measured from its own anchor."""
+    profile = solve_temperature_profile(spec)
+    alpha, geometry = spec.material.expansion_coefficient, spec.geometry
+    return ThermalLoad(alpha * rise_integral(profile, geometry.hot_arm_length),
+                       alpha * rise_integral(profile, geometry.cold_arm_length))
+
+
 def _simpson(length, a_start, a_end, b_start, b_end):
     """Simpson's rule, exact for the product of two linear fields."""
     middle = (a_start + a_end) * (b_start + b_end) / 4.0
@@ -67,7 +86,7 @@ def _table_route(spec):
                           for (a_start, a_end, a_axial), (b_start, b_end, b_axial),
                           length in zip(field_a, field_b, lengths))
                       for field_b in fields] for field_a in fields])
-    load = arm_elongations(solve_temperature_profile(spec), geometry, material)
+    load = _public_load(spec)
     redundants = solve_redundants(
         (flex[0, 0], flex[1, 1], flex[2, 2], flex[1, 0], flex[2, 0], flex[2, 1]),
         load)
@@ -93,8 +112,7 @@ def table():
 
 @pytest.fixture(scope="module")
 def flex():
-    spec = default_spec()
-    return flexibility_matrix(spec.geometry, spec.material)
+    return _flexibility_matrix(default_spec())
 
 
 @pytest.fixture(scope="module")
@@ -212,14 +230,15 @@ def _random_frames():
 
 def _random_frame_flexibilities():
     for spec in _random_frames():
-        yield flexibility_matrix(spec.geometry, spec.material)
+        yield _flexibility_matrix(spec)
 
 
 def test_flexibility_is_reciprocal_to_the_bit():
-    """The six distinct entries are mirrored, so F_ij and F_ji are one
-    float by construction; this holds ``flexibility_matrix`` to it."""
-    asymmetric = sum(not np.array_equal(flex, flex.T)
-                     for flex in _random_frame_flexibilities())
+    """Production forms six entries and mirrors them, which assumes
+    reciprocity.  The statics table forms all nine on its own, and on
+    the criterion 9 frames F_ij and F_ji come out as one float."""
+    asymmetric = sum(not np.array_equal(reference, reference.T)
+                     for reference, _ in map(_table_route, _random_frames()))
     assert asymmetric == 0
 
 
@@ -234,7 +253,7 @@ def test_closed_form_matches_the_statics_table_route():
     for spec in _random_frames():
         reference, _ = _table_route(spec)
         scale = 1.0 / np.sqrt(np.diag(reference))
-        defect = (flexibility_matrix(spec.geometry, spec.material) - reference) \
+        defect = (_flexibility_matrix(spec) - reference) \
             * scale[:, None] * scale[None, :]
         worst_flex = max(worst_flex, float(np.abs(defect).max()))
     assert worst_flex <= 1.0e-13
@@ -251,8 +270,7 @@ def test_closed_form_matches_the_statics_table_route():
                 worst_frame = max(worst_frame, *(abs(a - b) / abs(b)
                                                  for a, b in zip(got, expected)))
                 profile = solve_temperature_profile(spec)
-                assert ours.thermal_load == arm_elongations(
-                    profile, spec.geometry, spec.material)
+                assert ours.thermal_load == _public_load(spec)
                 assert ours.peak_temperature == temperature_at(
                     profile, profile.path_length / 2.0)
     assert worst_frame <= 1.0e-12
@@ -261,9 +279,7 @@ def test_closed_form_matches_the_statics_table_route():
 def test_redundants_close_the_compatibility_system(flex):
     """Backward-error check: the solved redundants satisfy each scalar
     equation to within a tiny multiple of that equation's own terms."""
-    spec = default_spec()
-    profile = solve_temperature_profile(spec)
-    load = arm_elongations(profile, spec.geometry, spec.material)
+    load = _public_load(default_spec())
     x = solve_redundants(_entries(flex), load)
     rhs = np.array([load.hot_elongation - load.cold_elongation, 0.0, 0.0])
     residual = np.abs(rhs - flex @ x)
