@@ -14,6 +14,7 @@ extreme inputs, 3 validation breach from the ``validate`` subcommand.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 
@@ -22,7 +23,7 @@ from .config import (_MICRO, MAX_GRID_POINTS, ConfigError, StudySettings,
 from .electrothermal import (ThermalSystemError, fd_temperature_oracle,
                              solve_temperature_profile, temperature_at)
 from .model import ActuatorSpec, InvalidSpecError
-from .output import sweep_chart_svg, sweep_csv
+from .output import _REPORT_FIELDS, _rows, sweep_chart_svg, sweep_csv
 from .study import (PARAMETERS, SweepPlan, apply_parameter, find_optimal_ratio,
                     run_sweep)
 from .thermomech import (FrameSingularError, SmallAngleError, simulate,
@@ -69,8 +70,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(config_path):
     if config_path is None:
         return parse_config("")
-    with open(config_path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(config_path, "r", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"cannot read config: {exc}"]) from exc
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", FutureWarning)
         try:
@@ -93,17 +97,9 @@ def _cmd_simulate(spec: ActuatorSpec, args) -> int:
         spec = apply_parameter(spec, "voltage", args.voltage)
     table = run_sweep(SweepPlan(base=spec, parameter="voltage",
                                 values=(spec.drive.voltage,)))
-    record = table.records[0]
-    rows = (
-        ("tip_deflection", record.tip_deflection / _MICRO, "um"),
-        ("junction_deflection", record.junction_deflection / _MICRO, "um"),
-        ("junction_rotation", record.junction_rotation * 1.0e3, "mrad"),
-        ("hot_elongation", record.hot_elongation / _MICRO, "um"),
-        ("cold_elongation", record.cold_elongation / _MICRO, "um"),
-        ("peak_temperature", record.peak_temperature, "C"),
-    )
-    for name, value, unit in rows:
-        print(f"{name} = {value:.9g} {unit}")
+    cells = next(_rows(table))[2:]
+    for (name, unit), cell in zip(_REPORT_FIELDS, cells):
+        print(f"{name} = {cell} {unit}")
     if args.out:
         _write(args.out, sweep_csv(table))
     return 0
@@ -187,21 +183,21 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         spec, settings = _load(args.config)
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
-        for line in exc.diagnostics:
-            print(f"error: {line}", file=sys.stderr)
-        return 1
-    try:
         if args.command == "simulate":
-            return _cmd_simulate(spec, args)
-        if args.command == "sweep":
-            return _cmd_sweep(spec, settings, args)
-        if args.command == "optimize-ratio":
-            return _cmd_optimize(spec, settings, args)
-        return _cmd_validate(spec)
+            code = _cmd_simulate(spec, args)
+        elif args.command == "sweep":
+            code = _cmd_sweep(spec, settings, args)
+        elif args.command == "optimize-ratio":
+            code = _cmd_optimize(spec, settings, args)
+        else:
+            code = _cmd_validate(spec)
+        sys.stdout.flush()      # a closed pipe's deferred EPIPE surfaces here
+        return code
+    except BrokenPipeError as exc:
+        # Shutdown flushes stdout again; devnull keeps that flush quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     except (ConfigError, InvalidSpecError) as exc:
         for line in exc.diagnostics:
             print(f"error: {line}", file=sys.stderr)

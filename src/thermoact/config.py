@@ -83,8 +83,9 @@ class ConfigError(ValueError):
 class StudySettings:
     """Study controls from the config file, in display units.
 
-    start/stop/steps override the built-in grid for the chosen
-    parameter when all three are present.
+    start/stop/steps replace the built-in grid for the chosen
+    parameter; a sweep given some but not all three, CLI flags merged
+    in, is refused with ``incomplete sweep range: missing ...``.
     """
 
     parameter: str = "ratio"
@@ -114,7 +115,8 @@ def parse_config(text: str):
     problem; nothing is constructed until the whole document is clean.
     A retired key is skipped, value unread, with a FutureWarning.
     """
-    values: dict[str, object] = {}
+    values: dict[str, dict[str, object]] = {
+        section: {} for section in (*_SECTION_TYPES, "study")}
     problems: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -133,44 +135,29 @@ def parse_config(text: str):
         if key not in _SCHEMA:
             problems.append(f"line {lineno}: unknown key {key!r}")
             continue
-        if key in values:
+        section, _, name = key.partition(".")
+        if name in values[section]:
             problems.append(f"line {lineno}: duplicate key {key!r}")
             continue
         kind = _SCHEMA[key]
-        if kind is str:
-            values[key] = literal
-            continue
         try:
-            values[key] = kind(literal)
+            value = kind(literal)
         except ValueError:
             expected = "an integer" if kind is int else "a number"
             problems.append(
                 f"line {lineno}: {key} expects {expected}, got {literal!r}")
+            continue
+        values[section][name] = value * _MICRO if section == "geometry" else value
     if problems:
         raise ConfigError(problems)
 
-    def section_kwargs(section):
-        out = {}
-        for f in fields(_SECTION_TYPES[section]):
-            key = f"{section}.{f.name}"
-            if key in values:
-                v = values[key]
-                out[f.name] = v * _MICRO if section == "geometry" else v
-        return out
-
     try:
-        spec = ActuatorSpec(
-            material=Material(**section_kwargs("material")),
-            environment=Environment(**section_kwargs("environment")),
-            geometry=Geometry(**section_kwargs("geometry")),
-            drive=Drive(**section_kwargs("drive")),
-        )
+        spec = ActuatorSpec(**{section: cls(**values[section])
+                               for section, cls in _SECTION_TYPES.items()})
     except InvalidSpecError as exc:
         raise ConfigError(exc.diagnostics) from exc
 
-    study_kwargs = {name: values[f"study.{name}"]
-                    for name in _STUDY_KEYS if f"study.{name}" in values}
-    settings = StudySettings(**study_kwargs)
+    settings = StudySettings(**values["study"])
     study_problems = []
     if settings.parameter not in PARAMETERS:
         study_problems.append(
@@ -225,14 +212,10 @@ def serialize_config(spec: ActuatorSpec, settings: StudySettings | None = None) 
             lines.append(f"{section}.{f.name} = {value!r}")
     if settings is not None:
         lines.append("")
-        lines.append(f"study.parameter = {settings.parameter}")
-        if settings.start is not None:
-            lines.append(f"study.start = {settings.start!r}")
-        if settings.stop is not None:
-            lines.append(f"study.stop = {settings.stop!r}")
-        if settings.steps is not None:
-            lines.append(f"study.steps = {settings.steps}")
-        lines.append(f"study.optimize_grid = {settings.optimize_grid}")
+        for name in _STUDY_KEYS:
+            value = getattr(settings, name)
+            if value is not None:
+                lines.append(f"study.{name} = {value}")
     return "\n".join(lines) + "\n"
 
 

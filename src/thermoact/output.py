@@ -16,6 +16,10 @@ from .study import SweepTable
 
 CSV_COLUMNS = ("param_name", "param_value", "d_tip_um", "u_um", "theta_mrad",
                "dl_hot_um", "dl_cold_um", "t_peak_c")
+# Name and unit of each result column above in the simulate report.
+_REPORT_FIELDS = (("tip_deflection", "um"), ("junction_deflection", "um"),
+                  ("junction_rotation", "mrad"), ("hot_elongation", "um"),
+                  ("cold_elongation", "um"), ("peak_temperature", "C"))
 
 
 def _fmt(value: float) -> str:

@@ -26,6 +26,7 @@ from .thermomech import FrameSolution, simulate
 PARAMETERS = ("voltage", "ratio", "gap", "hot_arm_length")
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_TOL = 1.0e-4
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
@@ -164,8 +165,8 @@ class OptimumReport:
     flag: str | None
 
 
-def golden_section_max(func, lo: float, hi: float, tol: float = 1.0e-4):
-    """Maximise a unimodal scalar function on [lo, hi].
+def golden_section_max(func, lo: float, hi: float):
+    """Maximise a unimodal scalar function on [lo, hi] to a bracket of 1e-4.
 
     Returns (argmax, max) of the best point actually evaluated, which
     can only improve on the best bracketing endpoint.  Deterministic:
@@ -182,7 +183,7 @@ def golden_section_max(func, lo: float, hi: float, tol: float = 1.0e-4):
     for x, f in ((c, fc), (d, fd)):
         if f > best_f:
             best_x, best_f = x, f
-    while (b - a) > tol:
+    while (b - a) > _GOLDEN_TOL:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)

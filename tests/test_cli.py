@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import thermoact.study as study
 from thermoact.cli import main
 from thermoact.config import MAX_GRID_POINTS
 from thermoact.model import default_spec
-from thermoact.thermomech import simulate
+from thermoact.thermomech import StiffnessResult, simulate
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -88,6 +89,20 @@ def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: cannot read config: ")
+
+
+def test_a_byte_order_mark_is_skipped(tmp_path, capsys):
+    text = "geometry.hot_arm_length = 600\ndrive.voltage = 6\n"
+    plain = tmp_path / "plain.cfg"
+    marked = tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert main(["simulate", "--config", str(plain)]) == 0
+    expected = capsys.readouterr()
+    assert main(["simulate", "--config", str(marked)]) == 0
+    assert capsys.readouterr() == expected
+    assert expected.out != (GOLDEN / "simulate.stdout").read_text(encoding="utf-8")
 
 
 def test_bad_config_contents_exit_one(tmp_path, capsys):
@@ -273,6 +288,37 @@ def test_validate_flags_a_broken_oracle(monkeypatch, capsys):
     assert "mechanical" in err
 
 
+def test_validate_flags_a_thermal_breach(monkeypatch, capsys):
+    real = cli.fd_temperature_oracle
+
+    def off_by_one_percent(spec, nodes):
+        xs, temps = real(spec, nodes=nodes)
+        ambient = spec.environment.ambient_temperature
+        return xs, ambient + (temps - ambient) * 1.01
+
+    monkeypatch.setattr(cli, "fd_temperature_oracle", off_by_one_percent)
+    assert main(["validate"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith("thermal_max_rel_error = 9.9")
+    assert re.fullmatch(r"validation breach: thermal error 9\.9\d\de-03 "
+                        r"exceeds 1e-03\n", captured.err)
+
+
+def test_validate_flags_an_oracle_that_does_not_move(monkeypatch, capsys):
+    """An oracle reading zero where the closed form does not is an
+    infinite relative error, not a pass."""
+    def still(spec, elements_per_member=64):
+        return StiffnessResult(0.0, 0.0, 0.0, (0.0, 0.0, 0.0),
+                               elements_per_member)
+
+    monkeypatch.setattr(cli, "stiffness_oracle", still)
+    assert main(["validate"]) == 3
+    captured = capsys.readouterr()
+    assert "mechanical_max_rel_error = inf (limit 2e-02)\n" in captured.out
+    assert captured.err == \
+        "validation breach: mechanical error inf exceeds 2e-02\n"
+
+
 def _child_env():
     return dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
 
@@ -376,3 +422,27 @@ def test_an_overdriven_validate_refuses_before_numpy_loads(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.startswith("error: junction rotation ")
     assert "exceeds the small-angle limit" in proc.stderr
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [["simulate"], ["sweep", "--param", "gap"],
+                                  ["optimize-ratio", "--grid", "5"]],
+                         ids=["simulate", "sweep", "optimize-ratio"])
+def test_a_closed_stdout_is_an_unwritable_output(tmp_path, args, buffered):
+    """``thermoact sweep | head`` closes the pipe early: one error line
+    and exit 1, as for an unwritable ``--out``, and no traceback.  With
+    a buffered stdout the write fails only when it is flushed."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "thermoact.cli", *args],
+                              cwd=tmp_path, env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"

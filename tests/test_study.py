@@ -200,11 +200,11 @@ def test_refinement_takes_its_bracket_ends_from_the_grid(monkeypatch, lo, hi):
         calls["simulate"] += 1
         return simulate(spec)
 
-    def counting_golden(func, lo, hi, tol=1.0e-4, golden=golden_section_max):
+    def counting_golden(func, lo, hi, golden=golden_section_max):
         def counted(x):
             calls["refine"] += 1
             return func(x)
-        return golden(counted, lo, hi, tol)
+        return golden(counted, lo, hi)
 
     monkeypatch.setattr(study, "simulate", counting_simulate)
     monkeypatch.setattr(study, "golden_section_max", counting_golden)
