@@ -10,12 +10,12 @@ thermal, direct-stiffness mechanical) back every closed form.
 from .config import (ConfigError, StudySettings, parse_config,
                      resolve_sweep, serialize_config)
 from .electrothermal import (TemperatureProfile, ThermalLoad,
-                             ThermalSystemError, current_density,
-                             fd_temperature_oracle, rise_integral,
-                             solve_temperature_profile, temperature_at)
+                             ThermalSystemError, fd_temperature_oracle,
+                             rise_integral, solve_temperature_profile,
+                             temperature_at)
 from .model import (ActuatorSpec, Drive, Environment, Geometry,
                     InvalidSpecError, Material, default_spec)
-from .output import line_chart_svg, sweep_chart_svg, sweep_csv
+from .output import sweep_chart_svg, sweep_csv
 from .study import (OptimumReport, SweepPlan, SweepTable, find_optimal_ratio,
                     run_sweep, sensitivity_summary)
 from .thermomech import (FrameSingularError, FrameSolution, SmallAngleError,
@@ -28,10 +28,9 @@ __all__ = [
     "FrameSingularError", "FrameSolution", "Geometry", "InvalidSpecError",
     "Material", "OptimumReport", "SmallAngleError", "StiffnessResult",
     "StudySettings", "SweepPlan", "SweepTable", "TemperatureProfile",
-    "ThermalLoad", "ThermalSystemError", "current_density",
-    "default_spec", "fd_temperature_oracle", "find_optimal_ratio",
-    "line_chart_svg", "parse_config", "resolve_sweep", "rise_integral",
-    "run_sweep", "sensitivity_summary", "serialize_config", "simulate",
-    "solve_temperature_profile", "stiffness_oracle", "sweep_chart_svg",
-    "sweep_csv", "temperature_at",
+    "ThermalLoad", "ThermalSystemError", "default_spec",
+    "fd_temperature_oracle", "find_optimal_ratio", "parse_config",
+    "resolve_sweep", "rise_integral", "run_sweep", "sensitivity_summary",
+    "serialize_config", "simulate", "solve_temperature_profile",
+    "stiffness_oracle", "sweep_chart_svg", "sweep_csv", "temperature_at",
 ]

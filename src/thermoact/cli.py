@@ -5,10 +5,11 @@
     thermoact optimize-ratio best cold/hot length ratio for the config
     thermoact validate       cross-check closed forms against oracles
 
-Exit codes: 0 success, 1 configuration problems, 2 solver guard
-tripped (rotation outside the small-angle regime, singular system,
-non-finite thermal load or oracle system) or an arithmetic failure on
-extreme inputs, 3 validation breach from the ``validate`` subcommand.
+Exit codes: 0 success, 1 configuration problems or a malformed command
+line, 2 solver guard tripped (rotation outside the small-angle regime,
+singular system, non-finite thermal load or oracle system) or an
+arithmetic failure on extreme inputs, 3 validation breach from the
+``validate`` subcommand.
 """
 
 from __future__ import annotations
@@ -33,8 +34,18 @@ THERMAL_TOLERANCE = 1.0e-3
 MECHANICAL_TOLERANCE = 2.0e-2
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage and message, but exit 1 on a malformed
+    command line: argparse's 2 here means a solver guard tripped.  The
+    subcommand parsers are made by this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thermoact",
         description="Lateral electrothermal microactuator simulator")
     common = argparse.ArgumentParser(add_help=False)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 
 from .model import (ActuatorSpec, Drive, Environment, Geometry,
                     InvalidSpecError, Material)
-from .study import PARAMETERS, _linspace
+from .study import PARAMETERS, RATIO_RANGE, _linspace
 
 _MICRO = 1.0e-6
 
@@ -64,7 +64,7 @@ DISPLAY_UNITS = {
 }
 
 _DEFAULT_GRIDS = {
-    "ratio": tuple(_linspace(0.1, 0.8, 71)),
+    "ratio": tuple(_linspace(*RATIO_RANGE, 71)),
     "gap": (5.0, 6.0, 7.0, 8.0, 9.0, 10.0),
     "voltage": tuple(_linspace(0.0, 8.0, 17)),
     "hot_arm_length": (500.0, 600.0, 750.0),

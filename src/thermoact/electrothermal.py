@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import ActuatorSpec, Geometry
+from .model import ActuatorSpec
 
 # Below this value of (decay parameter x path length) the boundary
 # layers overlap completely and the convective solution is replaced by
@@ -72,23 +72,12 @@ class ThermalLoad:
     cold_elongation: float
 
 
-def _path_length(geometry: Geometry) -> float:
-    """Length (m) of the current path: hot arm, then link, then cold arm."""
-    return (geometry.hot_arm_length + geometry.gap) + geometry.cold_arm_length
-
-
-def current_density(spec: ActuatorSpec) -> float:
-    """Uniform current density (A/m^2) through the loop cross-section."""
-    path = _path_length(spec.geometry)
-    return spec.drive.voltage / (spec.material.resistivity * path)
-
-
 def _fin(spec: ActuatorSpec):
     """The fin equation's path length, j, q, m and source plateau."""
     geo, mat = spec.geometry, spec.material
     w, h = geo.beam_width, geo.beam_thickness
-    path = _path_length(geo)
-    j = current_density(spec)
+    path = (geo.hot_arm_length + geo.gap) + geo.cold_arm_length
+    j = spec.drive.voltage / (mat.resistivity * path)
     q = j * j * mat.resistivity
     loss = 2.0 * (h + w) * spec.environment.convection_coefficient
     m = math.sqrt(loss / (mat.thermal_conductivity * w * h))
@@ -231,8 +220,8 @@ def fd_temperature_oracle(spec: ActuatorSpec, nodes: int = 4097):
         raise ValueError("need at least 3 nodes")
     geo, mat, env = spec.geometry, spec.material, spec.environment
     w, h = geo.beam_width, geo.beam_thickness
-    path = _path_length(geo)
-    j = current_density(spec)
+    path = (geo.hot_arm_length + geo.gap) + geo.cold_arm_length
+    j = spec.drive.voltage / (mat.resistivity * path)
     q = j * j * mat.resistivity
     k = mat.thermal_conductivity
     loss = 2.0 * (h + w) * env.convection_coefficient / (w * h)

@@ -51,20 +51,18 @@ def sweep_csv(table: SweepTable) -> str:
     return buf.getvalue()
 
 
-def _escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def line_chart_svg(xs, ys, x_label: str, y_label: str) -> str:
-    """An 800x600 single-polyline chart with min/max tick labels.
+def sweep_chart_svg(table: SweepTable) -> str:
+    """Tip deflection against the swept parameter, display units: an
+    800x600 single-polyline chart with min/max tick labels.
 
     Degenerate ranges (single point, constant response) are padded so
     the geometry stays finite and the file stays valid.
     """
-    xs = [float(v) for v in xs]
-    ys = [float(v) for v in ys]
-    if not xs or len(xs) != len(ys):
-        raise ValueError("need equal, non-empty coordinate lists")
+    param = table.plan.parameter
+    unit, scale = DISPLAY_UNITS[param]
+    xs = [rec.value / scale for rec in table.records]
+    ys = [rec.tip_deflection / _MICRO for rec in table.records]
+    x_label = f"{param} [{unit}]" if unit else param
     width, height = 800, 600
     left, right, top, bottom = 80.0, 24.0, 24.0, 64.0
     x_lo, x_hi = min(xs), max(xs)
@@ -103,18 +101,8 @@ def line_chart_svg(xs, ys, x_label: str, y_label: str) -> str:
         f'<text x="{left - 6}" y="{top + 4:.0f}" font-size="12" '
         f'text-anchor="end">{_fmt(max(ys))}</text>',
         f'<text x="{left + plot_w / 2:.0f}" y="{height - 20}" font-size="13" '
-        f'text-anchor="middle">{_escape(x_label)}</text>',
-        f'<text x="8" y="16" font-size="13">{_escape(y_label)}</text>',
+        f'text-anchor="middle">{x_label}</text>',
+        '<text x="8" y="16" font-size="13">tip deflection [um]</text>',
         "</svg>",
     ]
     return "\n".join(parts) + "\n"
-
-
-def sweep_chart_svg(table: SweepTable) -> str:
-    """Tip deflection against the swept parameter, display units."""
-    param = table.plan.parameter
-    unit, scale = DISPLAY_UNITS[param]
-    xs = [rec.value / scale for rec in table.records]
-    ys = [rec.tip_deflection / _MICRO for rec in table.records]
-    x_label = f"{param} [{unit}]" if unit else param
-    return line_chart_svg(xs, ys, x_label, "tip deflection [um]")

@@ -24,6 +24,9 @@ from .model import ActuatorSpec, Drive, Geometry, InvalidSpecError
 from .thermomech import FrameSolution, simulate
 
 PARAMETERS = ("voltage", "ratio", "gap", "hot_arm_length")
+# Cold/hot length ratios that ratio optimisation scans, and the default
+# ratio sweep's range.
+RATIO_RANGE = (0.1, 0.8)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_TOL = 1.0e-4
@@ -168,52 +171,42 @@ class OptimumReport:
 def golden_section_max(func, lo: float, hi: float):
     """Maximise a unimodal scalar function on [lo, hi] to a bracket of 1e-4.
 
-    Returns (argmax, max) of the best point actually evaluated, which
-    can only improve on the best bracketing endpoint.  Deterministic:
-    no randomness, fixed evaluation order.
+    Returns (argmax, max) of the best point actually evaluated, the
+    first evaluated among equals, which can only improve on the best
+    bracketing endpoint.  Deterministic: no randomness, fixed evaluation
+    order.
     """
     a, b = float(lo), float(hi)
-    best_x, best_f = a, func(a)
-    fb_end = func(b)
-    if fb_end > best_f:
-        best_x, best_f = b, fb_end
+    seen = {a: func(a), b: func(b)}
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc, fd = func(c), func(d)
-    for x, f in ((c, fc), (d, fd)):
-        if f > best_f:
-            best_x, best_f = x, f
+    fc = seen[c] = func(c)
+    fd = seen[d] = func(d)
     while (b - a) > _GOLDEN_TOL:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
-            fc = func(c)
-            if fc > best_f:
-                best_x, best_f = c, fc
+            fc = seen[c] = func(c)
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
-            fd = func(d)
-            if fd > best_f:
-                best_x, best_f = d, fd
-    return best_x, best_f
+            fd = seen[d] = func(d)
+    best = max(seen, key=seen.get)
+    return best, seen[best]
 
 
-def find_optimal_ratio(base: ActuatorSpec, lo: float = 0.1, hi: float = 0.8,
-                       grid: int = 71) -> OptimumReport:
+def find_optimal_ratio(base: ActuatorSpec, grid: int = 71) -> OptimumReport:
     """Locate the cold/hot length ratio maximising tip deflection.
 
-    Scans ``grid`` evenly spaced ratios in [lo, hi], checks the sampled
-    objective is unimodal, then refines around the best grid point by
-    golden-section search to 1e-4 in ratio.  A flat or non-unimodal
-    scan is reported with the corresponding flag instead of refined
-    blindly.
+    Scans ``grid`` evenly spaced ratios over ``RATIO_RANGE``, checks the
+    sampled objective is unimodal, then refines around the best grid
+    point by golden-section search to 1e-4 in ratio.  A flat or
+    non-unimodal scan is reported with the corresponding flag instead of
+    refined blindly.
     """
-    if not 0.0 < lo < hi:
-        raise ValueError("need 0 < lo < hi")
     if grid < 3:
         raise ValueError("grid must have at least 3 points")
-    ratios = _linspace(lo, hi, grid)
+    ratios = _linspace(*RATIO_RANGE, grid)
 
     def objective(ratio: float) -> float:
         return simulate(apply_parameter(base, "ratio", ratio)).tip_deflection

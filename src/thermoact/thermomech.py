@@ -342,11 +342,13 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     floating point (an element length along its member that is not
     finite and positive) raises FrameSingularError before any division.
     So, before the solve, do an element stiffness coefficient that is
-    not finite and positive and a heated element whose path span is not
-    positive.  Independent of the flexibility route by construction;
-    used for cross-validation and never by the studies.  With its mesh
-    helpers it is the only user of numpy in this module, and the only
-    user of scipy; it imports both on its first call.
+    not finite and positive, a heated element whose path span is not
+    positive and an equivalent thermal load that is not finite (a Joule
+    source so large that the fin integral overflows).  Independent of
+    the flexibility route by construction; used for cross-validation
+    and never by the studies.  With its mesh helpers it is the only user
+    of numpy in this module, and the only user of scipy; it imports both
+    on its first call.
     """
     import numpy as np
     from scipy.sparse import csr_matrix
@@ -406,9 +408,12 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     widths = np.diff(spans)     # zero for a member below one ulp of the path
     if not np.all(widths > 0.0):
         raise FrameSingularError("heated element has a path span that is not positive")
-    integrals = rise_integral(profile, spans)
-    mean_rise = np.diff(integrals) / widths
-    axial_force = ea * mat.expansion_coefficient * mean_rise
+    with np.errstate(all="ignore"):
+        integrals = rise_integral(profile, spans)
+        mean_rise = np.diff(integrals) / widths
+        axial_force = ea * mat.expansion_coefficient * mean_rise
+    if not np.all(np.isfinite(axial_force)):
+        raise FrameSingularError("equivalent thermal load is not finite")
 
     load = np.zeros(mesh.free.size)
     dofs = mesh.dofs[:heated]

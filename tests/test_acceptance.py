@@ -56,7 +56,7 @@ def optimum_reports():
     for hot_um in HOT_ARMS_UM:
         base = _spec(hot_um, 0.46, 5.0)
         start = time.perf_counter()
-        out[hot_um] = (find_optimal_ratio(base, lo=0.1, hi=0.8, grid=71),
+        out[hot_um] = (find_optimal_ratio(base, grid=71),
                        time.perf_counter() - start)
     return out
 

@@ -156,6 +156,39 @@ def test_bad_command_line_is_one_error_line(tmp_path, capsys, args, needle):
     assert err.startswith("error: ") and needle in err
 
 
+@pytest.mark.parametrize("args,last_line", [
+    (["optimize-ratio", "--grid", "x"],
+     "thermoact optimize-ratio: error: argument --grid: invalid int value: 'x'"),
+    (["simulate", "--voltage", "abc"],
+     "thermoact simulate: error: argument --voltage: invalid float value: 'abc'"),
+    (["sweep", "--param", "foo"],
+     "thermoact sweep: error: argument --param: invalid choice: 'foo' "
+     "(choose from 'voltage', 'ratio', 'gap', 'hot_arm_length')"),
+    (["frobnicate"],
+     "thermoact: error: argument command: invalid choice: 'frobnicate' "
+     "(choose from 'simulate', 'sweep', 'optimize-ratio', 'validate')"),
+    ([], "thermoact: error: the following arguments are required: command"),
+], ids=["grid-not-int", "voltage-not-float", "unknown-param", "unknown-command",
+        "missing-command"])
+def test_malformed_command_line_exits_one(capsys, args, last_line):
+    """argparse's usage and message, with the configuration exit code:
+    2 is kept for a tripped solver guard."""
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: thermoact")
+    assert err[-1] == last_line
+
+
+def test_help_exits_zero(capsys):
+    for args in (["--help"], ["sweep", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: thermoact")
+
+
 def test_a_sweep_range_that_overflows_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "wide.cfg"
     cfg.write_text("study.parameter = voltage\nstudy.start = -1e308\n"

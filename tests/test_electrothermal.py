@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from thermoact.electrothermal import (PLATEAU_THRESHOLD, ThermalSystemError,
-                                      current_density, fd_temperature_oracle,
-                                      rise_integral, solve_temperature_profile,
-                                      temperature_at)
+                                      fd_temperature_oracle, rise_integral,
+                                      solve_temperature_profile, temperature_at)
 from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
                              default_spec)
 from thermoact.thermomech import simulate
@@ -47,7 +46,7 @@ def _adaptive_trapezoid(f, a, b, tol):
 
 def test_current_density_against_hand_calculation():
     spec = default_spec()
-    j = current_density(spec)
+    j = solve_temperature_profile(spec).current_density
     # route 1: voltage over resistivity times path length
     path = (750.0 + 5.0 + 345.0) * 1.0e-6
     assert j == pytest.approx(8.0 / (5.0e-4 * path), rel=1.0e-12)

@@ -1,7 +1,6 @@
 from thermoact.model import default_spec
-from thermoact.output import (CSV_COLUMNS, line_chart_svg, sweep_chart_svg,
-                              sweep_csv)
-from thermoact.study import SweepPlan, run_sweep
+from thermoact.output import CSV_COLUMNS, sweep_chart_svg, sweep_csv
+from thermoact.study import SweepPlan, apply_parameter, run_sweep
 
 import pytest
 
@@ -61,24 +60,19 @@ def test_chart_is_deterministic(gap_table):
 
 
 def test_chart_survives_degenerate_ranges():
-    svg = line_chart_svg([1.0], [2.0], "x", "y")
+    """A one-value plan has a single x, and an unpowered ratio sweep a
+    constant zero response; both ranges are padded."""
+    single = SweepPlan(base=default_spec(), parameter="gap", values=(5.0e-6,))
+    svg = sweep_chart_svg(run_sweep(single))
     assert "nan" not in svg and "inf" not in svg
-    svg = line_chart_svg([0.0, 1.0, 2.0], [3.0, 3.0, 3.0], "x", "y")
-    assert "nan" not in svg
     assert svg.count("<polyline") == 1
-
-
-def test_chart_escapes_markup_in_labels():
-    svg = line_chart_svg([0.0, 1.0], [0.0, 1.0], "a < b & c", "y")
-    assert "a &lt; b &amp; c" in svg
-    assert "a < b" not in svg
-
-
-def test_chart_rejects_mismatched_series():
-    with pytest.raises(ValueError):
-        line_chart_svg([1.0, 2.0], [1.0], "x", "y")
-    with pytest.raises(ValueError):
-        line_chart_svg([], [], "x", "y")
+    unpowered = SweepPlan(base=apply_parameter(default_spec(), "voltage", 0.0),
+                          parameter="ratio", values=(0.3, 0.4, 0.5))
+    svg = sweep_chart_svg(run_sweep(unpowered))
+    assert "nan" not in svg and "inf" not in svg
+    assert svg.count("<polyline") == 1
+    # the zero response sits mid-height across the full plot width
+    assert 'points="80.00,280.00 428.00,280.00 776.00,280.00"' in svg
 
 
 def test_voltage_chart_uses_volt_labels():

@@ -160,6 +160,8 @@ def test_golden_section_handles_edge_maxima():
     assert best_x == 1.0
     best_x, _ = golden_section_max(lambda x: -x, 0.0, 1.0)
     assert best_x == 0.0
+    # on a tie the first point evaluated, the lower end, is kept
+    assert golden_section_max(lambda x: 1.0, 0.2, 0.7) == (0.2, 1.0)
 
 
 def test_optimal_ratio_for_the_default_device():
@@ -188,17 +190,27 @@ def test_refinement_only_improves_on_the_grid():
     assert report.optimal_tip_deflection >= grid_best
 
 
-@pytest.mark.parametrize("lo,hi", [(0.1, 0.8), (0.5, 0.8)],
+def _rising_simulate(spec):
+    """A stand-in for ``simulate`` whose tip deflection is the length
+    ratio, so that the scan peaks at the last grid ratio."""
+    ratio = spec.geometry.cold_arm_length / spec.geometry.hot_arm_length
+
+    class Stub:
+        tip_deflection = ratio
+    return Stub()
+
+
+@pytest.mark.parametrize("physics", [study.simulate, _rising_simulate],
                          ids=["interior-peak", "edge-peak"])
-def test_refinement_takes_its_bracket_ends_from_the_grid(monkeypatch, lo, hi):
+def test_refinement_takes_its_bracket_ends_from_the_grid(monkeypatch, physics):
     """Golden-section search starts from two grid points, whose
     deflections the scan already has: the optimisation simulates every
     grid point and every refinement point but those two."""
     calls = {"simulate": 0, "refine": 0}
 
-    def counting_simulate(spec, simulate=study.simulate):
+    def counting_simulate(spec):
         calls["simulate"] += 1
-        return simulate(spec)
+        return physics(spec)
 
     def counting_golden(func, lo, hi, golden=golden_section_max):
         def counted(x):
@@ -208,7 +220,7 @@ def test_refinement_takes_its_bracket_ends_from_the_grid(monkeypatch, lo, hi):
 
     monkeypatch.setattr(study, "simulate", counting_simulate)
     monkeypatch.setattr(study, "golden_section_max", counting_golden)
-    report = find_optimal_ratio(_base(), lo=lo, hi=hi, grid=31)
+    report = find_optimal_ratio(_base(), grid=31)
     assert report.flag is None
     assert calls["refine"] > 2
     assert calls["simulate"] == 31 + calls["refine"] - 2
@@ -266,8 +278,6 @@ def test_a_peak_on_the_grid_beats_the_refinement(monkeypatch):
 
 
 def test_find_optimal_ratio_validates_its_inputs():
-    with pytest.raises(ValueError):
-        find_optimal_ratio(_base(), lo=0.5, hi=0.2)
     with pytest.raises(ValueError):
         find_optimal_ratio(_base(), grid=2)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import warnings
 from fractions import Fraction
@@ -6,14 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from thermoact.electrothermal import (rise_integral, solve_temperature_profile,
+from thermoact.electrothermal import (ThermalSystemError, fd_temperature_oracle,
+                                      rise_integral, solve_temperature_profile,
                                       temperature_at)
 from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
                              Material, default_spec)
 from thermoact.thermomech import (FrameSingularError, SmallAngleError,
-                                  ThermalLoad, _flexibility, _oracle_mesh,
-                                  _rigidities, simulate, solve_redundants,
-                                  stiffness_oracle)
+                                  ThermalLoad, _flexibility, _local_stiffness,
+                                  _oracle_mesh, _rigidities, simulate,
+                                  solve_redundants, stiffness_oracle)
 
 W, T, E = 2.8e-6, 2.0e-6, 158.0e9
 EI = E * (T * W ** 3 / 12.0)
@@ -449,6 +451,28 @@ def test_oracle_refuses_a_collapsed_element_before_dividing():
         warnings.simplefilter("error")
         with pytest.raises(FrameSingularError, match="element length"):
             stiffness_oracle(spec, elements_per_member=4)
+
+
+@pytest.mark.parametrize("voltage", [1.0e150, 1.0e160, 1.0e200])
+def test_oracle_refuses_a_non_finite_thermal_load_by_name(voltage):
+    """A Joule source so large that the fin integral is not finite gives
+    an equivalent load that is not finite: the oracle names it before
+    the solve, with no warning from the arithmetic that formed it."""
+    with pytest.raises(FrameSingularError, match="equivalent thermal load"):
+        stiffness_oracle(ActuatorSpec(drive=Drive(voltage=voltage)))
+
+
+def test_oracles_share_no_code_with_the_closed_form():
+    """The FD oracle reads no module global but ``math`` and its error.
+    The stiffness oracle and its mesh helpers read their own names and
+    the closed-form thermal field alone: none of the frame solution's
+    flexibility, rigidity, solve or load helpers."""
+    assert inspect.getclosurevars(fd_temperature_oracle).globals == {
+        "math": math, "ThermalSystemError": ThermalSystemError}
+    allowed = {"FrameSingularError", "StiffnessResult", "_local_stiffness",
+               "_oracle_mesh", "solve_temperature_profile", "rise_integral"}
+    for func in (stiffness_oracle, _local_stiffness, _oracle_mesh.__wrapped__):
+        assert set(inspect.getclosurevars(func).globals) <= allowed, func.__name__
 
 
 _CONDUCTION_ONLY = dataclasses.replace(
