@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .model import ActuatorSpec, Drive, Geometry, InvalidSpecError
+from .model import ActuatorSpec, Drive, Geometry, InvalidSpecError, _prevalidated_spec
 from .thermomech import FrameSolution, simulate
 
 PARAMETERS = ("voltage", "ratio", "gap", "hot_arm_length")
@@ -56,26 +56,29 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 def apply_parameter(base: ActuatorSpec, parameter: str, value: float) -> ActuatorSpec:
     """Return a copy of ``base`` with one study parameter set to ``value``.
 
-    Raises InvalidSpecError when the induced spec violates a bound and
-    ValueError for an unknown parameter name.
+    Checks only the changed fields and the arm order, as ``base`` is valid.
+    Raises InvalidSpecError, from the full constructor check, when the
+    induced spec violates a bound and ValueError for an unknown parameter.
     """
-    g, drive = base.geometry, base.drive
+    g, drive, geometry = base.geometry, base.drive, base.geometry
     hot, cold, gap = g.hot_arm_length, g.cold_arm_length, g.gap
     if parameter == "voltage":
-        drive = Drive(voltage=value)
-    elif parameter == "ratio":
-        cold = value * hot
-    elif parameter == "gap":
-        gap = value
-    elif parameter == "hot_arm_length":
-        hot, cold = value, cold / hot * value
+        drive, valid = Drive(voltage=value), 0.0 <= value < math.inf
     else:
-        raise ValueError(f"unknown study parameter {parameter!r}")
-    geometry = Geometry(hot_arm_length=hot, cold_arm_length=cold, gap=gap,
-                        beam_width=g.beam_width, beam_thickness=g.beam_thickness,
-                        extension_length=g.extension_length)
-    return ActuatorSpec(material=base.material, environment=base.environment,
-                        geometry=geometry, drive=drive)
+        if parameter == "ratio":
+            cold = value * hot
+        elif parameter == "gap":
+            gap = value
+        elif parameter == "hot_arm_length":
+            hot, cold = value, cold / hot * value
+        else:
+            raise ValueError(f"unknown study parameter {parameter!r}")
+        geometry = Geometry(hot_arm_length=hot, cold_arm_length=cold, gap=gap,
+                            beam_width=g.beam_width, beam_thickness=g.beam_thickness,
+                            extension_length=g.extension_length)
+        valid = 0.0 < cold <= hot < math.inf and 0.0 < gap < math.inf
+    build = _prevalidated_spec if valid else ActuatorSpec
+    return build(base.material, base.environment, geometry, drive)
 
 
 @dataclass(frozen=True)
@@ -125,6 +128,8 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class SweepTable:
+    """The simulated sweep: one record per plan value, in plan order."""
+
     plan: SweepPlan
     records: tuple[SweepRecord, ...]
 
@@ -202,7 +207,7 @@ def find_optimal_ratio(base: ActuatorSpec, grid: int = 71) -> OptimumReport:
     sampled objective is unimodal, then refines around the best grid
     point by golden-section search to 1e-4 in ratio.  A flat or
     non-unimodal scan is reported with the corresponding flag instead of
-    refined blindly.
+    refined blindly; any grid ratio ``simulate`` refuses aborts the scan.
     """
     if grid < 3:
         raise ValueError("grid must have at least 3 points")

@@ -286,6 +286,21 @@ def test_optimize_ratio_emits_a_machine_readable_line(capsys):
     assert "grid_resolution = 31" in out
 
 
+def test_optimize_ratio_refuses_the_scan_when_one_grid_ratio_is_refused(
+        tmp_path, capsys):
+    """At 10 V the base ratio solves, but the low grid ratios rotate the
+    junction past 0.1 rad, and the whole scan ends in exit 2."""
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text("drive.voltage = 10\n")
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["optimize-ratio", "--config", str(cfg), "--grid", "11"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: junction rotation 0.1098 rad exceeds the small-angle limit 0.1"]
+
+
 def test_optimize_ratio_warns_on_a_flat_objective(tmp_path, capsys):
     cfg = tmp_path / "quiet.cfg"
     cfg.write_text("drive.voltage = 0\n")

@@ -1,8 +1,12 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import thermoact.study as study
 from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
@@ -92,6 +96,87 @@ def test_apply_parameter_refuses_as_the_replace_route(parameter, value):
         _replace_route(_OFF_DEFAULT, parameter, value)
     assert ours.value.diagnostics == reference.value.diagnostics
     assert str(ours.value) == str(reference.value)
+
+
+# Values at and beyond the float range, as in tests/test_properties.py.
+EXTREMES = (0.0, -0.0, 5.0e-324, 1.0e-320, -1.0e-320, 1.0e-300, 1.0e300,
+            1.7e308, -1.7e308, math.inf, -math.inf, math.nan)
+
+_POSITIVE = st.floats(min_value=5.0e-324, max_value=1.7e308)
+
+
+@st.composite
+def _bases(draw):
+    """A valid spec: every positive field anywhere in the float range,
+    or the reference base with each field scaled."""
+    if draw(st.booleans()):
+        scale = st.floats(0.1, 10.0)
+        parts = [{name: value * draw(scale) for name, value in vars(part).items()}
+                 for part in (_OFF_DEFAULT.material, _OFF_DEFAULT.environment,
+                              _OFF_DEFAULT.geometry, _OFF_DEFAULT.drive)]
+        parts[2]["cold_arm_length"] = min(parts[2]["cold_arm_length"],
+                                          parts[2]["hot_arm_length"])
+    else:
+        parts = [{f.name: draw(_POSITIVE) for f in dataclasses.fields(cls)}
+                 for cls in (Material, Environment, Geometry, Drive)]
+        parts[1]["ambient_temperature"] = draw(st.floats(-273.15, 1.0e300))
+        parts[3]["voltage"] = draw(st.floats(0.0, 1.7e308))
+        arms = sorted((parts[2]["hot_arm_length"], parts[2]["cold_arm_length"]))
+        parts[2]["cold_arm_length"], parts[2]["hot_arm_length"] = arms
+    material, environment, geometry, drive = parts
+    return ActuatorSpec(material=Material(**material),
+                        environment=Environment(**environment),
+                        geometry=Geometry(**geometry), drive=Drive(**drive))
+
+
+_HUGE_ARMS = ActuatorSpec(geometry=Geometry(hot_arm_length=1.0e300,
+                                            cold_arm_length=1.0e299))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(base=_bases(), parameter=st.sampled_from(study.PARAMETERS),
+       value=st.one_of(st.sampled_from(EXTREMES), _POSITIVE, st.floats()))
+@example(base=_OFF_DEFAULT, parameter="ratio", value=1.0)        # cold == hot
+@example(base=_OFF_DEFAULT, parameter="ratio", value=5.0e-324)   # cold underflows to 0
+@example(base=_HUGE_ARMS, parameter="ratio", value=1.0e10)       # cold overflows to inf
+@example(base=_HUGE_ARMS, parameter="hot_arm_length", value=math.inf)
+@example(base=_HUGE_ARMS, parameter="hot_arm_length", value=1.7976931348623157e308)
+def test_apply_parameter_matches_the_replace_route_bit_for_bit(base, parameter, value):
+    """The study path checks only the fields a point changes; whatever
+    the value, it gives the spec or the refusal that the fully checked
+    ``dataclasses.replace`` route gives.  With cold <= hot, the cold arm
+    of a ``hot_arm_length`` point overflows only for an infinite value."""
+    try:
+        ours = apply_parameter(base, parameter, value)
+    except InvalidSpecError as exc:
+        with pytest.raises(InvalidSpecError) as reference:
+            _replace_route(base, parameter, value)
+        assert exc.diagnostics == reference.value.diagnostics
+        assert str(exc) == str(reference.value)
+        return
+    reference = _replace_route(base, parameter, value)
+    assert type(ours) is ActuatorSpec
+    assert ours == reference
+    assert (hash(ours), repr(ours)) == (hash(reference), repr(reference))
+    assert list(vars(ours)) == list(vars(reference))
+    for name, part in vars(ours).items():
+        fields = vars(getattr(reference, name))
+        assert list(vars(part)) == list(fields)
+        assert ([float.hex(v) for v in vars(part).values()]
+                == [float.hex(v) for v in fields.values()])
+
+
+@pytest.mark.parametrize("parameter,value", [
+    ("voltage", 3.0), ("ratio", 0.5), ("gap", 8.0e-6),
+    ("hot_arm_length", 500.0e-6)])
+def test_a_study_spec_behaves_like_a_constructed_one(parameter, value):
+    spec = apply_parameter(_OFF_DEFAULT, parameter, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.drive = Drive(voltage=1.0)
+    with pytest.raises(InvalidSpecError):
+        dataclasses.replace(spec, drive=Drive(-1.0))
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    assert copy.deepcopy(spec) == spec
 
 
 def test_apply_parameter_rejects_unknown_names():
