@@ -265,7 +265,9 @@ def _oracle_mesh(nel: int):
     size ``nel`` alone.  Nodes are chained A=0 .. B=nel .. C=2nel ..
     D=3nel, then the extension leaves B and runs to J=4nel.  The members
     run along +x (AB), -y (BC), -x (CD) and +x (BJ), so every rotation
-    entry is exactly 0 or +-1 and rounds nothing."""
+    entry is exactly 0 or +-1 and rounds nothing.  The clamped system is
+    laid out as LAPACK's upper band storage in its own node order, whose
+    half-bandwidth ``kd`` is 8 for every mesh size."""
     from types import SimpleNamespace
 
     import numpy as np
@@ -296,30 +298,39 @@ def _oracle_mesh(nel: int):
     rows = np.repeat(dofs, 6, axis=1).ravel()
     cols = np.tile(dofs, (1, 6)).ravel()
 
-    # Entries in a clamped row or column are dropped and the free DOFs
-    # renumbered in their global order.  A kept entry's CSR slot is the
-    # rank of its (row, column) pair; entries that share a slot are
-    # summed by the caller's bincount in element (COO) order, the order
-    # in which COO-to-CSR conversion sums them for this pattern.
-    anchor_d = 3 * 3 * nel
-    free = np.ones(ndof, dtype=bool)
-    free[0:3] = free[anchor_d:anchor_d + 3] = False
-    kept = np.flatnonzero(free[rows] & free[cols])
-    reduced, n_free = np.cumsum(free) - 1, ndof - 6
-    pairs, slot = np.unique(reduced[rows[kept]] * n_free + reduced[cols[kept]],
-                            return_inverse=True)
-    indices = (pairs % n_free).astype(np.int32)
-    indptr = np.searchsorted(pairs // n_free, np.arange(n_free + 1)).astype(np.int32)
+    # Band order: the A chain up to B, then the link and the extension
+    # interleaved node by node (C and J last), then the cold arm up to D.
+    # No element joins nodes more than two places apart in it.  Dropping
+    # A's and D's DOFs, first and last, leaves ``order``: the global DOF
+    # at each place of the clamped system, to gather loads and scatter
+    # the solution.
+    nodes = np.concatenate([
+        np.arange(nel + 1),
+        np.stack([chain[1, 1:], chain[3, 1:]], axis=1).ravel(),
+        chain[2, 1:]])
+    order = (3 * nodes[:, None] + np.arange(3)).ravel()[3:-3]
+    place = np.full(ndof, -1)
+    place[order] = np.arange(order.size)
 
+    # Kept are the entries on and above the diagonal of the clamped
+    # system.  A kept entry's slot is its flat index in the (kd + 1, n)
+    # upper band storage in column-major order; entries that share a
+    # slot are summed by the caller's bincount in element order.
+    row, col = place[rows], place[cols]
+    kept = np.flatnonzero((row >= 0) & (row <= col))
+    row, col = row[kept], col[kept]
+    kd = int((col - row).max())
+    slot = col * (kd + 1) + kd + row - col
+
+    anchor_d = 3 * 3 * nel
     at_d = np.flatnonzero((rows >= anchor_d) & (rows < anchor_d + 3))
-    mesh = SimpleNamespace(
+    arrays = dict(
         fractions=np.linspace(0.0, 1.0, nel + 1)[1:-1, None], node1=node1,
         node2=node2, direction=direction, rot=rot, dofs=dofs, kept=kept, slot=slot,
-        indices=indices, indptr=indptr, free=free, at_d=at_d,
-        d_rows=rows[at_d] - anchor_d, d_cols=cols[at_d])
-    for array in vars(mesh).values():
+        order=order, at_d=at_d, d_rows=rows[at_d] - anchor_d, d_cols=cols[at_d])
+    for array in arrays.values():
         array.flags.writeable = False
-    return mesh
+    return SimpleNamespace(kd=kd, **arrays)
 
 
 def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> StiffnessResult:
@@ -328,31 +339,35 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     Meshes all four members with ``elements_per_member`` 6-DOF
     Euler-Bernoulli frame elements, applies each heated element's mean
     temperature rise as an equivalent axial load pair, clamps both
-    anchors and solves the sparse system of the free degrees of freedom.
-    What depends on the mesh size alone is built once per size and kept
-    in a small bounded cache of read-only arrays: the node numbering and
-    DOF table, the exact 0 and +-1 member rotations, the CSR pattern of
-    the clamped system with each kept element entry's slot in it, and
+    anchors and solves the banded system of the free degrees of freedom
+    by LAPACK's band Cholesky ``pbsv``.  What depends on the mesh size
+    alone is built once per size and kept in a small bounded cache of
+    read-only arrays: the node numbering and DOF table, the exact 0 and
+    +-1 member rotations, the band layout of the clamped system (a node
+    order of half-bandwidth 8, the free DOFs in that order, and each kept
+    upper-triangle element entry's slot in the upper band storage), and
     the entries of D's rows.  Nothing from a spec is cached.  Each call
     forms the coordinates, element lengths and stiffness blocks, rotates
-    the blocks to global axes by one batched matmul, and fills the
-    clamped system by one bincount that sums each slot's entries in
-    their element order.  The reaction at D is K u - f over the element
-    entries of D's three rows alone.  A mesh whose nodes coincide in
-    floating point (an element length along its member that is not
-    finite and positive) raises FrameSingularError before any division.
-    So, before the solve, do an element stiffness coefficient that is
-    not finite and positive, a heated element whose path span is not
-    positive and an equivalent thermal load that is not finite (a Joule
-    source so large that the fin integral overflows).  Independent of
-    the flexibility route by construction; used for cross-validation
-    and never by the studies.  With its mesh helpers it is the only user
-    of numpy in this module, and the only user of scipy; it imports both
-    on its first call.
+    the blocks to global axes by one batched matmul, and fills the band
+    by one bincount that sums each slot's entries in their element
+    order.  The reaction at D is K u - f over the element entries of D's
+    three rows alone.  A mesh whose nodes coincide in floating point (an
+    element length along its member that is not finite and positive)
+    raises FrameSingularError before any division.  So, before the
+    solve, do an element stiffness coefficient that is not finite and
+    positive, a heated element whose path span is not positive and an
+    equivalent thermal load that is not finite (a Joule source so large
+    that the fin integral overflows).  A non-positive Cholesky pivot (a
+    frame too ill-conditioned for the band solve to carry) or a solution
+    that is not finite raises FrameSingularError("stiffness system did
+    not solve").  A frame under no load is at rest, and its system is
+    not factored.  Independent of the flexibility route by construction;
+    used for cross-validation and never by the studies.  With its mesh
+    helpers it is the only user of numpy in this module, and the only
+    user of scipy; it imports both on its first call.
     """
     import numpy as np
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.linalg import spsolve
+    from scipy.linalg.lapack import dpbsv
 
     if elements_per_member < 1:
         raise ValueError("elements_per_member must be at least 1")
@@ -391,10 +406,8 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
 
     local = _local_stiffness(lengths, ei, ea)
     values = (mesh.rot.transpose(0, 2, 1) @ local @ mesh.rot).ravel()
-    data = np.bincount(mesh.slot, weights=values[mesh.kept],
-                       minlength=mesh.indices.size)
-    n_free = mesh.free.size - 6
-    stiffness = csr_matrix((data, mesh.indices, mesh.indptr), shape=(n_free, n_free))
+    band = np.bincount(mesh.slot, weights=values[mesh.kept],
+                       minlength=(mesh.kd + 1) * mesh.order.size)
 
     # Equivalent loads: heated members are the release path AB, BC, CD,
     # whose elements tile the path coordinate [0, path_length] in order.
@@ -415,7 +428,8 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     if not np.all(np.isfinite(axial_force)):
         raise FrameSingularError("equivalent thermal load is not finite")
 
-    load = np.zeros(mesh.free.size)
+    ndof = 3 * (4 * nel + 1)
+    load = np.zeros(ndof)
     dofs = mesh.dofs[:heated]
     hcos, hsin = mesh.direction[:heated, 0], mesh.direction[:heated, 1]
     np.add.at(load, dofs[:, 0], -axial_force * hcos)
@@ -423,10 +437,17 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     np.add.at(load, dofs[:, 3], axial_force * hcos)
     np.add.at(load, dofs[:, 4], axial_force * hsin)
 
-    solution = np.zeros(mesh.free.size)
-    solution[mesh.free] = spsolve(stiffness, load[mesh.free])
-    if not np.all(np.isfinite(solution)):
-        raise FrameSingularError("stiffness system did not solve")
+    # The band, filled column by column, is LAPACK's (kd + 1, n) upper
+    # storage as it stands; a non-positive pivot leaves info > 0.  A
+    # frame under no load stays at rest without a factorisation, which
+    # an ill-conditioned frame might not survive.
+    solution = np.zeros(ndof)
+    rhs = load[mesh.order]
+    if rhs.any():
+        _, solution[mesh.order], info = dpbsv(band.reshape(-1, mesh.kd + 1).T, rhs,
+                                              overwrite_ab=1, overwrite_b=1)
+        if info > 0 or not np.all(np.isfinite(solution)):
+            raise FrameSingularError("stiffness system did not solve")
 
     # K u at D's rows, summed entry by entry in COO order.
     anchor_d = 3 * 3 * nel

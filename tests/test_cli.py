@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -374,7 +375,8 @@ def _child_env():
 def test_only_the_oracles_import_scipy(tmp_path):
     """Importing the CLI, simulating, sweeping, optimising and refusing
     a bad config load neither numpy nor scipy; the oracles behind
-    ``validate`` load both on first use."""
+    ``validate`` load both on first use, but never ``scipy.sparse``:
+    both call LAPACK through ``scipy.linalg.lapack``."""
     script = (
         "import sys\n"
         "from thermoact.cli import main\n"
@@ -386,6 +388,8 @@ def test_only_the_oracles_import_scipy(tmp_path):
         "                if m.split('.')[0] in ('numpy', 'scipy'))\n"
         "assert not loaded, loaded\n"
         "assert main(['validate']) == 0\n"
+        "sparse = sorted(m for m in sys.modules if m.startswith('scipy.sparse'))\n"
+        "assert not sparse, sparse\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                           env=_child_env(), capture_output=True, text=True,
@@ -400,7 +404,9 @@ def test_only_the_oracles_import_scipy(tmp_path):
 # extension below one ulp of the hot arm collapses the stiffness mesh, a
 # gap below one ulp of the path collapses the heated spans, and members
 # far too short or long for their section take the element stiffness
-# out of the float range.
+# out of the float range.  A 10 fm gap leaves the clamped stiffness
+# system so ill-conditioned that its band Cholesky meets a non-positive
+# pivot.
 _COEFFICIENT = "error: stiffness element has a coefficient that is not " \
     "finite and positive"
 ORACLE_REFUSALS = [
@@ -427,6 +433,8 @@ ORACLE_REFUSALS = [
                  "geometry.hot_arm_length = 1e17\ngeometry.cold_arm_length = 1e16",
                  "error: finite-difference thermal system is singular",
                  id="singular-fd-validate"),
+    pytest.param("validate", "geometry.gap = 1e-8",
+                 "error: stiffness system did not solve", id="pivot-gap-validate"),
 ]
 
 
@@ -449,6 +457,20 @@ def test_a_non_finite_load_is_one_stderr_line_from_the_process(tmp_path, command
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == message + "\n"
+
+
+def test_a_stiffness_pivot_failure_is_a_named_solver_error(tmp_path, capsys):
+    """In process, with every warning an error: a frame the band
+    Cholesky cannot factor ends ``validate`` in exit 2 and its one named
+    line, before any report line."""
+    cfg = tmp_path / "pivot.cfg"
+    cfg.write_text("geometry.gap = 1e-8\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: stiffness system did not solve\n"
 
 
 def test_an_overdriven_validate_refuses_before_numpy_loads(tmp_path):
