@@ -229,45 +229,18 @@ def simulate(spec: ActuatorSpec) -> FrameSolution:
     )
 
 
-def _local_stiffness(lengths, ei, ea):
-    """(n, 6, 6) local frame-element stiffness blocks for an array of
-    element lengths.  The coefficients are formed with floating-point
-    errors silent, then one that is not finite and positive (a power of
-    the length left the float range) raises FrameSingularError."""
-    import numpy as np
-
-    n = lengths.shape[0]
-    k = np.zeros((n, 6, 6))
-    with np.errstate(all="ignore"):
-        ax = ea / lengths
-        b12 = 12.0 * ei / lengths ** 3
-        b6 = 6.0 * ei / lengths ** 2
-        b4 = 4.0 * ei / lengths
-        b2 = 2.0 * ei / lengths
-    coefficients = np.array((ax, b12, b6, b4, b2))
-    if not (coefficients.min() > 0.0 and coefficients.max() < np.inf):
-        raise FrameSingularError(
-            "stiffness element has a coefficient that is not finite and positive")
-    k[:, 0, 0] = k[:, 3, 3] = ax
-    k[:, 0, 3] = k[:, 3, 0] = -ax
-    k[:, 1, 1] = k[:, 4, 4] = b12
-    k[:, 1, 4] = k[:, 4, 1] = -b12
-    k[:, 1, 2] = k[:, 2, 1] = k[:, 1, 5] = k[:, 5, 1] = b6
-    k[:, 2, 4] = k[:, 4, 2] = k[:, 4, 5] = k[:, 5, 4] = -b6
-    k[:, 2, 2] = k[:, 5, 5] = b4
-    k[:, 2, 5] = k[:, 5, 2] = b2
-    return k
-
-
 @functools.lru_cache(maxsize=4)
 def _oracle_mesh(nel: int):
     """The stiffness oracle's read-only arrays that depend on the mesh
     size ``nel`` alone.  Nodes are chained A=0 .. B=nel .. C=2nel ..
     D=3nel, then the extension leaves B and runs to J=4nel.  The members
     run along +x (AB), -y (BC), -x (CD) and +x (BJ), so every rotation
-    entry is exactly 0 or +-1 and rounds nothing.  The clamped system is
-    laid out as LAPACK's upper band storage in its own node order, whose
-    half-bandwidth ``kd`` is 8 for every mesh size."""
+    is a signed permutation, and every entry of a rotated element block
+    is exactly plus or minus one of the element's five coefficients, or
+    zero.  Each nonzero entry is cached as its coefficient's flat index
+    in the (5, 4nel) coefficient array and its sign.  The clamped system
+    is laid out as LAPACK's upper band storage in its own node order,
+    whose half-bandwidth ``kd`` is 8 for every mesh size."""
     from types import SimpleNamespace
 
     import numpy as np
@@ -279,24 +252,26 @@ def _oracle_mesh(nel: int):
     chain[:, 1:-1] = nel * np.arange(4)[:, None] + np.arange(1, nel)
     node1, node2 = chain[:, :-1].ravel(), chain[:, 1:].ravel()
 
-    # cos and sin exactly as delta / length gives them: the off-axis
-    # delta of every element is +0.0.
-    direction = np.repeat([[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0], [1.0, 0.0]],
-                          nel, axis=0)
-    cos, sin = direction[:, 0], direction[:, 1]
-    rot = np.zeros((n_el, 6, 6))
-    for block in (0, 3):
-        rot[:, block, block] = cos
-        rot[:, block, block + 1] = sin
-        rot[:, block + 1, block] = -sin
-        rot[:, block + 1, block + 1] = cos
-        rot[:, block + 2, block + 2] = 1.0
-
     dofs = np.empty((n_el, 6), dtype=np.int64)
     dofs[:, 0:3] = 3 * node1[:, None] + np.arange(3)
     dofs[:, 3:6] = 3 * node2[:, None] + np.arange(3)
     rows = np.repeat(dofs, 6, axis=1).ravel()
     cols = np.tile(dofs, (1, 6)).ravel()
+
+    # The local block with each entry coded 0, or +-(k + 1) for +- the
+    # k-th coefficient of EA/L, 12EI/L^3, 6EI/L^2, 4EI/L, 2EI/L.  Each
+    # member's 0/+-1 rotation, from its direction cosine and sine, moves
+    # the codes about and flips their signs in exact integer arithmetic.
+    local = np.array([[1, 0, 0, -1, 0, 0], [0, 2, 3, 0, -2, 3], [0, 3, 4, 0, -3, 5],
+                      [-1, 0, 0, 1, 0, 0], [0, -2, -3, 0, 2, -3], [0, 3, 5, 0, -3, 4]])
+    cos, sin = np.array([1, 0, -1, 1]), np.array([0, -1, 0, 0])
+    rot = np.zeros((4, 6, 6), dtype=np.int64)
+    for block in (0, 3):
+        rot[:, block, block] = rot[:, block + 1, block + 1] = cos
+        rot[:, block, block + 1], rot[:, block + 1, block] = sin, -sin
+        rot[:, block + 2, block + 2] = 1
+    code = np.repeat(rot.transpose(0, 2, 1) @ local @ rot, nel, axis=0).ravel()
+    nonzero = code != 0
 
     # Band order: the A chain up to B, then the link and the extension
     # interleaved node by node (C and J last), then the cold arm up to D.
@@ -312,22 +287,35 @@ def _oracle_mesh(nel: int):
     place = np.full(ndof, -1)
     place[order] = np.arange(order.size)
 
-    # Kept are the entries on and above the diagonal of the clamped
-    # system.  A kept entry's slot is its flat index in the (kd + 1, n)
-    # upper band storage in column-major order; entries that share a
-    # slot are summed by the caller's bincount in element order.
+    # The band spans every entry on and above the diagonal of the clamped
+    # system, zeros included (a mesh of one element per member has no
+    # nonzero entry 8 places out); kept are the nonzero ones.  A kept
+    # entry's slot is its flat index in the (kd + 1, n) upper band
+    # storage in column-major order; entries that share a slot are
+    # summed by the caller's bincount in element order.
     row, col = place[rows], place[cols]
-    kept = np.flatnonzero((row >= 0) & (row <= col))
+    upper = (row >= 0) & (row <= col)
+    kd = int((col - row)[upper].max())
+    kept = np.flatnonzero(upper & nonzero)
     row, col = row[kept], col[kept]
-    kd = int((col - row).max())
-    slot = col * (kd + 1) + kd + row - col
 
+    # Each entry's flat index in the (5, 4nel) coefficients, by its code
+    # and its element, and its sign; D's rows take their nonzero entries.
+    index = (np.abs(code) - 1) * n_el + np.arange(code.size) // 36
+    sign = np.sign(code).astype(float)
     anchor_d = 3 * 3 * nel
-    at_d = np.flatnonzero((rows >= anchor_d) & (rows < anchor_d + 3))
+    at_d = np.flatnonzero((rows >= anchor_d) & (rows < anchor_d + 3) & nonzero)
+
+    # Each heated element pushes its end nodes apart along its axis, x
+    # or y: the DOF and the sign of each of its two load terms.
+    heated, axis = np.arange(3 * nel), np.repeat(np.abs(sin[:3]), nel)
+    sense = np.repeat(cos[:3] + sin[:3], nel).astype(float)
     arrays = dict(
-        fractions=np.linspace(0.0, 1.0, nel + 1)[1:-1, None], node1=node1,
-        node2=node2, direction=direction, rot=rot, dofs=dofs, kept=kept, slot=slot,
-        order=order, at_d=at_d, d_rows=rows[at_d] - anchor_d, d_cols=cols[at_d])
+        fractions=np.linspace(0.0, 1.0, nel + 1)[1:-1], order=order,
+        slot=col * (kd + 1) + kd + row - col, index=index[kept], sign=sign[kept],
+        d_rows=rows[at_d] - anchor_d, d_cols=cols[at_d], d_index=index[at_d],
+        d_sign=sign[at_d], load_sign=np.stack([-sense, sense]),
+        load_dofs=np.concatenate([dofs[heated, axis], dofs[heated, 3 + axis]]))
     for array in arrays.values():
         array.flags.writeable = False
     return SimpleNamespace(kd=kd, **arrays)
@@ -342,28 +330,30 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     anchors and solves the banded system of the free degrees of freedom
     by LAPACK's band Cholesky ``pbsv``.  What depends on the mesh size
     alone is built once per size and kept in a small bounded cache of
-    read-only arrays: the node numbering and DOF table, the exact 0 and
-    +-1 member rotations, the band layout of the clamped system (a node
-    order of half-bandwidth 8, the free DOFs in that order, and each kept
-    upper-triangle element entry's slot in the upper band storage), and
-    the entries of D's rows.  Nothing from a spec is cached.  Each call
-    forms the coordinates, element lengths and stiffness blocks, rotates
-    the blocks to global axes by one batched matmul, and fills the band
-    by one bincount that sums each slot's entries in their element
-    order.  The reaction at D is K u - f over the element entries of D's
-    three rows alone.  A mesh whose nodes coincide in floating point (an
-    element length along its member that is not finite and positive)
-    raises FrameSingularError before any division.  So, before the
-    solve, do an element stiffness coefficient that is not finite and
-    positive, a heated element whose path span is not positive and an
-    equivalent thermal load that is not finite (a Joule source so large
-    that the fin integral overflows).  A non-positive Cholesky pivot (a
-    frame too ill-conditioned for the band solve to carry) or a solution
-    that is not finite raises FrameSingularError("stiffness system did
-    not solve").  A frame under no load is at rest, and its system is
-    not factored.  Independent of the flexibility route by construction;
+    read-only arrays: the band layout of the clamped system (a node
+    order of half-bandwidth 8 and the free DOFs in that order), and
+    gather tables that the exact 0 and +-1 member rotations give: for
+    each nonzero upper-triangle element entry its slot in the upper band
+    storage, its coefficient and its sign, the same for the entries of
+    D's rows, and the DOF and sign of each load term.  Nothing from a
+    spec is cached.  Each call forms the element lengths and the five
+    stiffness coefficients of each element, fills the band by one
+    bincount of the signed coefficients that sums each slot's entries in
+    their element order, and the load vector by another.  The reaction
+    at D is K u - f over the element entries of D's three rows alone.
+    A mesh whose nodes coincide in floating point (an element length
+    along its member that is not finite and positive) raises
+    FrameSingularError before any division.  So, before the solve, do an
+    element stiffness coefficient that is not finite and positive, a
+    heated element whose path span is not positive and an equivalent
+    thermal load that is not finite (a Joule source so large that the
+    fin integral overflows).  A non-positive Cholesky pivot (a frame too
+    ill-conditioned for the band solve to carry) or a solution that is
+    not finite raises FrameSingularError("stiffness system did not
+    solve").  A frame under no load is at rest, and its system is not
+    factored.  Independent of the flexibility route by construction;
     used for cross-validation and never by the studies.  With its mesh
-    helpers it is the only user of numpy in this module, and the only
+    helper it is the only user of numpy in this module, and the only
     user of scipy; it imports both on its first call.
     """
     import numpy as np
@@ -381,43 +371,47 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     ei = mat.young_modulus * second_moment
     ea = mat.young_modulus * area
 
-    # Corners A, B, C, D, J sit at nodes 0, nel, .., 4nel; member k's
-    # interior nodes follow its start corner.
-    length1, gap = geo.hot_arm_length, geo.gap
-    corners = np.array([(0.0, 0.0), (length1, 0.0), (length1, -gap),
-                        (length1 - geo.cold_arm_length, -gap),
-                        (length1 + geo.extension_length, 0.0)])
-    starts, stops = corners[[0, 1, 2, 1]], corners[[1, 2, 3, 4]]
-    coords = np.empty((4 * nel + 1, 2))
-    coords[::nel] = corners
-    coords[1:].reshape(4, nel, 2)[:, :-1] = \
-        starts[:, None] + mesh.fractions * (stops - starts)[:, None]
-
-    # Lengths along each member's direction equal the hypot, as the
-    # off-axis delta is exactly zero.  They are not positive for nodes
-    # that coincide in floating point (a member far shorter than the
-    # frame), which leave no element to divide by, or for nodes out of
-    # order, which the cached rotation would not fit.
-    delta = coords[mesh.node2] - coords[mesh.node1]
-    lengths = (delta * mesh.direction).sum(axis=1)
+    # Member k's nodes, corners included, as coordinates along its own
+    # direction (+x, -y, -x, +x for AB, BC, CD, BJ): negation is exact,
+    # so each difference is the element's delta times its direction
+    # cosine.  The lengths are not positive for nodes that coincide in
+    # floating point (a member far shorter than the frame), which leave
+    # no element to divide by, or for nodes out of order, which the
+    # cached gather tables would not fit.
+    length1 = geo.hot_arm_length
+    starts = np.array([0.0, 0.0, -length1, length1])
+    stops = np.array([length1, geo.gap, geo.cold_arm_length - length1,
+                      length1 + geo.extension_length])
+    along = np.empty((4, nel + 1))
+    along[:, 0], along[:, -1] = starts, stops
+    along[:, 1:-1] = starts[:, None] + mesh.fractions * (stops - starts)[:, None]
+    lengths = (along[:, 1:] - along[:, :-1]).ravel()
     if not np.all((lengths > 0.0) & (lengths < np.inf)):
         raise FrameSingularError(
             "stiffness mesh has an element length that is not finite and positive")
 
-    local = _local_stiffness(lengths, ei, ea)
-    values = (mesh.rot.transpose(0, 2, 1) @ local @ mesh.rot).ravel()
-    band = np.bincount(mesh.slot, weights=values[mesh.kept],
+    with np.errstate(all="ignore"):
+        coefficients = np.array((ea / lengths, 12.0 * ei / lengths ** 3,
+                                 6.0 * ei / lengths ** 2, 4.0 * ei / lengths,
+                                 2.0 * ei / lengths)).ravel()
+    if not (coefficients.min() > 0.0 and coefficients.max() < np.inf):
+        raise FrameSingularError(
+            "stiffness element has a coefficient that is not finite and positive")
+    band = np.bincount(mesh.slot, weights=coefficients[mesh.index] * mesh.sign,
                        minlength=(mesh.kd + 1) * mesh.order.size)
 
     # Equivalent loads: heated members are the release path AB, BC, CD,
     # whose elements tile the path coordinate [0, path_length] in order.
-    heated = 3 * nel
-    spans = np.concatenate([
-        np.linspace(0.0, geo.hot_arm_length, nel + 1),
-        geo.hot_arm_length + np.linspace(0.0, geo.gap, nel + 1)[1:],
-        (geo.hot_arm_length + geo.gap)
-        + np.linspace(0.0, geo.cold_arm_length, nel + 1)[1:],
-    ])
+    # Member k's nodes lie i * (length / nel) past its start, its end
+    # exact: np.linspace's arithmetic whenever the step is not zero.  A
+    # zero step, which np.linspace treats apart, needs a member shorter
+    # than nel / 2 of the smallest subnormal, whose nodes coincide, so
+    # the length check above has refused it.
+    path = np.array((length1, geo.gap, geo.cold_arm_length))
+    spans = np.arange(1.0, nel + 1.0)[:, None] * (path / nel)
+    spans[-1] = path
+    spans += (0.0, length1, length1 + geo.gap)
+    spans = np.concatenate(([0.0], spans.T.ravel()))
     widths = np.diff(spans)     # zero for a member below one ulp of the path
     if not np.all(widths > 0.0):
         raise FrameSingularError("heated element has a path span that is not positive")
@@ -427,15 +421,10 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
         axial_force = ea * mat.expansion_coefficient * mean_rise
     if not np.all(np.isfinite(axial_force)):
         raise FrameSingularError("equivalent thermal load is not finite")
-
+    # No DOF takes more than two load terms, so their order cannot matter.
     ndof = 3 * (4 * nel + 1)
-    load = np.zeros(ndof)
-    dofs = mesh.dofs[:heated]
-    hcos, hsin = mesh.direction[:heated, 0], mesh.direction[:heated, 1]
-    np.add.at(load, dofs[:, 0], -axial_force * hcos)
-    np.add.at(load, dofs[:, 1], -axial_force * hsin)
-    np.add.at(load, dofs[:, 3], axial_force * hcos)
-    np.add.at(load, dofs[:, 4], axial_force * hsin)
+    load = np.bincount(mesh.load_dofs, weights=(axial_force * mesh.load_sign).ravel(),
+                       minlength=ndof)
 
     # The band, filled column by column, is LAPACK's (kd + 1, n) upper
     # storage as it stands; a non-positive pivot leaves info > 0.  A
@@ -449,11 +438,12 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
         if info > 0 or not np.all(np.isfinite(solution)):
             raise FrameSingularError("stiffness system did not solve")
 
-    # K u at D's rows, summed entry by entry in COO order.
+    # K u at D's rows, summed entry by entry in element order.
     anchor_d = 3 * 3 * nel
-    reaction = np.bincount(mesh.d_rows,
-                           weights=values[mesh.at_d] * solution[mesh.d_cols],
-                           minlength=3) - load[anchor_d:anchor_d + 3]
+    reaction = np.bincount(
+        mesh.d_rows, minlength=3,
+        weights=coefficients[mesh.d_index] * mesh.d_sign * solution[mesh.d_cols],
+    ) - load[anchor_d:anchor_d + 3]
     return StiffnessResult(
         junction_deflection=float(-solution[3 * nel + 1]),
         junction_rotation=float(-solution[3 * nel + 2]),

@@ -1,12 +1,15 @@
 import dataclasses
+import functools
 import inspect
 import math
 import random
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpbsv
 
 from thermoact.electrothermal import (ThermalSystemError, fd_temperature_oracle,
                                       rise_integral, solve_temperature_profile,
@@ -14,11 +17,11 @@ from thermoact.electrothermal import (ThermalSystemError, fd_temperature_oracle,
 from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
                              Material, default_spec)
 from thermoact.thermomech import (FrameSingularError, SmallAngleError,
-                                  ThermalLoad, _flexibility, _local_stiffness,
-                                  _oracle_mesh, _rigidities, simulate,
-                                  solve_redundants, stiffness_oracle)
+                                  ThermalLoad, _flexibility, _oracle_mesh,
+                                  _rigidities, simulate, solve_redundants,
+                                  stiffness_oracle)
 
-from test_bits import _domain
+from test_bits import EDGES, _domain, _extreme
 
 W, T, E = 2.8e-6, 2.0e-6, 158.0e9
 EI = E * (T * W ** 3 / 12.0)
@@ -472,9 +475,9 @@ def test_oracles_share_no_code_with_the_closed_form():
     flexibility, rigidity, solve or load helpers."""
     assert inspect.getclosurevars(fd_temperature_oracle).globals == {
         "math": math, "ThermalSystemError": ThermalSystemError}
-    allowed = {"FrameSingularError", "StiffnessResult", "_local_stiffness",
-               "_oracle_mesh", "solve_temperature_profile", "rise_integral"}
-    for func in (stiffness_oracle, _local_stiffness, _oracle_mesh.__wrapped__):
+    allowed = {"FrameSingularError", "StiffnessResult", "_oracle_mesh",
+               "solve_temperature_profile", "rise_integral"}
+    for func in (stiffness_oracle, _oracle_mesh.__wrapped__):
         assert set(inspect.getclosurevars(func).globals) <= allowed, func.__name__
 
 
@@ -483,11 +486,12 @@ _CONDUCTION_ONLY = dataclasses.replace(
 
 # float.hex of every StiffnessResult field: junction deflection,
 # junction rotation, tip deflection and the reaction at D.  The
-# rectilinear frame rotates by exact 0 and +-1 entries, each band slot
-# sums its element entries in element order, and LAPACK's band Cholesky
-# factors the clamped system in the cached node order, so a rewrite of
-# the oracle's kernels that keeps the node order, the summation order
-# and the solver keeps these bits.  Another solver or node order moves
+# rectilinear frame's exact 0 and +-1 rotations make every global
+# element entry plus or minus one element coefficient, or zero, each
+# band slot sums its entries in element order, and LAPACK's band
+# Cholesky factors the clamped system in the cached node order, so a
+# rewrite of the oracle's kernels that keeps the node order, the
+# summation order and the solver keeps these bits.  Another solver or node order moves
 # the last digits; test_oracle_tip_is_the_exact_one_element_tip bounds
 # how far.
 _PINNED_ORACLE = [
@@ -560,6 +564,215 @@ def test_oracle_band_has_half_bandwidth_eight(elements):
     clamped = {0, 1, 2, 9 * elements, 9 * elements + 1, 9 * elements + 2}
     assert sorted(mesh.order) == sorted(set(range(3 * (4 * elements + 1))) - clamped)
     assert 0 <= mesh.slot.min() and mesh.slot.max() < 9 * mesh.order.size
+
+
+@functools.lru_cache(maxsize=None)
+def _rotated_mesh(nel):
+    """The mesh arrays of the oracle's earlier route, which rotated full
+    6x6 element blocks: node chains, DOF table, the 0 and +-1 rotations,
+    every upper-triangle entry of the clamped system (zeros included)
+    with its band slot, and every entry of D's rows."""
+    n_el, ndof = 4 * nel, 3 * (4 * nel + 1)
+    ends = np.array([[0, nel], [nel, 2 * nel], [2 * nel, 3 * nel], [nel, 4 * nel]])
+    chain = np.empty((4, nel + 1), dtype=np.int64)
+    chain[:, 0], chain[:, -1] = ends[:, 0], ends[:, 1]
+    chain[:, 1:-1] = nel * np.arange(4)[:, None] + np.arange(1, nel)
+    node1, node2 = chain[:, :-1].ravel(), chain[:, 1:].ravel()
+    direction = np.repeat([[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0], [1.0, 0.0]],
+                          nel, axis=0)
+    cos, sin = direction[:, 0], direction[:, 1]
+    rot = np.zeros((n_el, 6, 6))
+    for block in (0, 3):
+        rot[:, block, block] = rot[:, block + 1, block + 1] = cos
+        rot[:, block, block + 1], rot[:, block + 1, block] = sin, -sin
+        rot[:, block + 2, block + 2] = 1.0
+    dofs = np.empty((n_el, 6), dtype=np.int64)
+    dofs[:, 0:3] = 3 * node1[:, None] + np.arange(3)
+    dofs[:, 3:6] = 3 * node2[:, None] + np.arange(3)
+    rows = np.repeat(dofs, 6, axis=1).ravel()
+    cols = np.tile(dofs, (1, 6)).ravel()
+    nodes = np.concatenate([np.arange(nel + 1),
+                            np.stack([chain[1, 1:], chain[3, 1:]], axis=1).ravel(),
+                            chain[2, 1:]])
+    order = (3 * nodes[:, None] + np.arange(3)).ravel()[3:-3]
+    place = np.full(ndof, -1)
+    place[order] = np.arange(order.size)
+    row, col = place[rows], place[cols]
+    kept = np.flatnonzero((row >= 0) & (row <= col))
+    row, col = row[kept], col[kept]
+    kd = int((col - row).max())
+    at_d = np.flatnonzero((rows >= 9 * nel) & (rows < 9 * nel + 3))
+    return SimpleNamespace(
+        kd=kd, order=order, node1=node1, node2=node2, direction=direction, rot=rot,
+        dofs=dofs, kept=kept, slot=col * (kd + 1) + kd + row - col, at_d=at_d,
+        d_rows=rows[at_d] - 9 * nel, d_cols=cols[at_d])
+
+
+def _rotated_blocks(mesh, coefficients):
+    """rot^T K rot of each element's 6x6 block, flattened, from the
+    (5, n_el) coefficients EA/L, 12EI/L^3, 6EI/L^2, 4EI/L, 2EI/L."""
+    ax, b12, b6, b4, b2 = coefficients
+    k = np.zeros((coefficients.shape[1], 6, 6))
+    k[:, 0, 0] = k[:, 3, 3] = ax
+    k[:, 0, 3] = k[:, 3, 0] = -ax
+    k[:, 1, 1] = k[:, 4, 4] = b12
+    k[:, 1, 4] = k[:, 4, 1] = -b12
+    k[:, 1, 2] = k[:, 2, 1] = k[:, 1, 5] = k[:, 5, 1] = b6
+    k[:, 2, 4] = k[:, 4, 2] = k[:, 4, 5] = k[:, 5, 4] = -b6
+    k[:, 2, 2] = k[:, 5, 5] = b4
+    k[:, 2, 5] = k[:, 5, 2] = b2
+    return (mesh.rot.transpose(0, 2, 1) @ k @ mesh.rot).ravel()
+
+
+def _rotated_oracle(spec, nel):
+    """float.hex of the oracle's fields by the earlier route: 2-D node
+    coordinates, full rotated element blocks, scalar linspace spans and
+    np.add.at loads."""
+    geo, mat = spec.geometry, spec.material
+    mesh = _rotated_mesh(nel)
+    profile = solve_temperature_profile(spec)
+    ei = mat.young_modulus * (geo.beam_thickness * geo.beam_width ** 3 / 12.0)
+    ea = mat.young_modulus * (geo.beam_width * geo.beam_thickness)
+    length1, gap = geo.hot_arm_length, geo.gap
+    corners = np.array([(0.0, 0.0), (length1, 0.0), (length1, -gap),
+                        (length1 - geo.cold_arm_length, -gap),
+                        (length1 + geo.extension_length, 0.0)])
+    starts, stops = corners[[0, 1, 2, 1]], corners[[1, 2, 3, 4]]
+    coords = np.empty((4 * nel + 1, 2))
+    coords[::nel] = corners
+    fractions = np.linspace(0.0, 1.0, nel + 1)[1:-1, None]
+    coords[1:].reshape(4, nel, 2)[:, :-1] = \
+        starts[:, None] + fractions * (stops - starts)[:, None]
+    delta = coords[mesh.node2] - coords[mesh.node1]
+    lengths = (delta * mesh.direction).sum(axis=1)
+    if not np.all((lengths > 0.0) & (lengths < np.inf)):
+        raise FrameSingularError(
+            "stiffness mesh has an element length that is not finite and positive")
+    with np.errstate(all="ignore"):
+        coefficients = np.array((ea / lengths, 12.0 * ei / lengths ** 3,
+                                 6.0 * ei / lengths ** 2, 4.0 * ei / lengths,
+                                 2.0 * ei / lengths))
+    if not (coefficients.min() > 0.0 and coefficients.max() < np.inf):
+        raise FrameSingularError(
+            "stiffness element has a coefficient that is not finite and positive")
+    values = _rotated_blocks(mesh, coefficients)
+    band = np.bincount(mesh.slot, weights=values[mesh.kept],
+                       minlength=(mesh.kd + 1) * mesh.order.size)
+    spans = np.concatenate([
+        np.linspace(0.0, length1, nel + 1),
+        length1 + np.linspace(0.0, gap, nel + 1)[1:],
+        (length1 + gap) + np.linspace(0.0, geo.cold_arm_length, nel + 1)[1:]])
+    widths = np.diff(spans)
+    if not np.all(widths > 0.0):
+        raise FrameSingularError("heated element has a path span that is not positive")
+    with np.errstate(all="ignore"):
+        mean_rise = np.diff(rise_integral(profile, spans)) / widths
+        axial_force = ea * mat.expansion_coefficient * mean_rise
+    if not np.all(np.isfinite(axial_force)):
+        raise FrameSingularError("equivalent thermal load is not finite")
+    load = np.zeros(3 * (4 * nel + 1))
+    dofs = mesh.dofs[:3 * nel]
+    hcos, hsin = mesh.direction[:3 * nel, 0], mesh.direction[:3 * nel, 1]
+    np.add.at(load, dofs[:, 0], -axial_force * hcos)
+    np.add.at(load, dofs[:, 1], -axial_force * hsin)
+    np.add.at(load, dofs[:, 3], axial_force * hcos)
+    np.add.at(load, dofs[:, 4], axial_force * hsin)
+    solution = np.zeros(load.size)
+    rhs = load[mesh.order]
+    if rhs.any():
+        _, solution[mesh.order], info = dpbsv(band.reshape(-1, mesh.kd + 1).T, rhs,
+                                              overwrite_ab=1, overwrite_b=1)
+        if info > 0 or not np.all(np.isfinite(solution)):
+            raise FrameSingularError("stiffness system did not solve")
+    reaction = np.bincount(mesh.d_rows, minlength=3,
+                           weights=values[mesh.at_d] * solution[mesh.d_cols],
+                           ) - load[9 * nel:9 * nel + 3]
+    fields = (-solution[3 * nel + 1], -solution[3 * nel + 2], -solution[12 * nel + 1],
+              *reaction)
+    return tuple(float(value).hex() for value in fields)
+
+
+@pytest.mark.parametrize("elements", [1, 2, 16, 64])
+def test_oracle_gather_matches_the_rotated_blocks(elements):
+    """The cached gather tables give, bit for bit, the band and D's rows
+    that rotating full 6x6 element blocks by the exact 0 and +-1
+    rotations gives, on seeded positive coefficients from subnormal to
+    near overflow, and the load vector that np.add.at gives."""
+    mesh, rotated = _oracle_mesh(elements), _rotated_mesh(elements)
+    assert mesh.kd == rotated.kd
+    assert np.array_equal(mesh.order, rotated.order)
+    rng = np.random.default_rng(elements)
+    coefficients = 10.0 ** rng.uniform(-300.0, 300.0, (5, 4 * elements))
+    picks = rng.choice(coefficients.size, 4 * elements, replace=False)
+    coefficients.ravel()[picks] = rng.choice(
+        [5.0e-324, 1.0e-310, 2.2e-308, 1.0e308, 1.7e308], picks.size)
+
+    def bits(array):
+        return array.view(np.uint64).tolist()
+
+    values = _rotated_blocks(rotated, coefficients)
+    size, ndof = (mesh.kd + 1) * mesh.order.size, 3 * (4 * elements + 1)
+    with np.errstate(all="ignore"):
+        assert bits(np.bincount(mesh.slot, minlength=size,
+                                weights=coefficients.ravel()[mesh.index] * mesh.sign)) \
+            == bits(np.bincount(rotated.slot, weights=values[rotated.kept],
+                                minlength=size))
+    assert bits(np.bincount(mesh.d_rows * ndof + mesh.d_cols, minlength=3 * ndof,
+                            weights=coefficients.ravel()[mesh.d_index] * mesh.d_sign)) \
+        == bits(np.bincount(rotated.d_rows * ndof + rotated.d_cols, minlength=3 * ndof,
+                            weights=values[rotated.at_d]))
+
+    force = rng.choice([-1.0, 1.0], 3 * elements) * 10.0 ** rng.uniform(
+        -300.0, 300.0, 3 * elements)
+    expected = np.zeros(ndof)
+    dofs, (hcos, hsin) = rotated.dofs, rotated.direction[:3 * elements].T
+    np.add.at(expected, dofs[:3 * elements, 0], -force * hcos)
+    np.add.at(expected, dofs[:3 * elements, 1], -force * hsin)
+    np.add.at(expected, dofs[:3 * elements, 3], force * hcos)
+    np.add.at(expected, dofs[:3 * elements, 4], force * hsin)
+    with np.errstate(all="ignore"):
+        load = np.bincount(mesh.load_dofs, weights=(force * mesh.load_sign).ravel(),
+                           minlength=ndof)
+    assert bits(load) == bits(expected)
+
+
+def _oracle_outcome(route, spec, elements):
+    try:
+        return route(spec, elements)
+    except (ArithmeticError, ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_oracle_keeps_every_bit_of_the_rotated_route():
+    """Seeded benchmark-domain draws, draws over many decades of every
+    spec field and the bit dump's edge cases, at meshes 1, 3 and 64, give
+    the same float.hex fields, or the same refusal and message, by the
+    gather as by the rotated-block route.  Members shorter than a few
+    subnormals show that a step that underflows is refused first."""
+    rng = random.Random(20261020)
+    builds = [lambda spec=_domain(rng): spec for _ in range(150)]
+    builds += [_extreme(rng, i) for i in range(300)] + list(EDGES)
+    builds.append(lambda: ActuatorSpec(drive=Drive(voltage=1.0e150)))
+    base = default_spec().geometry
+    for tiny in (5.0e-324, 1.5e-322, 1.0e-320):
+        builds += [lambda tiny=tiny, field=field: dataclasses.replace(
+            default_spec(), geometry=dataclasses.replace(base, **{field: tiny}))
+            for field in ("gap", "cold_arm_length", "extension_length")]
+    outcomes = set()
+    for build in builds:
+        try:
+            spec = build()
+        except ValueError:
+            continue
+        for elements in (1, 3, 64):
+            expected = _oracle_outcome(_rotated_oracle, spec, elements)
+            assert _oracle_outcome(_oracle_hex, spec, elements) == expected, spec
+            outcomes.add(expected[1] if type(expected[0]) is type else "solved")
+    assert {"solved", "stiffness mesh has an element length that is not finite "
+            "and positive", "stiffness element has a coefficient that is not finite "
+            "and positive", "heated element has a path span that is not positive",
+            "equivalent thermal load is not finite",
+            "stiffness system did not solve"} <= outcomes
 
 
 def test_oracle_tip_is_the_exact_one_element_tip():
