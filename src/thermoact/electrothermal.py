@@ -10,9 +10,9 @@ anchor temperature.  An energy balance on a slice gives
 whose solution is a plateau at the source temperature minus a pair of
 exponential boundary layers, or a parabola when there is no side-surface
 heat loss.  Everything downstream needs only the pointwise rise and its
-running integral, so both are exposed in closed form; ``simulate`` takes
-its two arm integrals and its peak from one scalar pass over the same
-private helpers, with the constants they share worked out once.
+running integral, so both are exposed in closed form; the frame solution
+takes its two arm elongations and its peak as three floats from one
+scalar pass over the same helpers, sharing their constants.
 
 Numerical care: the textbook form 1 - cosh(m x') / cosh(m L/2) overflows
 for long or strongly cooled beams and cancels catastrophically for short
@@ -183,17 +183,18 @@ def rise_integral(profile: TemperatureProfile, upto) -> float:
 
 
 def _load_and_peak(spec: ActuatorSpec):
-    """The arm elongations and the mid-span (peak) temperature of
-    ``spec`` in one scalar pass, with no profile record: the bits of
-    ``alpha * rise_integral(profile, L)`` at each arm length L and of
-    ``temperature_at``, which take floats."""
+    """The hot and cold arm elongations (m) and the mid-span (peak)
+    temperature (C) of ``spec`` as three floats from one scalar pass,
+    with no profile record: the bits of ``alpha * rise_integral(profile,
+    L)`` at each arm length L and of ``temperature_at``, which take
+    floats."""
     path, _, q, m, plateau = _fin(spec)
     mat, geo, expm1 = spec.material, spec.geometry, math.expm1
     shape = _shape(m * path >= PLATEAU_THRESHOLD, path, m, plateau, q,
                    mat.thermal_conductivity, expm1)
     alpha = mat.expansion_coefficient
-    return (ThermalLoad(alpha * _integral(shape, float(geo.hot_arm_length), expm1),
-                        alpha * _integral(shape, float(geo.cold_arm_length), expm1)),
+    return (alpha * _integral(shape, float(geo.hot_arm_length), expm1),
+            alpha * _integral(shape, float(geo.cold_arm_length), expm1),
             spec.environment.ambient_temperature + _rise(shape, path / 2.0, expm1))
 
 

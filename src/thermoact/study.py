@@ -10,9 +10,10 @@ parameters and their meanings:
   hot_arm_length  hot-arm length, m; the cold arm follows so that the
                   base length ratio is preserved
 
-Each study draws every number from ``thermomech.simulate``; no
-approximation or surrogate is introduced at this level, so study output
-inherits the pipeline's validation status unchanged.
+Each study draws every number from ``simulate``'s scalar kernel
+``thermomech._solve_point``; no approximation or surrogate is introduced
+at this level, so study output inherits the pipeline's validation status
+unchanged.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from .model import ActuatorSpec, Drive, Geometry, InvalidSpecError, _prevalidated_spec
-from .thermomech import FrameSolution, simulate
+from .thermomech import _solve_point
 
 PARAMETERS = ("voltage", "ratio", "gap", "hot_arm_length")
 # Cold/hot length ratios that ratio optimisation scans, and the default
@@ -134,21 +135,10 @@ class SweepTable:
     records: tuple[SweepRecord, ...]
 
 
-def _record(value: float, solution: FrameSolution) -> SweepRecord:
-    return SweepRecord(
-        value=value,
-        tip_deflection=solution.tip_deflection,
-        junction_deflection=solution.junction_deflection,
-        junction_rotation=solution.junction_rotation,
-        hot_elongation=solution.thermal_load.hot_elongation,
-        cold_elongation=solution.thermal_load.cold_elongation,
-        peak_temperature=solution.peak_temperature,
-    )
-
-
 def run_sweep(plan: SweepPlan) -> SweepTable:
-    """Simulate every point of the plan, in order."""
-    records = tuple(_record(value, simulate(spec))
+    """Simulate every point of the plan, in order, into a record of the
+    first six floats of its ``_solve_point`` tuple, ``simulate``'s bits."""
+    records = tuple(SweepRecord(value, *_solve_point(spec)[:6])
                     for value, spec in zip(plan.values, plan.specs))
     return SweepTable(plan=plan, records=records)
 
@@ -208,13 +198,14 @@ def find_optimal_ratio(base: ActuatorSpec, grid: int = 71) -> OptimumReport:
     point by golden-section search to 1e-4 in ratio.  A flat or
     non-unimodal scan is reported with the corresponding flag instead of
     refined blindly; any grid ratio ``simulate`` refuses aborts the scan.
+    The objective is the tip, the first float of ``_solve_point``'s tuple.
     """
     if grid < 3:
         raise ValueError("grid must have at least 3 points")
     ratios = _linspace(*RATIO_RANGE, grid)
 
     def objective(ratio: float) -> float:
-        return simulate(apply_parameter(base, "ratio", ratio)).tip_deflection
+        return _solve_point(apply_parameter(base, "ratio", ratio))[0]
 
     deflections = [objective(r) for r in ratios]
     low = min(deflections)

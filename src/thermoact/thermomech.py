@@ -124,11 +124,11 @@ def _pivot_root(pivot: float) -> float:
     return math.sqrt(pivot)
 
 
-def solve_redundants(flex, load: ThermalLoad) -> tuple[float, float, float]:
+def solve_redundants(flex, rhs: float) -> tuple[float, float, float]:
     """Solve compatibility at the released anchor for the redundants.
 
-    The right-hand side is the differential free elongation of the two
-    arms along the release direction; transverse and rotational
+    The right-hand side ``rhs`` is the hot minus the cold arm's free
+    elongation along the release direction (m); transverse and rotational
     compatibility carry no thermal term.  The matrix mixes units
     (m/N, 1/N, 1/(N m)) and is raw-conditioned around 1e11, so it is
     symmetrically equilibrated to unit diagonal (condition ~1e1) before
@@ -138,7 +138,7 @@ def solve_redundants(flex, load: ThermalLoad) -> tuple[float, float, float]:
     definite.  The residual is verified in the equilibrated norm, the
     scale-invariant measure; the raw-norm residual is floor-limited
     near 1e-10 by the float64 representation of the solution itself.
-    A non-finite thermal load is refused.  Internal to ``simulate``,
+    A non-finite ``rhs`` is refused.  Internal to ``_solve_point``,
     which passes ``_flexibility``'s six entries (f00, f11, f22, f01,
     f02, f12) as ``flex``.  Returns the anchor force along the arm (N),
     transverse force (N) and couple (N m) as a 3-tuple of floats.
@@ -158,7 +158,6 @@ def solve_redundants(flex, load: ThermalLoad) -> tuple[float, float, float]:
     l21 = (f12 * s2 * s1 - l20 * l10) / l11
     l22 = _pivot_root(f22 * s2 * s2 - l20 * l20 - l21 * l21)
 
-    rhs = load.hot_elongation - load.cold_elongation
     if not math.isfinite(rhs):
         raise FrameSingularError("thermal load is not finite")
     x0 = x1 = x2 = 0.0
@@ -185,9 +184,11 @@ def solve_redundants(flex, load: ThermalLoad) -> tuple[float, float, float]:
     return x0, x1, x2
 
 
-def simulate(spec: ActuatorSpec) -> FrameSolution:
-    """Full pipeline: the thermal load and the peak temperature from one
-    scalar pass over the fin's closed form, then redundants and tip sweep.
+def _solve_point(spec: ActuatorSpec):
+    """One operating point as a flat tuple of floats: tip, junction
+    deflection and rotation, hot and cold elongation and peak
+    temperature (a sweep record's order), then the redundants x0, x1, x2
+    and the moments at A, B and C.
 
     The redundants x, solved from ``_flexibility``'s six entries as
     they are, give the moment g x0 + (L1 - L2) x1 + x2 at A,
@@ -200,13 +201,13 @@ def simulate(spec: ActuatorSpec) -> FrameSolution:
     extension carries the junction motion out to the jaw tip, which is
     refused when the rotation leaves the small-angle regime.
     """
-    geometry, material = spec.geometry, spec.material
-    load, peak = _load_and_peak(spec)
+    geometry = spec.geometry
+    hot, cold, peak = _load_and_peak(spec)
     length1, length2, gap = (geometry.hot_arm_length, geometry.cold_arm_length,
                              geometry.gap)
-    ei, ea = _rigidities(geometry, material)
-    x0, x1, x2 = redundants = solve_redundants(
-        _flexibility(length1, length2, gap, ei, ea), load)
+    ei, ea = _rigidities(geometry, spec.material)
+    x0, x1, x2 = solve_redundants(
+        _flexibility(length1, length2, gap, ei, ea), hot - cold)
 
     at_a = gap * x0 + (length1 - length2) * x1 + x2
     at_b = gap * x0 - length2 * x1 + x2
@@ -217,14 +218,23 @@ def simulate(spec: ActuatorSpec) -> FrameSolution:
         raise SmallAngleError(
             f"junction rotation {rotation:.4f} rad exceeds the "
             f"small-angle limit {SMALL_ANGLE_LIMIT}")
+    return (deflection + geometry.extension_length * rotation, deflection,
+            rotation, hot, cold, peak, x0, x1, x2, at_a, at_b, at_c)
 
+
+def simulate(spec: ActuatorSpec) -> FrameSolution:
+    """Full pipeline: the thermal load and the peak temperature from one
+    scalar pass over the fin's closed form, then redundants and tip
+    sweep, as ``_solve_point`` computes and refuses them, in records."""
+    (tip, deflection, rotation, hot, cold, peak,
+     x0, x1, x2, at_a, at_b, at_c) = _solve_point(spec)
     return FrameSolution(
-        thermal_load=load,
-        redundants=redundants,
+        thermal_load=ThermalLoad(hot, cold),
+        redundants=(x0, x1, x2),
         moments=((at_a, at_b, x0), (at_b, at_c, -x1), (at_c, x2, -x0)),
         junction_deflection=deflection,
         junction_rotation=rotation,
-        tip_deflection=deflection + geometry.extension_length * rotation,
+        tip_deflection=tip,
         peak_temperature=peak,
     )
 

@@ -9,6 +9,7 @@ import pytest
 
 import thermoact.cli as cli
 import thermoact.study as study
+import thermoact.thermomech as thermomech
 from thermoact.cli import main
 from thermoact.config import MAX_GRID_POINTS
 from thermoact.model import default_spec
@@ -45,13 +46,14 @@ def test_simulate_writes_an_optional_csv(tmp_path, capsys):
 
 def test_simulate_with_a_csv_solves_the_point_once(tmp_path, monkeypatch, capsys):
     calls = []
+    kernel = thermomech._solve_point
 
     def counting(spec):
         calls.append(spec)
-        return simulate(spec)
+        return kernel(spec)
 
-    monkeypatch.setattr(study, "simulate", counting)
-    monkeypatch.setattr(cli, "simulate", counting)
+    monkeypatch.setattr(study, "_solve_point", counting)
+    monkeypatch.setattr(thermomech, "_solve_point", counting)
     assert main(["simulate", "--out", str(tmp_path / "p.csv")]) == 0
     assert capsys.readouterr().out == \
         (GOLDEN / "simulate.stdout").read_text(encoding="utf-8")

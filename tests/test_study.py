@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -11,9 +12,12 @@ from hypothesis import strategies as st
 import thermoact.study as study
 from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
                              InvalidSpecError, Material, default_spec)
-from thermoact.study import (OptimumReport, SweepPlan, apply_parameter,
-                             find_optimal_ratio, golden_section_max, run_sweep,
-                             sensitivity_summary)
+from thermoact.study import (OptimumReport, SweepPlan, SweepRecord,
+                             apply_parameter, find_optimal_ratio,
+                             golden_section_max, run_sweep, sensitivity_summary)
+from thermoact.thermomech import FrameSingularError, SmallAngleError, simulate
+
+from test_bits import EDGES, _domain, _extreme
 
 
 def _base(hot_um=750.0, ratio=0.46, volts=8.0):
@@ -232,6 +236,100 @@ def test_sweep_records_carry_the_full_operating_point():
     assert table.records[1].tip_deflection < first.tip_deflection
 
 
+def _simulate_record(value, solution):
+    """A sweep record copied field by field out of ``simulate``'s
+    solution: the route the studies took before they read the scalar
+    kernel's floats."""
+    return SweepRecord(
+        value=value,
+        tip_deflection=solution.tip_deflection,
+        junction_deflection=solution.junction_deflection,
+        junction_rotation=solution.junction_rotation,
+        hot_elongation=solution.thermal_load.hot_elongation,
+        cold_elongation=solution.thermal_load.cold_elongation,
+        peak_temperature=solution.peak_temperature,
+    )
+
+
+def _bits(record):
+    return tuple(v.hex() if isinstance(v, float) else v
+                 for v in vars(record).values())
+
+
+def _outcome(study_call):
+    """("done", the bits of every record a study call returns) or
+    ("refused", the refusal's type, its message)."""
+    try:
+        result = study_call()
+    except Exception as exc:
+        return "refused", type(exc), str(exc)
+    if isinstance(result, tuple):
+        return "done", [_bits(r) for r in result]
+    return "done", _bits(result)
+
+
+def _seeded_bases():
+    """Valid bases from the bit dump's seeded draws: its single-point
+    domain, its extreme decades and its edge cases."""
+    rng = random.Random(1818)
+    bases = [_domain(rng) for _ in range(120)]
+    for build in [_extreme(rng, i) for i in range(240)] + list(EDGES):
+        try:
+            bases.append(build())
+        except InvalidSpecError:
+            pass
+    return bases
+
+
+def _around(base, parameter):
+    """Strictly increasing study values around the base's own value."""
+    g = base.geometry
+    current, fixed = {"voltage": (base.drive.voltage, {0.0}),
+                      "ratio": (g.cold_arm_length / g.hot_arm_length, {0.1, 0.8, 1.0}),
+                      "gap": (g.gap, set()),
+                      "hot_arm_length": (g.hot_arm_length, set())}[parameter]
+    return sorted(fixed | {0.5 * current, current, 2.0 * current})
+
+
+def test_sweeps_keep_every_bit_of_the_simulate_route():
+    """Every point of every parameter, alone and in one plan, gives the
+    record ``simulate``'s solution gives, to the bit, or the same
+    refusal with the same message."""
+    refusals = set()
+    for base in _seeded_bases():
+        for parameter in study.PARAMETERS:
+            plans = []
+            for value in _around(base, parameter):
+                try:
+                    plans.append(SweepPlan(base=base, parameter=parameter,
+                                           values=(value,)))
+                except InvalidSpecError:
+                    pass
+            plans.append(SweepPlan(base=base, parameter=parameter,
+                                   values=tuple(p.values[0] for p in plans)))
+            for plan in plans:
+                ours = _outcome(lambda: run_sweep(plan).records)
+                reference = _outcome(lambda: tuple(
+                    _simulate_record(value, simulate(spec))
+                    for value, spec in zip(plan.values, plan.specs)))
+                assert ours == reference, (base, parameter, plan.values)
+                if ours[0] == "refused":
+                    refusals.add(ours[1])
+    assert {SmallAngleError, FrameSingularError} < refusals
+
+
+def test_the_optimum_keeps_every_bit_of_the_simulate_objective(monkeypatch):
+    """``find_optimal_ratio`` on the kernel reports what it reports on
+    the objective ``simulate(apply_parameter(...)).tip_deflection``."""
+    bases = _seeded_bases()[::3]
+    ours = [_outcome(lambda: find_optimal_ratio(base)) for base in bases]
+    monkeypatch.setattr(study, "_solve_point",
+                        lambda spec: (simulate(spec).tip_deflection,))
+    assert ours == [_outcome(lambda: find_optimal_ratio(base)) for base in bases]
+    assert {o[1][-1] for o in ours if o[0] == "done"} == {None, "flat", "non_unimodal"}
+    assert any(o[0] == "refused" for o in ours)
+
+
 def test_golden_section_finds_an_interior_peak():
     best_x, best_f = golden_section_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0)
     assert best_x == pytest.approx(0.3, abs=1.0e-4)
@@ -275,26 +373,23 @@ def test_refinement_only_improves_on_the_grid():
     assert report.optimal_tip_deflection >= grid_best
 
 
-def _rising_simulate(spec):
-    """A stand-in for ``simulate`` whose tip deflection is the length
-    ratio, so that the scan peaks at the last grid ratio."""
-    ratio = spec.geometry.cold_arm_length / spec.geometry.hot_arm_length
-
-    class Stub:
-        tip_deflection = ratio
-    return Stub()
+def _rising_kernel(spec):
+    """A stand-in for the study kernel ``_solve_point`` whose tip
+    deflection, its first float, is the length ratio, so that the scan
+    peaks at the last grid ratio."""
+    return (spec.geometry.cold_arm_length / spec.geometry.hot_arm_length,)
 
 
-@pytest.mark.parametrize("physics", [study.simulate, _rising_simulate],
+@pytest.mark.parametrize("physics", [study._solve_point, _rising_kernel],
                          ids=["interior-peak", "edge-peak"])
 def test_refinement_takes_its_bracket_ends_from_the_grid(monkeypatch, physics):
     """Golden-section search starts from two grid points, whose
     deflections the scan already has: the optimisation simulates every
     grid point and every refinement point but those two."""
-    calls = {"simulate": 0, "refine": 0}
+    calls = {"kernel": 0, "refine": 0}
 
-    def counting_simulate(spec):
-        calls["simulate"] += 1
+    def counting_kernel(spec):
+        calls["kernel"] += 1
         return physics(spec)
 
     def counting_golden(func, lo, hi, golden=golden_section_max):
@@ -303,12 +398,12 @@ def test_refinement_takes_its_bracket_ends_from_the_grid(monkeypatch, physics):
             return func(x)
         return golden(counted, lo, hi)
 
-    monkeypatch.setattr(study, "simulate", counting_simulate)
+    monkeypatch.setattr(study, "_solve_point", counting_kernel)
     monkeypatch.setattr(study, "golden_section_max", counting_golden)
     report = find_optimal_ratio(_base(), grid=31)
     assert report.flag is None
     assert calls["refine"] > 2
-    assert calls["simulate"] == 31 + calls["refine"] - 2
+    assert calls["kernel"] == 31 + calls["refine"] - 2
 
 
 def test_flat_objective_is_flagged_not_refined():
@@ -321,15 +416,11 @@ def test_flat_objective_is_flagged_not_refined():
 def test_multi_peak_objective_is_flagged(monkeypatch):
     """Classifier check with a synthetic two-hump response standing in
     for the physics."""
-    def fake_simulate(spec):
+    def fake_kernel(spec):
         ratio = spec.geometry.cold_arm_length / spec.geometry.hot_arm_length
-        tip = np.sin(12.0 * ratio) + 1.5
+        return (np.sin(12.0 * ratio) + 1.5,)
 
-        class Stub:
-            tip_deflection = tip
-        return Stub()
-
-    monkeypatch.setattr(study, "simulate", fake_simulate)
+    monkeypatch.setattr(study, "_solve_point", fake_kernel)
     report = find_optimal_ratio(_base(), grid=41)
     assert report.flag == "non_unimodal"
 
@@ -340,12 +431,9 @@ def test_a_peak_on_the_grid_beats_the_refinement(monkeypatch):
     point and its value."""
     peak = study._linspace(0.1, 0.8, 71)[30]
 
-    def fake_simulate(spec):
+    def fake_kernel(spec):
         ratio = spec.geometry.cold_arm_length / spec.geometry.hot_arm_length
-
-        class Stub:
-            tip_deflection = 1.0 - abs(ratio - peak)
-        return Stub()
+        return (1.0 - abs(ratio - peak),)
 
     refined = []
 
@@ -353,10 +441,10 @@ def test_a_peak_on_the_grid_beats_the_refinement(monkeypatch):
         refined.append(golden_section_max(*args, **kwargs))
         return refined[-1]
 
-    monkeypatch.setattr(study, "simulate", fake_simulate)
+    monkeypatch.setattr(study, "_solve_point", fake_kernel)
     monkeypatch.setattr(study, "golden_section_max", recording_search)
     report = find_optimal_ratio(_base(), grid=71)
-    expected = fake_simulate(apply_parameter(_base(), "ratio", peak)).tip_deflection
+    expected = fake_kernel(apply_parameter(_base(), "ratio", peak))[0]
     assert (report.optimal_ratio, report.optimal_tip_deflection) == (peak, expected)
     assert report.flag is None
     assert refined[0][1] < expected     # the search fell short of the grid
