@@ -72,12 +72,12 @@ class ThermalLoad:
     cold_elongation: float
 
 
-def _fin(spec: ActuatorSpec):
-    """The fin equation's path length, j, q, m and source plateau."""
+def _fin(spec: ActuatorSpec, hot, cold, gap, volts):
+    """The fin's path length, j, q, m and source plateau at these arms, gap and volts."""
     geo, mat = spec.geometry, spec.material
     w, h = geo.beam_width, geo.beam_thickness
-    path = (geo.hot_arm_length + geo.gap) + geo.cold_arm_length
-    j = spec.drive.voltage / (mat.resistivity * path)
+    path = (hot + gap) + cold
+    j = volts / (mat.resistivity * path)
     q = j * j * mat.resistivity
     loss = 2.0 * (h + w) * spec.environment.convection_coefficient
     m = math.sqrt(loss / (mat.thermal_conductivity * w * h))
@@ -86,7 +86,9 @@ def _fin(spec: ActuatorSpec):
 
 def solve_temperature_profile(spec: ActuatorSpec) -> TemperatureProfile:
     """Solve the fin equation for ``spec`` and return the closed form."""
-    path, j, q, m, plateau = _fin(spec)
+    geo = spec.geometry
+    path, j, q, m, plateau = _fin(spec, geo.hot_arm_length, geo.cold_arm_length,
+                                  geo.gap, spec.drive.voltage)
     return TemperatureProfile(
         path_length=path, decay_parameter=m, source_plateau=plateau,
         ambient=spec.environment.ambient_temperature, current_density=j,
@@ -182,19 +184,19 @@ def rise_integral(profile: TemperatureProfile, upto) -> float:
     return _result(_integral(shape, xi, expm1))
 
 
-def _load_and_peak(spec: ActuatorSpec):
+def _load_and_peak(spec: ActuatorSpec, hot, cold, gap, volts):
     """The hot and cold arm elongations (m) and the mid-span (peak)
-    temperature (C) of ``spec`` as three floats from one scalar pass,
-    with no profile record: the bits of ``alpha * rise_integral(profile,
-    L)`` at each arm length L and of ``temperature_at``, which take
-    floats."""
-    path, _, q, m, plateau = _fin(spec)
-    mat, geo, expm1 = spec.material, spec.geometry, math.expm1
+    temperature (C) of ``spec`` at these arms, gap and volts as three
+    floats from one scalar pass, with no profile record: the bits of
+    ``alpha * rise_integral(profile, L)`` at each arm length L and of
+    ``temperature_at``, which take floats."""
+    path, _, q, m, plateau = _fin(spec, hot, cold, gap, volts)
+    mat, expm1 = spec.material, math.expm1
     shape = _shape(m * path >= PLATEAU_THRESHOLD, path, m, plateau, q,
                    mat.thermal_conductivity, expm1)
     alpha = mat.expansion_coefficient
-    return (alpha * _integral(shape, float(geo.hot_arm_length), expm1),
-            alpha * _integral(shape, float(geo.cold_arm_length), expm1),
+    return (alpha * _integral(shape, float(hot), expm1),
+            alpha * _integral(shape, float(cold), expm1),
             spec.environment.ambient_temperature + _rise(shape, path / 2.0, expm1))
 
 

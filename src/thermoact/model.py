@@ -109,16 +109,6 @@ class ActuatorSpec:
             raise InvalidSpecError(problems)
 
 
-def _prevalidated_spec(material, environment, geometry, drive) -> ActuatorSpec:
-    """An ActuatorSpec built unchecked; precondition: every field is known valid."""
-    spec = object.__new__(ActuatorSpec)   # filled as __init__ does; no __dict__ is made
-    object.__setattr__(spec, "material", material)
-    object.__setattr__(spec, "environment", environment)
-    object.__setattr__(spec, "geometry", geometry)
-    object.__setattr__(spec, "drive", drive)
-    return spec
-
-
 def collect_diagnostics(spec) -> list[str]:
     """Return all bound violations of ``spec`` as human-readable strings.
 

@@ -11,9 +11,9 @@ parameters and their meanings:
                   base length ratio is preserved
 
 Each study draws every number from ``simulate``'s scalar kernel
-``thermomech._solve_point``; no approximation or surrogate is introduced
-at this level, so study output inherits the pipeline's validation status
-unchanged.
+``thermomech._solve_point``, given the base spec and each point's four
+floats; no approximation or surrogate is introduced at this level, so
+study output inherits the pipeline's validation status unchanged.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .model import ActuatorSpec, Drive, Geometry, InvalidSpecError, _prevalidated_spec
+from .model import ActuatorSpec, Drive, Geometry, InvalidSpecError
 from .thermomech import _solve_point
 
 PARAMETERS = ("voltage", "ratio", "gap", "hot_arm_length")
@@ -54,17 +54,16 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return values
 
 
-def apply_parameter(base: ActuatorSpec, parameter: str, value: float) -> ActuatorSpec:
-    """Return a copy of ``base`` with one study parameter set to ``value``.
-
-    Checks only the changed fields and the arm order, as ``base`` is valid.
-    Raises InvalidSpecError, from the full constructor check, when the
-    induced spec violates a bound and ValueError for an unknown parameter.
-    """
-    g, drive, geometry = base.geometry, base.drive, base.geometry
-    hot, cold, gap = g.hot_arm_length, g.cold_arm_length, g.gap
+def _point(base: ActuatorSpec, parameter: str, value: float):
+    """The hot arm, cold arm, gap and voltage, as ``_solve_point`` takes
+    them, of ``base`` with one study parameter set to ``value``.  Checks
+    only the changed fields and the arm order, as ``base`` is valid; a
+    point that fails goes to the full constructor, whose InvalidSpecError
+    names every violated bound.  ValueError for an unknown parameter."""
+    g = base.geometry
+    hot, cold, gap, volts = g.hot_arm_length, g.cold_arm_length, g.gap, base.drive.voltage
     if parameter == "voltage":
-        drive, valid = Drive(voltage=value), 0.0 <= value < math.inf
+        volts, valid = value, 0.0 <= value < math.inf
     else:
         if parameter == "ratio":
             cold = value * hot
@@ -74,27 +73,39 @@ def apply_parameter(base: ActuatorSpec, parameter: str, value: float) -> Actuato
             hot, cold = value, cold / hot * value
         else:
             raise ValueError(f"unknown study parameter {parameter!r}")
-        geometry = Geometry(hot_arm_length=hot, cold_arm_length=cold, gap=gap,
-                            beam_width=g.beam_width, beam_thickness=g.beam_thickness,
-                            extension_length=g.extension_length)
         valid = 0.0 < cold <= hot < math.inf and 0.0 < gap < math.inf
-    build = _prevalidated_spec if valid else ActuatorSpec
-    return build(base.material, base.environment, geometry, drive)
+    if not valid:
+        _spec(base, (hot, cold, gap, volts))     # raises InvalidSpecError
+    return hot, cold, gap, volts
+
+
+def _spec(base, point):
+    """``base`` with the arm lengths, gap and voltage of ``point``, by the
+    full constructor."""
+    (hot, cold, gap, volts), g = point, base.geometry
+    geometry = Geometry(hot, cold, gap, g.beam_width, g.beam_thickness, g.extension_length)
+    return ActuatorSpec(base.material, base.environment, geometry, Drive(volts))
+
+
+def apply_parameter(base: ActuatorSpec, parameter: str, value: float) -> ActuatorSpec:
+    """A copy of ``base`` with one study parameter set to ``value``, or
+    ``_point``'s refusal.  The studies themselves build no spec."""
+    return _spec(base, _point(base, parameter, value))
 
 
 @dataclass(frozen=True)
 class SweepPlan:
     """A validated list of operating points for one swept parameter.
 
-    Construction eagerly builds every induced spec and keeps them in
-    ``specs``, so an invalid point aborts before any simulation runs,
-    naming the offending value.
+    Construction checks every value and keeps each point's four floats,
+    so an invalid point aborts before any simulation runs, naming the
+    offending value; ``specs`` builds the induced specs when read.
     """
 
     base: ActuatorSpec
     parameter: str
     values: tuple[float, ...]
-    specs: tuple[ActuatorSpec, ...] = field(init=False, repr=False, compare=False)
+    _points: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.parameter not in PARAMETERS:
@@ -103,15 +114,20 @@ class SweepPlan:
             raise ValueError("sweep needs at least one value")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("sweep values must be strictly increasing")
-        specs = []
+        points = []
         for value in self.values:
             try:
-                specs.append(apply_parameter(self.base, self.parameter, value))
+                points.append(_point(self.base, self.parameter, value))
             except InvalidSpecError as exc:
                 raise InvalidSpecError(
                     [f"{self.parameter} = {value!r}: {d}" for d in exc.diagnostics]
                 ) from exc
-        object.__setattr__(self, "specs", tuple(specs))
+        object.__setattr__(self, "_points", tuple(points))
+
+    @property
+    def specs(self) -> tuple[ActuatorSpec, ...]:
+        """The induced spec of every value, in plan order, built when read."""
+        return tuple(apply_parameter(self.base, self.parameter, v) for v in self.values)
 
 
 @dataclass(frozen=True)
@@ -136,10 +152,11 @@ class SweepTable:
 
 
 def run_sweep(plan: SweepPlan) -> SweepTable:
-    """Simulate every point of the plan, in order, into a record of the
-    first six floats of its ``_solve_point`` tuple, ``simulate``'s bits."""
-    records = tuple(SweepRecord(value, *_solve_point(spec)[:6])
-                    for value, spec in zip(plan.values, plan.specs))
+    """Solve every point of the plan, in order, from its base spec and
+    four floats into a record of ``_solve_point``'s first six floats,
+    ``simulate``'s bits."""
+    records = tuple(SweepRecord(value, *_solve_point(plan.base, *point)[:6])
+                    for value, point in zip(plan.values, plan._points))
     return SweepTable(plan=plan, records=records)
 
 
@@ -198,14 +215,15 @@ def find_optimal_ratio(base: ActuatorSpec, grid: int = 71) -> OptimumReport:
     point by golden-section search to 1e-4 in ratio.  A flat or
     non-unimodal scan is reported with the corresponding flag instead of
     refined blindly; any grid ratio ``simulate`` refuses aborts the scan.
-    The objective is the tip, the first float of ``_solve_point``'s tuple.
+    The objective is the tip, the first float of ``_solve_point``'s tuple
+    on the base spec and the ratio's four floats, with no spec per ratio.
     """
     if grid < 3:
         raise ValueError("grid must have at least 3 points")
     ratios = _linspace(*RATIO_RANGE, grid)
 
     def objective(ratio: float) -> float:
-        return _solve_point(apply_parameter(base, "ratio", ratio))[0]
+        return _solve_point(base, *_point(base, "ratio", ratio))[0]
 
     deflections = [objective(r) for r in ratios]
     low = min(deflections)

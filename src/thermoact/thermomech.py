@@ -184,9 +184,10 @@ def solve_redundants(flex, rhs: float) -> tuple[float, float, float]:
     return x0, x1, x2
 
 
-def _solve_point(spec: ActuatorSpec):
-    """One operating point as a flat tuple of floats: tip, junction
-    deflection and rotation, hot and cold elongation and peak
+def _solve_point(spec: ActuatorSpec, length1, length2, gap, volts):
+    """One operating point of ``spec`` at hot arm ``length1``, cold arm
+    ``length2``, ``gap`` and ``volts``, as a flat tuple of floats: tip,
+    junction deflection and rotation, hot and cold elongation and peak
     temperature (a sweep record's order), then the redundants x0, x1, x2
     and the moments at A, B and C.
 
@@ -202,9 +203,7 @@ def _solve_point(spec: ActuatorSpec):
     refused when the rotation leaves the small-angle regime.
     """
     geometry = spec.geometry
-    hot, cold, peak = _load_and_peak(spec)
-    length1, length2, gap = (geometry.hot_arm_length, geometry.cold_arm_length,
-                             geometry.gap)
+    hot, cold, peak = _load_and_peak(spec, length1, length2, gap, volts)
     ei, ea = _rigidities(geometry, spec.material)
     x0, x1, x2 = solve_redundants(
         _flexibility(length1, length2, gap, ei, ea), hot - cold)
@@ -226,8 +225,9 @@ def simulate(spec: ActuatorSpec) -> FrameSolution:
     """Full pipeline: the thermal load and the peak temperature from one
     scalar pass over the fin's closed form, then redundants and tip
     sweep, as ``_solve_point`` computes and refuses them, in records."""
-    (tip, deflection, rotation, hot, cold, peak,
-     x0, x1, x2, at_a, at_b, at_c) = _solve_point(spec)
+    g = spec.geometry
+    tip, deflection, rotation, hot, cold, peak, x0, x1, x2, at_a, at_b, at_c = _solve_point(
+        spec, g.hot_arm_length, g.cold_arm_length, g.gap, spec.drive.voltage)
     return FrameSolution(
         thermal_load=ThermalLoad(hot, cold),
         redundants=(x0, x1, x2),

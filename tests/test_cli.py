@@ -48,9 +48,9 @@ def test_simulate_with_a_csv_solves_the_point_once(tmp_path, monkeypatch, capsys
     calls = []
     kernel = thermomech._solve_point
 
-    def counting(spec):
-        calls.append(spec)
-        return kernel(spec)
+    def counting(*point):
+        calls.append(point)
+        return kernel(*point)
 
     monkeypatch.setattr(study, "_solve_point", counting)
     monkeypatch.setattr(thermomech, "_solve_point", counting)

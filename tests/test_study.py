@@ -3,13 +3,16 @@ import dataclasses
 import math
 import pickle
 import random
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import thermoact.model as model
 import thermoact.study as study
+from thermoact.config import StudySettings, resolve_sweep
 from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
                              InvalidSpecError, Material, default_spec)
 from thermoact.study import (OptimumReport, SweepPlan, SweepRecord,
@@ -208,6 +211,65 @@ def test_plan_rejects_values_that_break_the_spec():
                for d in err.value.diagnostics)
 
 
+def test_plan_specs_are_built_when_read():
+    """``specs`` is a read-only property, not a stored field: the specs
+    ``apply_parameter`` induces, in plan order; the plan stays a frozen,
+    picklable record equal by base, parameter and values."""
+    values = (300.0e-6, 500.0e-6, 700.0e-6)
+    plan = SweepPlan(base=_OFF_DEFAULT, parameter="hot_arm_length", values=values)
+    assert plan.specs == tuple(apply_parameter(_OFF_DEFAULT, "hot_arm_length", v)
+                               for v in values)
+    assert "specs" not in vars(plan)
+    assert "specs" not in {f.name for f in dataclasses.fields(plan)}
+    for name, value in (("specs", ()), ("values", ())):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(plan, name, value)
+    twin = SweepPlan(base=_OFF_DEFAULT, parameter="hot_arm_length", values=values)
+    assert plan == twin and hash(plan) == hash(twin)
+    assert plan != SweepPlan(base=_OFF_DEFAULT, parameter="hot_arm_length",
+                             values=values[:2])
+    assert repr(plan) == (f"SweepPlan(base={_OFF_DEFAULT!r}, "
+                          f"parameter='hot_arm_length', values={values!r})")
+    for clone in (pickle.loads(pickle.dumps(plan)), copy.deepcopy(plan)):
+        assert clone == plan and clone.specs == plan.specs
+        assert run_sweep(clone) == run_sweep(plan)
+    with pytest.raises(InvalidSpecError) as err:
+        SweepPlan(base=_OFF_DEFAULT, parameter="hot_arm_length",
+                  values=values + (math.inf,))
+    assert err.value.diagnostics == ["hot_arm_length = inf: hot_arm_length must be finite",
+                                     "hot_arm_length = inf: cold_arm_length must be finite"]
+
+
+def test_a_study_builds_no_spec_per_point():
+    """Ratio optimisation and the four default-grid sweeps solve every
+    point from the base spec and four floats: no point runs the spec
+    constructor or any other code of ``thermoact.model``, which holds
+    every way to build or check a spec."""
+    base = default_spec()
+    grids = [resolve_sweep(StudySettings(), parameter=p) for p in study.PARAMETERS]
+    init = ActuatorSpec.__init__.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and (frame.f_code is init
+                                or frame.f_code.co_filename == model.__file__):
+            calls.append(frame.f_code.co_name)
+
+    def counted(study_call):
+        calls.clear()
+        sys.setprofile(profile)
+        try:
+            study_call()
+        finally:
+            sys.setprofile(None)
+        return len(calls)
+
+    assert counted(lambda: find_optimal_ratio(base, 71)) == 0
+    assert counted(lambda: [run_sweep(SweepPlan(base, *grid)) for grid in grids]) == 0
+    # the count sees a spec that a study call does build
+    assert counted(lambda: apply_parameter(base, "gap", 8.0e-6)) > 0
+
+
 def test_plan_rejects_unknown_parameters():
     with pytest.raises(ValueError):
         SweepPlan(base=default_spec(), parameter="width", values=(1.0,))
@@ -268,9 +330,24 @@ def _outcome(study_call):
     return "done", _bits(result)
 
 
+# Valid bases whose refusal shows the order of a point's steps.  (a) is
+# refused with ZeroDivisionError by the Joule current of every point,
+# before its rigidity EI (beam_width ** 3) overflows.  (b) is refused at
+# the first grid ratio of an optimisation, whose cold arm underflows to
+# zero, before its fin's m divides by k w h = 0.
+_ORDER_BASES = [
+    ActuatorSpec(material=Material(resistivity=1.0e-322),
+                 geometry=Geometry(beam_width=1.0e103)),
+    ActuatorSpec(material=Material(thermal_conductivity=1.0e-310),
+                 geometry=Geometry(hot_arm_length=5.0e-324, cold_arm_length=5.0e-324,
+                                   beam_width=1.0e-10, beam_thickness=1.0e-10)),
+]
+
+
 def _seeded_bases():
     """Valid bases from the bit dump's seeded draws: its single-point
-    domain, its extreme decades and its edge cases."""
+    domain, its extreme decades and its edge cases; then the order
+    bases."""
     rng = random.Random(1818)
     bases = [_domain(rng) for _ in range(120)]
     for build in [_extreme(rng, i) for i in range(240)] + list(EDGES):
@@ -278,7 +355,7 @@ def _seeded_bases():
             bases.append(build())
         except InvalidSpecError:
             pass
-    return bases
+    return bases + _ORDER_BASES
 
 
 def _around(base, parameter):
@@ -319,13 +396,21 @@ def test_sweeps_keep_every_bit_of_the_simulate_route():
 
 
 def test_the_optimum_keeps_every_bit_of_the_simulate_objective(monkeypatch):
-    """``find_optimal_ratio`` on the kernel reports what it reports on
-    the objective ``simulate(apply_parameter(...)).tip_deflection``."""
-    bases = _seeded_bases()[::3]
+    """``find_optimal_ratio`` on the kernel and each point's four floats
+    reports what it reports on the objective that builds a spec per
+    point, by the fully checked replace route, and reads the tip of
+    ``simulate``: the same bits, or the same refusal at the same point."""
+    seeded = _seeded_bases()
+    bases = seeded[:-len(_ORDER_BASES)][::3] + _ORDER_BASES
     ours = [_outcome(lambda: find_optimal_ratio(base)) for base in bases]
+    # The optimisation solves _solve_point(base, *_point(base, "ratio", r)).
+    monkeypatch.setattr(study, "_point", lambda base, parameter, value:
+                        (_replace_route(base, parameter, value),))
     monkeypatch.setattr(study, "_solve_point",
-                        lambda spec: (simulate(spec).tip_deflection,))
+                        lambda base, spec: (simulate(spec).tip_deflection,))
     assert ours == [_outcome(lambda: find_optimal_ratio(base)) for base in bases]
+    assert ours[-2:] == [("refused", ZeroDivisionError, "float division by zero"),
+                         ("refused", InvalidSpecError, "cold_arm_length must be positive")]
     assert {o[1][-1] for o in ours if o[0] == "done"} == {None, "flat", "non_unimodal"}
     assert any(o[0] == "refused" for o in ours)
 
@@ -373,11 +458,11 @@ def test_refinement_only_improves_on_the_grid():
     assert report.optimal_tip_deflection >= grid_best
 
 
-def _rising_kernel(spec):
+def _rising_kernel(spec, hot, cold, gap, volts):
     """A stand-in for the study kernel ``_solve_point`` whose tip
     deflection, its first float, is the length ratio, so that the scan
     peaks at the last grid ratio."""
-    return (spec.geometry.cold_arm_length / spec.geometry.hot_arm_length,)
+    return (cold / hot,)
 
 
 @pytest.mark.parametrize("physics", [study._solve_point, _rising_kernel],
@@ -388,9 +473,9 @@ def test_refinement_takes_its_bracket_ends_from_the_grid(monkeypatch, physics):
     grid point and every refinement point but those two."""
     calls = {"kernel": 0, "refine": 0}
 
-    def counting_kernel(spec):
+    def counting_kernel(*point):
         calls["kernel"] += 1
-        return physics(spec)
+        return physics(*point)
 
     def counting_golden(func, lo, hi, golden=golden_section_max):
         def counted(x):
@@ -416,9 +501,8 @@ def test_flat_objective_is_flagged_not_refined():
 def test_multi_peak_objective_is_flagged(monkeypatch):
     """Classifier check with a synthetic two-hump response standing in
     for the physics."""
-    def fake_kernel(spec):
-        ratio = spec.geometry.cold_arm_length / spec.geometry.hot_arm_length
-        return (np.sin(12.0 * ratio) + 1.5,)
+    def fake_kernel(spec, hot, cold, gap, volts):
+        return (np.sin(12.0 * (cold / hot)) + 1.5,)
 
     monkeypatch.setattr(study, "_solve_point", fake_kernel)
     report = find_optimal_ratio(_base(), grid=41)
@@ -431,9 +515,8 @@ def test_a_peak_on_the_grid_beats_the_refinement(monkeypatch):
     point and its value."""
     peak = study._linspace(0.1, 0.8, 71)[30]
 
-    def fake_kernel(spec):
-        ratio = spec.geometry.cold_arm_length / spec.geometry.hot_arm_length
-        return (1.0 - abs(ratio - peak),)
+    def fake_kernel(spec, hot, cold, gap, volts):
+        return (1.0 - abs(cold / hot - peak),)
 
     refined = []
 
@@ -444,7 +527,10 @@ def test_a_peak_on_the_grid_beats_the_refinement(monkeypatch):
     monkeypatch.setattr(study, "_solve_point", fake_kernel)
     monkeypatch.setattr(study, "golden_section_max", recording_search)
     report = find_optimal_ratio(_base(), grid=71)
-    expected = fake_kernel(apply_parameter(_base(), "ratio", peak))[0]
+    at_peak = apply_parameter(_base(), "ratio", peak)
+    g = at_peak.geometry
+    expected = fake_kernel(at_peak, g.hot_arm_length, g.cold_arm_length, g.gap,
+                           at_peak.drive.voltage)[0]
     assert (report.optimal_ratio, report.optimal_tip_deflection) == (peak, expected)
     assert report.flag is None
     assert refined[0][1] < expected     # the search fell short of the grid
