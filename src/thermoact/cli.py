@@ -218,7 +218,7 @@ def main(argv=None) -> int:
         return 2
     except ArithmeticError as exc:
         # Accepted but extreme inputs can overflow or divide by zero in
-        # the closed forms; that is a solver failure, not a crash.
+        # the thermal closed form; that is a solver failure, not a crash.
         print(f"error: numerical failure ({type(exc).__name__}: {exc})",
               file=sys.stderr)
         return 2

@@ -3,16 +3,17 @@
 The U-frame is statically indeterminate to the third degree.  The main
 pipeline releases the cold-arm anchor D, whose three unit redundant
 actions induce fields on the release path AB, BC, CD that are linear in
-the arm lengths and the gap.  So the 3x3 flexibility has six closed-form
-entries, symmetric by construction, and so do the internal actions once
-the compatibility system gives the redundants.  Virtual work on the hot
-arm, one closed product rule, recovers the junction deflection and
-rotation; the rigid extension carries them to the jaw tip.
+the arm lengths and the gap.  Their 3x3 compatibility system is linear
+in the thermal differential, so it is solved once, symbolically: the
+redundants and the junction motion are ratios of polynomials in the
+frame's length ratios, all of whose terms are non-negative, evaluated in
+plain floats.  The rigid extension carries the junction motion to the
+jaw tip.
 
 A completely independent direct-stiffness solution on a refined beam
 mesh (``stiffness_oracle``) serves as cross-check; it builds its own
-nodes and section properties and shares no code with the flexibility
-route beyond the thermal closed form.
+nodes and section properties and shares no code with the closed form
+beyond the thermal stage.
 
 Geometry convention: the hot arm runs along +x from its anchor A at the
 origin to the junction B; the link drops across the gap to C; the cold
@@ -25,19 +26,23 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 from .electrothermal import (ThermalLoad, _load_and_peak, rise_integral,
                              solve_temperature_profile)
-from .model import ActuatorSpec, Geometry, Material
+from .model import ActuatorSpec
 
 # Rotations beyond this invalidate the linear kinematics of the tip
 # lever arm, so the solution refuses to report one.
 SMALL_ANGLE_LIMIT = 0.1
+# The smallest normal float: below it, a ratio has lost digits.
+_NORMAL = sys.float_info.min
 
 
 class FrameSingularError(ArithmeticError):
-    """The flexibility system is not positive definite or failed to solve."""
+    """The frame cannot be solved in floating point: its thermal load or
+    a ratio of its closed form leaves the float range."""
 
 
 class SmallAngleError(RuntimeError):
@@ -51,7 +56,8 @@ class FrameSolution:
     Displacements in metres, rotation in radians, temperatures in C,
     deflections positive toward the cold arm.  ``redundants`` is the
     3-tuple of anchor actions at the released cold-arm support: force
-    along the arm (N), transverse force (N), couple (N m).  ``moments``
+    along the arm (N), transverse force (N), couple (N m), in closed form
+    over the same denominator as the junction motion.  ``moments``
     is a 3x3 tuple of tuples of the superposed internal actions on the
     release path, rows AB, BC, CD and columns moment at the start,
     moment at the end (N m), axial force (N); the extension BJ carries
@@ -80,110 +86,6 @@ class StiffnessResult:
     elements_per_member: int
 
 
-def _rigidities(geometry: Geometry, material: Material):
-    """Bending (N m^2) and axial (N) rigidity of the shared section."""
-    second_moment = geometry.beam_thickness * geometry.beam_width ** 3 / 12.0
-    area = geometry.beam_width * geometry.beam_thickness
-    return material.young_modulus * second_moment, material.young_modulus * area
-
-
-def _product_integral(length, a_start, a_end, b_start, b_end):
-    """Exact integral over a member of the product of two linear fields,
-    grouped so that swapping the fields repeats every rounding step."""
-    return length * (2.0 * (a_start * b_start + a_end * b_end)
-                     + (a_start * b_end + a_end * b_start)) / 6.0
-
-
-def _flexibility(length1, length2, gap, ei, ea):
-    """The six distinct flexibility entries f00, f11, f22, f01, f02, f12.
-
-    Unit redundant i at D induces, along AB, BC, CD, the moments
-    (g, g), (g, 0), (0, 0) and axial forces 1, 0, -1 for the pull
-    (i = 0); (L1 - L2, -L2), (-L2, -L2), (-L2, 0) and 0, -1, 0 for the
-    transverse force (i = 1); and a unit moment with no axial force for
-    the couple (i = 2).  Each entry is the virtual-work integral of two
-    of these fields, reduced by hand; powers are written as products so
-    that an overflow gives inf, not an exception.
-    """
-    lever = length1 - 2.0 * length2
-    d = length1 - length2
-    return (
-        gap * gap * (length1 + gap / 3.0) / ei + (length1 + length2) / ea,
-        (length1 * (d * d - d * length2 + length2 * length2)
-         + length2 * length2 * (3.0 * gap + length2)) / (3.0 * ei) + gap / ea,
-        (length1 + gap + length2) / ei,
-        gap * (length1 * lever - gap * length2) / (2.0 * ei),
-        gap * (length1 + gap / 2.0) / ei,
-        (length1 * lever - length2 * (2.0 * gap + length2)) / (2.0 * ei),
-    )
-
-
-def _pivot_root(pivot: float) -> float:
-    if not pivot > 0.0:
-        raise FrameSingularError("flexibility matrix is not positive definite")
-    return math.sqrt(pivot)
-
-
-def solve_redundants(flex, rhs: float) -> tuple[float, float, float]:
-    """Solve compatibility at the released anchor for the redundants.
-
-    The right-hand side ``rhs`` is the hot minus the cold arm's free
-    elongation along the release direction (m); transverse and rotational
-    compatibility carry no thermal term.  The matrix mixes units
-    (m/N, 1/N, 1/(N m)) and is raw-conditioned around 1e11, so it is
-    symmetrically equilibrated to unit diagonal (condition ~1e1) before
-    a Cholesky solve plus two steps of iterative refinement.  The
-    factor is a hand-written 3x3 lower Cholesky in plain floats; a
-    pivot that is not positive means the matrix is not positive
-    definite.  The residual is verified in the equilibrated norm, the
-    scale-invariant measure; the raw-norm residual is floor-limited
-    near 1e-10 by the float64 representation of the solution itself.
-    A non-finite ``rhs`` is refused.  Internal to ``_solve_point``,
-    which passes ``_flexibility``'s six entries (f00, f11, f22, f01,
-    f02, f12) as ``flex``.  Returns the anchor force along the arm (N),
-    transverse force (N) and couple (N m) as a 3-tuple of floats.
-    """
-    f00, f11, f22, f01, f02, f12 = flex
-    if not all(map(math.isfinite, flex)):
-        raise FrameSingularError("flexibility matrix is not a finite 3x3")
-    if not (f00 > 0.0 and f11 > 0.0 and f22 > 0.0):
-        raise FrameSingularError("flexibility matrix has a non-positive diagonal")
-    s0, s1, s2 = 1.0 / math.sqrt(f00), 1.0 / math.sqrt(f11), 1.0 / math.sqrt(f22)
-
-    # L L^T = S F S with S = diag(s): entry (i, j) of S F S is f_ij s_i s_j.
-    l00 = _pivot_root(f00 * s0 * s0)
-    l10 = f01 * s1 * s0 / l00
-    l20 = f02 * s2 * s0 / l00
-    l11 = _pivot_root(f11 * s1 * s1 - l10 * l10)
-    l21 = (f12 * s2 * s1 - l20 * l10) / l11
-    l22 = _pivot_root(f22 * s2 * s2 - l20 * l20 - l21 * l21)
-
-    if not math.isfinite(rhs):
-        raise FrameSingularError("thermal load is not finite")
-    x0 = x1 = x2 = 0.0
-    r0, r1, r2 = rhs, 0.0, 0.0
-    for _ in range(3):
-        # x += S (S F S)^-1 S r, then r = (rhs, 0, 0) - F x
-        z0 = s0 * r0 / l00
-        z1 = (s1 * r1 - l10 * z0) / l11
-        z2 = (s2 * r2 - l20 * z0 - l21 * z1) / l22
-        y2 = z2 / l22
-        y1 = (z1 - l21 * y2) / l11
-        y0 = (z0 - l10 * y1 - l20 * y2) / l00
-        x0, x1, x2 = x0 + s0 * y0, x1 + s1 * y1, x2 + s2 * y2
-        r0 = rhs - (f00 * x0 + f01 * x1 + f02 * x2)
-        r1 = -(f01 * x0 + f11 * x1 + f12 * x2)
-        r2 = -(f02 * x0 + f12 * x1 + f22 * x2)
-
-    rhs_norm = abs(s0 * rhs)
-    if rhs_norm > 0.0:
-        residual = math.hypot(s0 * r0, s1 * r1, s2 * r2) / rhs_norm
-        if not residual <= 1.0e-12:
-            raise FrameSingularError(
-                f"compatibility solve residual {residual:.3e} exceeds 1e-12")
-    return x0, x1, x2
-
-
 def _solve_point(spec: ActuatorSpec, length1, length2, gap, volts):
     """One operating point of ``spec`` at hot arm ``length1``, cold arm
     ``length2``, ``gap`` and ``volts``, as a flat tuple of floats: tip,
@@ -191,32 +93,80 @@ def _solve_point(spec: ActuatorSpec, length1, length2, gap, volts):
     temperature (a sweep record's order), then the redundants x0, x1, x2
     and the moments at A, B and C.
 
-    The redundants x, solved from ``_flexibility``'s six entries as
-    they are, give the moment g x0 + (L1 - L2) x1 + x2 at A,
-    g x0 - L2 x1 + x2 at B, x2 - L2 x1 at C and x2 at D, and the axial
-    forces x0, -x1, -x0 on AB, BC, CD.  Unit-load virtual work on the
-    hot arm then gives the junction deflection and rotation: both
-    virtual systems load the primary cantilever at B, so a unit
-    transverse force gives a field falling linearly from the anchored
-    end to zero at B and a unit couple a constant one.  The rigid-lever
-    extension carries the junction motion out to the jaw tip, which is
-    refused when the rotation leaves the small-angle regime.
+    Compatibility at the released anchor D is F x = (delta, 0, 0), delta
+    the hot minus the cold arm's free elongation.  Unit redundant i at D
+    induces, along AB, BC, CD, the moments (g, g), (g, 0), (0, 0) and
+    axial forces 1, 0, -1 for the pull (i = 0); (L1 - L2, -L2),
+    (-L2, -L2), (-L2, 0) and 0, -1, 0 for the transverse force (i = 1);
+    and a unit moment for the couple (i = 2).  F, the virtual-work
+    product of these fields, is solved by its adjugate in the ratios
+    r = L2 / L1, y = g / L1 and k = EI / (EA L1^2) = s s / 12 with
+    s = w / L1 (tools/derive_frame.py re-derives each polynomial).  Over
+    one denominator Q, the junction deflection is 3 delta y D / (2 Q),
+    the rotation 3 delta y R / (2 Q L1) and, with
+    F0 = 3 k EA delta / (L1 Q), the redundants are F0 N0,
+    3 F0 y (r - 1) (r y + 2 r + y) and -F0 g N2.  The moments follow
+    from the redundants by statics, and the rigid extension carries the
+    junction motion to the tip.
+
+    Every term of Q, D, R, N0 and N2 is non-negative for 0 < r <= 1, so
+    each output carries a few ulp of relative error, however
+    ill-conditioned F is, unless something underflows.  Powers are
+    products, so an overflow gives inf, not an exception.  In this
+    order, FrameSingularError refuses a delta that is not finite, a gap
+    ratio or polynomial that is not a finite normal float (the frame
+    gain) and a junction response below the normal range under a
+    nonzero load; SmallAngleError a rotation past the small-angle limit;
+    FrameSingularError redundants that are not finite.
     """
     geometry = spec.geometry
     hot, cold, peak = _load_and_peak(spec, length1, length2, gap, volts)
-    ei, ea = _rigidities(geometry, spec.material)
-    x0, x1, x2 = solve_redundants(
-        _flexibility(length1, length2, gap, ei, ea), hot - cold)
+    delta = hot - cold
+    if not math.isfinite(delta):
+        raise FrameSingularError("thermal load is not finite")
 
-    at_a = gap * x0 + (length1 - length2) * x1 + x2
-    at_b = gap * x0 - length2 * x1 + x2
-    at_c = x2 - length2 * x1
-    deflection = _product_integral(length1, at_a, at_b, length1, 0.0) / ei
-    rotation = _product_integral(length1, at_a, at_b, 1.0, 1.0) / ei
+    r, y, s = length2 / length1, gap / length1, geometry.beam_width / length1
+    k = s * s / 12.0
+    r2, y2 = r * r, y * y
+    r3, ry = r2 * r, r * y
+    r4, y3 = r2 * r2, y2 * y
+    ky, one_r, centred = k * y, 1.0 - r, r - 0.75
+    d = r4 + 2.0 * (r3 * y + r2 * y) + r2 + 12.0 * ky * r + 6.0 * ky * y
+    rr = (2.0 * r4 + 4.0 * r3 * y + 3.0 * r2 * y + 2.0 * r + y
+          + 24.0 * ky * r + 12.0 * ky * y)
+    q = (36.0 * k * ky * (r2 + ry + 2.0 * r + y + 1.0)
+         + 3.0 * k * (1.0 + r) * ((1.0 + r2) * (1.0 + r2) + 4.0 * r * one_r * one_r)
+         + 12.0 * k * (y * (r4 + r3 + r + 1.0) + y3 * (ry + 3.0 * r + y))
+         + 3.0 * ky * y2 * y2
+         + y2 * (r4 * y + 3.0 * r4 + r3 * y2 + 4.0 * r3 * y + 3.0 * r2 * y
+                 + 4.0 * ry + 3.0 * r + y2 + y))
+    n0 = (12.0 * ky * (r + y + 1.0) + 1.0 + 4.0 * r * (centred * centred + 0.4375)
+          + r4 + 4.0 * r3 * y + 4.0 * y)
+    n2 = (6.0 * ky * y + 12.0 * ky + y * (2.0 + r * (3.0 - r2)) + 1.0
+          + r2 * (3.0 - 2.0 * r))
+    if not all(_NORMAL <= value < math.inf for value in (y, q, d, rr, n0, n2)):
+        raise FrameSingularError("frame gain is out of the float range")
+
+    half = 1.5 * delta
+    deflection = half * (y * d / q)
+    rotation = half / length1 * (y * rr / q)
+    if delta != 0.0 and not (abs(deflection) >= _NORMAL and abs(rotation) >= _NORMAL):
+        raise FrameSingularError("junction response underflows")
     if not abs(rotation) < SMALL_ANGLE_LIMIT:
         raise SmallAngleError(
             f"junction rotation {rotation:.4f} rad exceeds the "
             f"small-angle limit {SMALL_ANGLE_LIMIT}")
+
+    axial = spec.material.young_modulus * (geometry.beam_width * geometry.beam_thickness) \
+        * (3.0 * delta / length1)
+    x0 = axial * (k * n0 / q)
+    x1 = 3.0 * axial * (ky * (r - 1.0) * (ry + 2.0 * r + y) / q)
+    x2 = -axial * gap * (k * n2 / q)
+    if not all(map(math.isfinite, (x0, x1, x2))):
+        raise FrameSingularError("redundants are not finite")
+    at_a = gap * x0 + (length1 - length2) * x1 + x2
+    at_b = gap * x0 - length2 * x1 + x2
+    at_c = x2 - length2 * x1
     return (deflection + geometry.extension_length * rotation, deflection,
             rotation, hot, cold, peak, x0, x1, x2, at_a, at_b, at_c)
 
@@ -361,7 +311,7 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     ill-conditioned for the band solve to carry) or a solution that is
     not finite raises FrameSingularError("stiffness system did not
     solve").  A frame under no load is at rest, and its system is not
-    factored.  Independent of the flexibility route by construction;
+    factored.  Independent of the closed-form frame by construction;
     used for cross-validation and never by the studies.  With its mesh
     helper it is the only user of numpy in this module, and the only
     user of scipy; it imports both on its first call.

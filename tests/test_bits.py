@@ -28,7 +28,7 @@ from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
 from thermoact.study import PARAMETERS, apply_parameter, find_optimal_ratio
 from thermoact.thermomech import simulate
 
-DIGEST = "2f1bdc1d11a7d672ea17784122eaf6fc705499d11704d7ac2131c753a78c525d"
+DIGEST = "529b4a3b320e4cb87a9f77233ba00f59127d865d3d4139e880c848765a27eba3"
 
 DOMAIN_POINTS = 2000
 EXTREME_POINTS = 500

@@ -211,9 +211,8 @@ NON_FINITE_LOADS = {"infinite-load": "drive.voltage = 1e200",
 
 @pytest.mark.parametrize("command,line,message", [
     ("simulate", "geometry.beam_width = 1e200",
-     "error: numerical failure (OverflowError: "),
-    ("simulate", "geometry.beam_width = 1e-300",
-     "error: numerical failure (ZeroDivisionError: "),
+     "error: frame gain is out of the float range\n"),
+    ("simulate", "geometry.beam_width = 1e-300", None),
     ("simulate", "material.thermal_conductivity = 1e-320",
      "error: numerical failure (ZeroDivisionError: "),
     ("simulate", NON_FINITE_LOADS["infinite-load"],
@@ -227,9 +226,17 @@ NON_FINITE_LOADS = {"infinite-load": "drive.voltage = 1e200",
 def test_extreme_accepted_input_is_a_solver_error(tmp_path, capsys, command, line,
                                                   message):
     """Values the validator accepts but the arithmetic cannot carry end
-    in one error line and exit 2, not in a traceback."""
+    in one error line and exit 2, not in a traceback.  A beam so thin
+    that its width squared underflows is no such value: its frame solves
+    to the limit of no axial compliance and exits 0."""
     cfg = tmp_path / "extreme.cfg"
     cfg.write_text(line + "\n")
+    if message is None:
+        assert main([command, "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("tip_deflection = ")
+        return
     assert main([command, "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -408,7 +415,8 @@ def test_only_the_oracles_import_scipy(tmp_path):
 # far too short or long for their section take the element stiffness
 # out of the float range.  A 10 fm gap leaves the clamped stiffness
 # system so ill-conditioned that its band Cholesky meets a non-positive
-# pivot.
+# pivot.  Arms far shorter than the gap put the frame gain itself out of
+# the float range, so there the closed form refuses before the oracles.
 _COEFFICIENT = "error: stiffness element has a coefficient that is not " \
     "finite and positive"
 ORACLE_REFUSALS = [
@@ -424,8 +432,8 @@ ORACLE_REFUSALS = [
     pytest.param("validate", "geometry.gap = 1e-200", _COEFFICIENT,
                  id="tinier-gap-validate"),
     pytest.param("validate", "geometry.hot_arm_length = 1e-100\n"
-                 "geometry.cold_arm_length = 1e-101", _COEFFICIENT,
-                 id="tiny-arms-validate"),
+                 "geometry.cold_arm_length = 1e-101",
+                 "error: frame gain is out of the float range", id="tiny-arms-validate"),
     pytest.param("validate", "geometry.extension_length = 1e+300",
                  _COEFFICIENT, id="huge-extension-validate"),
     pytest.param("validate", "geometry.beam_thickness = 1e+300",

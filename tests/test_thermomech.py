@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dpbsv
 
+from thermoact import thermomech
 from thermoact.electrothermal import (ThermalSystemError, fd_temperature_oracle,
                                       rise_integral, solve_temperature_profile,
                                       temperature_at)
 from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
                              Material, default_spec)
 from thermoact.thermomech import (FrameSingularError, SmallAngleError,
-                                  ThermalLoad, _flexibility, _oracle_mesh,
-                                  _rigidities, simulate, solve_redundants,
+                                  ThermalLoad, _oracle_mesh, simulate,
                                   stiffness_oracle)
 
 from test_bits import EDGES, _domain, _extreme
@@ -53,16 +53,6 @@ def unit_fields(geometry):
     return fields, lengths
 
 
-def _flexibility_matrix(spec):
-    """The six entries ``simulate`` passes to the solver, mirrored into
-    the 3x3 flexibility matrix."""
-    geometry = spec.geometry
-    f00, f11, f22, f01, f02, f12 = _flexibility(
-        geometry.hot_arm_length, geometry.cold_arm_length, geometry.gap,
-        *_rigidities(geometry, spec.material))
-    return np.array([[f00, f01, f02], [f01, f11, f12], [f02, f12, f22]])
-
-
 def _public_load(spec):
     """The free arm elongations by the public route: alpha times the rise
     integral over each arm, measured from its own anchor."""
@@ -78,39 +68,40 @@ def _simpson(length, a_start, a_end, b_start, b_end):
     return length * (a_start * b_start + 4.0 * middle + a_end * b_end) / 6.0
 
 
-def _table_route(spec):
-    """The frame solved from the statics table: its nine flexibility
-    entries by Simpson's rule, the production solver on their lower
-    triangle, the superposed moment on the hot arm and virtual work
-    there.  Returns the flexibility matrix and the tip, junction
-    deflection and rotation."""
+def _flexibility_matrix(spec):
+    """The frame's 3x3 flexibility from the statics table: each of the
+    nine entries by Simpson's rule on its own, none mirrored."""
     geometry, material = spec.geometry, spec.material
     ei = material.young_modulus * (geometry.beam_thickness
                                    * geometry.beam_width ** 3 / 12.0)
     ea = material.young_modulus * geometry.beam_width * geometry.beam_thickness
     fields, lengths = unit_fields(geometry)
-    flex = np.array([[sum(_simpson(length, a_start, a_end, b_start, b_end) / ei
+    return np.array([[sum(_simpson(length, a_start, a_end, b_start, b_end) / ei
                           + length * a_axial * b_axial / ea
                           for (a_start, a_end, a_axial), (b_start, b_end, b_axial),
                           length in zip(field_a, field_b, lengths))
                       for field_b in fields] for field_a in fields])
+
+
+def _table_route(spec):
+    """The frame solved from the statics table: its flexibility matrix
+    by LU, the superposed moment on the hot arm and virtual work there.
+    Returns the flexibility matrix, the redundants and the tip, junction
+    deflection and rotation."""
+    geometry = spec.geometry
+    ei = spec.material.young_modulus * (geometry.beam_thickness
+                                        * geometry.beam_width ** 3 / 12.0)
+    fields, lengths = unit_fields(geometry)
+    flex = _flexibility_matrix(spec)
     load = _public_load(spec)
-    redundants = solve_redundants(
-        (flex[0, 0], flex[1, 1], flex[2, 2], flex[1, 0], flex[2, 0], flex[2, 1]),
-        load.hot_elongation - load.cold_elongation)
+    redundants = np.linalg.solve(
+        flex, [load.hot_elongation - load.cold_elongation, 0.0, 0.0]).tolist()
     start = sum(x * field[0][0] for x, field in zip(redundants, fields))
     end = sum(x * field[0][1] for x, field in zip(redundants, fields))
     deflection = _simpson(lengths[0], start, end, lengths[0], 0.0) / ei
     rotation = _simpson(lengths[0], start, end, 1.0, 1.0) / ei
     tip = deflection + geometry.extension_length * rotation
-    return flex, (tip, deflection, rotation)
-
-
-def _entries(flex):
-    """The six distinct entries of a flexibility matrix as plain floats,
-    in the order ``solve_redundants`` takes them."""
-    return tuple(flex[i, j].item()
-                 for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)))
+    return flex, redundants, (tip, deflection, rotation)
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +185,7 @@ def test_flexibility_entries_against_closed_integrals(flex):
 
 def test_flexibility_against_midpoint_quadrature(table, flex):
     """Brute-force the virtual-work integrals with 200 000 midpoint
-    slices per member; the closed product rule must agree to 1e-9 on
+    slices per member; the statics table by Simpson must agree to 1e-9 on
     each entry."""
     fields, lengths = table
     slices = 200_000
@@ -236,59 +227,60 @@ def _random_frames():
         yield ActuatorSpec(geometry=geometry, material=material)
 
 
-def _random_frame_flexibilities():
+def _solved_random_frames():
+    """The criterion 9 frames that ``simulate`` solves, with their
+    solutions: the few that turn past the small-angle limit at the
+    default drive are left out."""
     for spec in _random_frames():
-        yield _flexibility_matrix(spec)
+        try:
+            yield spec, simulate(spec)
+        except SmallAngleError:
+            continue
+
+
+def _equilibrated_error(flex, got, expected):
+    """|S^-1 (got - expected)| / |S^-1 expected| with S = diag(flex)^-1/2."""
+    root = np.sqrt(np.diag(flex))
+    return float(np.linalg.norm((np.asarray(got) - expected) * root)
+                 / np.linalg.norm(np.asarray(expected) * root))
 
 
 def test_flexibility_is_reciprocal_to_the_bit():
-    """Production forms six entries and mirrors them, which assumes
-    reciprocity.  The statics table forms all nine on its own, and on
-    the criterion 9 frames F_ij and F_ji come out as one float."""
+    """The closed form solves a symmetric system, which assumes
+    reciprocity.  The statics table forms all nine entries on its own,
+    and on the criterion 9 frames F_ij and F_ji come out as one float."""
     asymmetric = sum(not np.array_equal(reference, reference.T)
-                     for reference, _ in map(_table_route, _random_frames()))
+                     for reference in map(_flexibility_matrix, _random_frames()))
     assert asymmetric == 0
 
 
 def test_closed_form_matches_the_statics_table_route():
-    """Production's closed-form entries and moments against the route
-    through the statics table.  The flexibility agrees to 1e-13 on the
-    criterion 9 frames, measured in the equilibrated matrix S F S with
-    S = diag(F)^-1/2; on the 1278-point acceptance grid the tip, junction
-    deflection and rotation agree to 1e-12 relative, and the thermal
-    results, which the two routes share, to the bit."""
-    worst_flex = 0.0
-    for spec in _random_frames():
-        reference, _ = _table_route(spec)
-        scale = 1.0 / np.sqrt(np.diag(reference))
-        defect = (_flexibility_matrix(spec) - reference) \
-            * scale[:, None] * scale[None, :]
-        worst_flex = max(worst_flex, float(np.abs(defect).max()))
-    assert worst_flex <= 1.0e-13
-
+    """``simulate`` against the route through the statics table, on the
+    criterion 9 frames and the 1278-point acceptance grid: the tip,
+    junction deflection and rotation agree to 1e-12 relative, and the
+    thermal results, which the two routes share, to the bit."""
     worst_frame = 0.0
-    for hot_um in (500.0, 600.0, 750.0):
-        for ratio in np.linspace(0.1, 0.8, 71).tolist():
-            for gap_um in (5.0, 6.0, 7.0, 8.0, 9.0, 10.0):
-                spec = _spec(hot_um, ratio, gap_um)
-                ours = simulate(spec)
-                _, expected = _table_route(spec)
-                got = (ours.tip_deflection, ours.junction_deflection,
-                       ours.junction_rotation)
-                worst_frame = max(worst_frame, *(abs(a - b) / abs(b)
-                                                 for a, b in zip(got, expected)))
-                profile = solve_temperature_profile(spec)
-                assert ours.thermal_load == _public_load(spec)
-                assert ours.peak_temperature == temperature_at(
-                    profile, profile.path_length / 2.0)
+    grid = [_spec(hot_um, ratio, gap_um) for hot_um in (500.0, 600.0, 750.0)
+            for ratio in np.linspace(0.1, 0.8, 71).tolist()
+            for gap_um in (5.0, 6.0, 7.0, 8.0, 9.0, 10.0)]
+    for spec, ours in [*_solved_random_frames(), *((spec, simulate(spec)) for spec in grid)]:
+        _, _, expected = _table_route(spec)
+        got = (ours.tip_deflection, ours.junction_deflection, ours.junction_rotation)
+        worst_frame = max(worst_frame, *(abs(a - b) / abs(b)
+                                         for a, b in zip(got, expected)))
+        profile = solve_temperature_profile(spec)
+        assert ours.thermal_load == _public_load(spec)
+        assert ours.peak_temperature == temperature_at(
+            profile, profile.path_length / 2.0)
     assert worst_frame <= 1.0e-12
 
 
-def test_redundants_close_the_compatibility_system(flex):
-    """Backward-error check: the solved redundants satisfy each scalar
-    equation to within a tiny multiple of that equation's own terms."""
-    load = _public_load(default_spec())
-    x = solve_redundants(_entries(flex), load.hot_elongation - load.cold_elongation)
+def test_redundants_close_the_compatibility_system(flex, solution):
+    """Backward-error check: the reported redundants satisfy each scalar
+    equation of the statics table's system to within a tiny multiple of
+    that equation's own terms."""
+    load = solution.thermal_load
+    x = np.array(solution.redundants)
     rhs = np.array([load.hot_elongation - load.cold_elongation, 0.0, 0.0])
     residual = np.abs(rhs - flex @ x)
     scale = np.abs(flex) @ np.abs(x) + np.abs(rhs)
@@ -302,73 +294,141 @@ def test_redundant_magnitudes_are_sane(solution):
     assert abs(x3) < 1.0e-6      # and the couple is tiny (N m)
 
 
-def test_singular_and_indefinite_matrices_are_rejected():
-    load = 1.0e-9
-    with pytest.raises(FrameSingularError):
-        solve_redundants((0.0,) * 6, load)
-    indefinite = (1.0, 1.0, 1.0, 2.0, 0.0, 0.0)
-    with pytest.raises(FrameSingularError):
-        solve_redundants(indefinite, load)
-    with pytest.raises(FrameSingularError):
-        solve_redundants((float("nan"),) * 6, load)
-    zero_second_pivot = (1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
-    with pytest.raises(FrameSingularError, match="not positive definite"):
-        solve_redundants(zero_second_pivot, load)
-
-
 @pytest.mark.parametrize("hot,cold", [(np.inf, 0.0), (np.inf, np.inf),
                                       (np.nan, 0.0)])
-def test_a_non_finite_load_is_refused(flex, hot, cold):
+def test_a_non_finite_load_is_refused(monkeypatch, hot, cold):
+    """Whatever the thermal stage hands over, a differential that is not
+    finite is refused by name before the frame is solved."""
+    monkeypatch.setattr(thermomech, "_load_and_peak", lambda *point: (hot, cold, 0.0))
     with pytest.raises(FrameSingularError, match="^thermal load is not finite$"):
-        solve_redundants(_entries(flex), hot - cold)
+        simulate(default_spec())
 
 
-def test_a_zero_load_gives_exactly_zero_redundants(flex):
-    assert solve_redundants(_entries(flex), 2.5e-7 - 2.5e-7) == (0.0, 0.0, 0.0)
-
-
-def test_redundants_take_any_nested_sequence(flex):
-    """The six entries give a plain-float 3-tuple."""
-    redundants = solve_redundants(_entries(flex), 4.0e-7 - 1.0e-7)
-    assert type(redundants) is tuple
-    assert [type(x) for x in redundants] == [float] * 3
+def test_a_zero_load_gives_exactly_zero_redundants():
+    """Equal arms elongate alike, so the frame carries no load at all."""
+    still = simulate(ActuatorSpec(geometry=Geometry(hot_arm_length=500.0e-6,
+                                                    cold_arm_length=500.0e-6)))
+    assert still.thermal_load.hot_elongation == still.thermal_load.cold_elongation
+    assert still.redundants == (0.0, 0.0, 0.0)
+    assert still.moments == ((0.0, 0.0, 0.0),) * 3
 
 
 def test_solver_agrees_with_a_general_solve_on_random_frames():
-    """The frames of acceptance criterion 9: the equilibrated Cholesky
-    route matches an LU solve of the raw system to 1e-12, measured in
-    the equilibrated variables S^-1 x with S = diag(flex)^-1/2."""
-    rhs = np.array([1.0e-6, 0.0, 0.0])
+    """The frames of acceptance criterion 9: ``simulate``'s redundants
+    match an LU solve of the statics table's system to 1e-12, measured
+    in the equilibrated variables S^-1 x with S = diag(flex)^-1/2."""
     worst = 0.0
-    for flex in _random_frame_flexibilities():
-        root = np.sqrt(np.diag(flex))
-        ours = solve_redundants(_entries(flex), 1.0e-6) * root
-        reference = np.linalg.solve(flex, rhs) * root
-        worst = max(worst, float(np.linalg.norm(ours - reference)
-                                 / np.linalg.norm(reference)))
+    for spec, ours in _solved_random_frames():
+        flex, reference, _ = _table_route(spec)
+        worst = max(worst, _equilibrated_error(flex, ours.redundants, reference))
     assert worst <= 1.0e-12
 
 
+def _exact_frame(spec, delta):
+    """The frame solved in rational arithmetic from the float inputs:
+    L1, L2, g, the extension, w, t, E and the thermal differential
+    ``delta``.  The fields are ``unit_fields``' statics table written
+    out exactly (that helper works in floats).  The flexibility is the
+    exact virtual-work integral of each pair of them, solved by
+    cofactors, and the superposed moment on the hot arm with unit-load
+    virtual work there gives the junction response.  Returns the tip,
+    junction deflection, rotation and the three redundants, as
+    Fractions."""
+    geometry = spec.geometry
+    length1, length2, gap, extension, width, thickness, modulus = map(Fraction, (
+        geometry.hot_arm_length, geometry.cold_arm_length, geometry.gap,
+        geometry.extension_length, geometry.beam_width, geometry.beam_thickness,
+        spec.material.young_modulus))
+    ei = modulus * thickness * width ** 3 / 12
+    ea = modulus * width * thickness
+    lengths = (length1, gap, length2)
+    fields = (((gap, gap, 1), (gap, 0, 0), (0, 0, -1)),
+              ((length1 - length2, -length2, 0), (-length2, -length2, -1),
+               (-length2, 0, 0)),
+              ((1, 1, 0),) * 3)
+
+    def product(length, a_start, a_end, b_start, b_end):
+        return length * (2 * (a_start * b_start + a_end * b_end)
+                         + a_start * b_end + a_end * b_start) / 6
+
+    (a, d, e), (_, b, f), (_, _, c) = (
+        [sum(product(length, a0, a1, b0, b1) / ei + length * na * nb / ea
+             for (a0, a1, na), (b0, b1, nb), length in zip(fa, fb, lengths))
+         for fb in fields] for fa in fields)
+    cofactors = (b * c - f * f, e * f - d * c, d * f - b * e)
+    det = a * cofactors[0] + d * cofactors[1] + e * cofactors[2]
+    x0, x1, x2 = (Fraction(delta) * cofactor / det for cofactor in cofactors)
+    at_a = gap * x0 + (length1 - length2) * x1 + x2
+    at_b = gap * x0 - length2 * x1 + x2
+    deflection = product(length1, at_a, at_b, length1, 0) / ei
+    rotation = product(length1, at_a, at_b, 1, 1) / ei
+    return deflection + extension * rotation, deflection, rotation, x0, x1, x2
+
+
+def _delta(solution):
+    load = solution.thermal_load
+    return load.hot_elongation - load.cold_elongation
+
+
 def test_solver_agrees_with_an_exact_solve_on_random_frames():
-    """The frames of acceptance criterion 9 against a rational cofactor
-    solve of the same float entries: the solver's forward error is
-    within 1e-14 relative in the equilibrated variables S^-1 x."""
-    load = 1.0e-6
-    rhs = Fraction(load)
+    """The frames of acceptance criterion 9 against the rational solve of
+    their float inputs and ``simulate``'s own float load: the forward
+    error of the redundants is within 1e-14 relative in the equilibrated
+    variables S^-1 x."""
     worst = 0.0
-    for flex in _random_frame_flexibilities():
-        entries = _entries(flex)
-        a, b, c, d, e, f = map(Fraction, entries)
-        cofactors = (b * c - f * f, e * f - d * c, d * f - b * e)
-        det = a * cofactors[0] + d * cofactors[1] + e * cofactors[2]
-        ours = solve_redundants(entries, load)
-        error = exact = 0.0
-        for x, cofactor, diagonal in zip(ours, cofactors, entries[:3]):
-            reference = rhs * cofactor / det
-            error = math.hypot(error, math.sqrt(diagonal) * float(x - reference))
-            exact = math.hypot(exact, math.sqrt(diagonal) * float(reference))
-        worst = max(worst, error / exact)
+    for spec, ours in _solved_random_frames():
+        exact = [float(x) for x in _exact_frame(spec, _delta(ours))[3:]]
+        worst = max(worst, _equilibrated_error(_flexibility_matrix(spec),
+                                               ours.redundants, exact))
     assert worst <= 1.0e-14
+
+
+def test_closed_form_is_within_a_few_ulp_of_the_exact_frame():
+    """Seeded draws of the benchmark's single-point domain against the
+    rational solve: the tip, junction deflection and rotation are within
+    8 ulp (units of 2^-52, relative) of the exact frame, and the three
+    redundants within 16.  A solve that loses digits to the conditioning
+    of the flexibility matrix, as an equilibrated Cholesky does, reaches
+    about 100 ulp on the tip."""
+    rng = random.Random(8301)
+    worst = [0.0] * 6
+    for _ in range(1500):
+        spec = _domain(rng)
+        try:
+            solution = simulate(spec)
+        except SmallAngleError:
+            continue
+        if _delta(solution) == 0.0:
+            continue
+        got = (solution.tip_deflection, solution.junction_deflection,
+               solution.junction_rotation, *solution.redundants)
+        for i, (value, exact) in enumerate(zip(got, _exact_frame(spec, _delta(solution)))):
+            worst[i] = max(worst[i], float(abs(Fraction(value) - exact) / abs(exact))
+                           / 2.0 ** -52)
+    assert max(worst[:3]) <= 8.0, worst
+    assert max(worst[3:]) <= 16.0, worst
+
+
+def test_no_kept_tip_on_an_extreme_frame_is_wrong():
+    """Draws over many decades of every spec field: whatever frame
+    ``simulate`` does not refuse has a tip within 1e-2 of the rational
+    solve of its float inputs, and finite redundants.  An equilibrated
+    Cholesky solve keeps about one tip in ten here that is off by more."""
+    rng = random.Random(4243)
+    kept = 0
+    for i in range(2500):
+        build = _extreme(rng, i)
+        try:
+            solution = simulate(build())
+        except (ArithmeticError, ValueError, RuntimeError):
+            continue
+        kept += 1
+        spec = build()
+        exact = _exact_frame(spec, _delta(solution))[0]
+        tip = Fraction(solution.tip_deflection)
+        assert abs(tip - exact) <= abs(exact) / 100, spec
+        assert all(map(math.isfinite, solution.redundants)), spec
+    assert kept >= 1000
 
 
 def test_moment_field_is_continuous_at_the_joints(solution):
@@ -813,21 +873,22 @@ def test_an_unloaded_frame_stays_at_rest_without_a_factorisation():
 # float.hex of the closed form's tip, junction deflection, rotation,
 # three redundants, hot and cold elongations and peak temperature, on
 # the default device, the conduction-only branch and one point in the
-# benchmark's single-point ranges.  A rewrite of the solve or the
-# moment superposition that regroups no operation keeps these bits.
+# benchmark's single-point ranges.  A rewrite of the frame's
+# polynomials that regroups no operation keeps these bits; each field
+# is within 2 ulp of the exact solve of its float inputs.
 _PINNED_CLOSED_FORM = [
     (default_spec(),
-     ("0x1.b0f6accf0985ep-17", "0x1.65fb502e98055p-17", "0x1.c9a730d944c32p-5",
-      "0x1.1f3a15802df9ap-15", "-0x1.6b07ca93068eap-23", "-0x1.0ea23c7431e7dp-33",
+     ("0x1.b0f6accf09864p-17", "0x1.65fb502e9805bp-17", "0x1.c9a730d944c33p-5",
+      "0x1.1f3a15802df99p-15", "-0x1.6b07ca93068e6p-23", "-0x1.0ea23c7431e7bp-33",
       "0x1.f69df1c6ffd04p-22", "0x1.38164d4337cc1p-23", "0x1.48765170d8037p+8")),
     (_CONDUCTION_ONLY,
-     ("0x1.1144dac06cdfcp-16", "0x1.c3e30c801439fp-17", "0x1.20da1b419ac9dp-4",
-      "0x1.6a9262787caf9p-15", "-0x1.ca42915d26d2fp-23", "-0x1.55a03f6e55c6ap-33",
+     ("0x1.1144dac06cdfap-16", "0x1.c3e30c801439cp-17", "0x1.20da1b419ac9cp-4",
+      "0x1.6a9262787cafbp-15", "-0x1.ca42915d26d31p-23", "-0x1.55a03f6e55c6bp-33",
       "0x1.3b90845356fd0p-21", "0x1.834938ce3cdcep-23", "0x1.9a3e7063e7064p+8")),
     (dataclasses.replace(_spec(920.0, 0.15, 2.5, volts=6.5),
                          environment=Environment(convection_coefficient=5000.0)),
-     ("0x1.880939a0c03c7p-22", "0x1.f31d1ca64c246p-23", "0x1.b2cfdb4692b96p-9",
-      "0x1.1245bcf98f693p-17", "-0x1.8bf20d8805605p-27", "-0x1.018c3d1e0e262p-36",
+     ("0x1.880939a0c03aap-22", "0x1.f31d1ca64c20ap-23", "0x1.b2cfdb4692b98p-9",
+      "0x1.1245bcf98f695p-17", "-0x1.8bf20d880560dp-27", "-0x1.018c3d1e0e262p-36",
       "0x1.564305805cb03p-26", "0x1.fd029a1b6d2dbp-30", "0x1.cc1e5366cfef0p+4")),
 ]
 
