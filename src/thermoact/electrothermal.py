@@ -48,8 +48,8 @@ class TemperatureProfile:
     decay_parameter  1/m, reciprocal boundary-layer thickness
     source_plateau   C rise the mid-span approaches (inf when beta = 0)
     ambient          C
-    current_density  A/m^2
-    heating_rate     W/m^3, volumetric Joule source j^2 rho
+    heating_rate     W/m^3, volumetric Joule source j^2 rho of the
+                     current density j = V / (rho path_length)
     conductivity     W/(m C)
     regime           "convective" or "conduction-only"
     """
@@ -58,7 +58,6 @@ class TemperatureProfile:
     decay_parameter: float
     source_plateau: float
     ambient: float
-    current_density: float
     heating_rate: float
     conductivity: float
     regime: str
@@ -73,7 +72,7 @@ class ThermalLoad:
 
 
 def _fin(spec: ActuatorSpec, hot, cold, gap, volts):
-    """The fin's path length, j, q, m and source plateau at these arms, gap and volts."""
+    """The fin's path length, q, m and source plateau at these arms, gap and volts."""
     geo, mat = spec.geometry, spec.material
     w, h = geo.beam_width, geo.beam_thickness
     path = (hot + gap) + cold
@@ -81,18 +80,18 @@ def _fin(spec: ActuatorSpec, hot, cold, gap, volts):
     q = j * j * mat.resistivity
     loss = 2.0 * (h + w) * spec.environment.convection_coefficient
     m = math.sqrt(loss / (mat.thermal_conductivity * w * h))
-    return path, j, q, m, q * w * h / loss if loss > 0.0 else math.inf
+    return path, q, m, q * w * h / loss if loss > 0.0 else math.inf
 
 
 def solve_temperature_profile(spec: ActuatorSpec) -> TemperatureProfile:
     """Solve the fin equation for ``spec`` and return the closed form."""
     geo = spec.geometry
-    path, j, q, m, plateau = _fin(spec, geo.hot_arm_length, geo.cold_arm_length,
-                                  geo.gap, spec.drive.voltage)
+    path, q, m, plateau = _fin(spec, geo.hot_arm_length, geo.cold_arm_length,
+                               geo.gap, spec.drive.voltage)
     return TemperatureProfile(
         path_length=path, decay_parameter=m, source_plateau=plateau,
-        ambient=spec.environment.ambient_temperature, current_density=j,
-        heating_rate=q, conductivity=spec.material.thermal_conductivity,
+        ambient=spec.environment.ambient_temperature, heating_rate=q,
+        conductivity=spec.material.thermal_conductivity,
         regime="convective" if m * path >= PLATEAU_THRESHOLD else "conduction-only")
 
 
@@ -190,7 +189,7 @@ def _load_and_peak(spec: ActuatorSpec, hot, cold, gap, volts):
     floats from one scalar pass, with no profile record: the bits of
     ``alpha * rise_integral(profile, L)`` at each arm length L and of
     ``temperature_at``, which take floats."""
-    path, _, q, m, plateau = _fin(spec, hot, cold, gap, volts)
+    path, q, m, plateau = _fin(spec, hot, cold, gap, volts)
     mat, expm1 = spec.material, math.expm1
     shape = _shape(m * path >= PLATEAU_THRESHOLD, path, m, plateau, q,
                    mat.thermal_conductivity, expm1)

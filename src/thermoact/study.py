@@ -99,7 +99,7 @@ class SweepPlan:
 
     Construction checks every value and keeps each point's four floats,
     so an invalid point aborts before any simulation runs, naming the
-    offending value; ``specs`` builds the induced specs when read.
+    offending value.
     """
 
     base: ActuatorSpec
@@ -123,11 +123,6 @@ class SweepPlan:
                     [f"{self.parameter} = {value!r}: {d}" for d in exc.diagnostics]
                 ) from exc
         object.__setattr__(self, "_points", tuple(points))
-
-    @property
-    def specs(self) -> tuple[ActuatorSpec, ...]:
-        """The induced spec of every value, in plan order, built when read."""
-        return tuple(apply_parameter(self.base, self.parameter, v) for v in self.values)
 
 
 @dataclass(frozen=True)

@@ -51,22 +51,20 @@ class SmallAngleError(RuntimeError):
 
 @dataclass(frozen=True)
 class FrameSolution:
-    """Everything the studies need from one operating point.
+    """The outputs of ``simulate`` at one operating point.
 
     Displacements in metres, rotation in radians, temperatures in C,
     deflections positive toward the cold arm.  ``redundants`` is the
     3-tuple of anchor actions at the released cold-arm support: force
     along the arm (N), transverse force (N), couple (N m), in closed form
-    over the same denominator as the junction motion.  ``moments``
-    is a 3x3 tuple of tuples of the superposed internal actions on the
-    release path, rows AB, BC, CD and columns moment at the start,
-    moment at the end (N m), axial force (N); the extension BJ carries
-    no load and has no row.
+    over the same denominator as the junction motion.  The internal
+    moments follow from them by statics: gap x0 + (L1 - L2) x1 + x2 at
+    the hot anchor A, gap x0 - L2 x1 + x2 at the junction B and
+    x2 - L2 x1 at C.
     """
 
     thermal_load: ThermalLoad
     redundants: tuple[float, float, float]
-    moments: tuple[tuple[float, float, float], ...]
     junction_deflection: float
     junction_rotation: float
     tip_deflection: float
@@ -90,8 +88,8 @@ def _solve_point(spec: ActuatorSpec, length1, length2, gap, volts):
     """One operating point of ``spec`` at hot arm ``length1``, cold arm
     ``length2``, ``gap`` and ``volts``, as a flat tuple of floats: tip,
     junction deflection and rotation, hot and cold elongation and peak
-    temperature (a sweep record's order), then the redundants x0, x1, x2
-    and the moments at A, B and C.
+    temperature (a sweep record's order), then the redundants x0, x1
+    and x2.
 
     Compatibility at the released anchor D is F x = (delta, 0, 0), delta
     the hot minus the cold arm's free elongation.  Unit redundant i at D
@@ -105,9 +103,8 @@ def _solve_point(spec: ActuatorSpec, length1, length2, gap, volts):
     one denominator Q, the junction deflection is 3 delta y D / (2 Q),
     the rotation 3 delta y R / (2 Q L1) and, with
     F0 = 3 k EA delta / (L1 Q), the redundants are F0 N0,
-    3 F0 y (r - 1) (r y + 2 r + y) and -F0 g N2.  The moments follow
-    from the redundants by statics, and the rigid extension carries the
-    junction motion to the tip.
+    3 F0 y (r - 1) (r y + 2 r + y) and -F0 g N2.  The rigid extension
+    carries the junction motion to the tip.
 
     Every term of Q, D, R, N0 and N2 is non-negative for 0 < r <= 1, so
     each output carries a few ulp of relative error, however
@@ -164,11 +161,8 @@ def _solve_point(spec: ActuatorSpec, length1, length2, gap, volts):
     x2 = -axial * gap * (k * n2 / q)
     if not all(map(math.isfinite, (x0, x1, x2))):
         raise FrameSingularError("redundants are not finite")
-    at_a = gap * x0 + (length1 - length2) * x1 + x2
-    at_b = gap * x0 - length2 * x1 + x2
-    at_c = x2 - length2 * x1
     return (deflection + geometry.extension_length * rotation, deflection,
-            rotation, hot, cold, peak, x0, x1, x2, at_a, at_b, at_c)
+            rotation, hot, cold, peak, x0, x1, x2)
 
 
 def simulate(spec: ActuatorSpec) -> FrameSolution:
@@ -176,12 +170,11 @@ def simulate(spec: ActuatorSpec) -> FrameSolution:
     scalar pass over the fin's closed form, then redundants and tip
     sweep, as ``_solve_point`` computes and refuses them, in records."""
     g = spec.geometry
-    tip, deflection, rotation, hot, cold, peak, x0, x1, x2, at_a, at_b, at_c = _solve_point(
+    tip, deflection, rotation, hot, cold, peak, x0, x1, x2 = _solve_point(
         spec, g.hot_arm_length, g.cold_arm_length, g.gap, spec.drive.voltage)
     return FrameSolution(
         thermal_load=ThermalLoad(hot, cold),
         redundants=(x0, x1, x2),
-        moments=((at_a, at_b, x0), (at_b, at_c, -x1), (at_c, x2, -x0)),
         junction_deflection=deflection,
         junction_rotation=rotation,
         tip_deflection=tip,

@@ -221,8 +221,11 @@ NON_FINITE_LOADS = {"infinite-load": "drive.voltage = 1e200",
     ("validate", NON_FINITE_LOADS["infinite-load"],
      "error: thermal load is not finite"),
     ("validate", NON_FINITE_LOADS["nan-load"], "error: thermal load is not finite"),
+    ("simulate", "drive.voltage = 1e-154", "error: junction response underflows\n"),
+    ("simulate", "material.young_modulus = 1e300\ngeometry.beam_thickness = 1e25",
+     "error: redundants are not finite\n"),
 ], ids=["overflow", "zero-width", "zero-conductivity", "infinite-load", "nan-load",
-        "infinite-load-validate", "nan-load-validate"])
+        "infinite-load-validate", "nan-load-validate", "underflow", "infinite-redundants"])
 def test_extreme_accepted_input_is_a_solver_error(tmp_path, capsys, command, line,
                                                   message):
     """Values the validator accepts but the arithmetic cannot carry end

@@ -45,15 +45,19 @@ def _adaptive_trapezoid(f, a, b, tol):
 
 
 def test_current_density_against_hand_calculation():
+    """The profile reports the drive as its Joule source j^2 rho; both
+    hand routes to the current density j must give it."""
     spec = default_spec()
-    j = solve_temperature_profile(spec).current_density
+    q = solve_temperature_profile(spec).heating_rate
     # route 1: voltage over resistivity times path length
     path = (750.0 + 5.0 + 345.0) * 1.0e-6
-    assert j == pytest.approx(8.0 / (5.0e-4 * path), rel=1.0e-12)
+    j = 8.0 / (5.0e-4 * path)
+    assert q == pytest.approx(j * j * 5.0e-4, rel=1.0e-12)
     # route 2: through the loop resistance and cross-section
     area = 2.8e-6 * 2.0e-6
     resistance = 5.0e-4 * path / area
-    assert j == pytest.approx(8.0 / resistance / area, rel=1.0e-12)
+    j = 8.0 / resistance / area
+    assert q == pytest.approx(j * j * 5.0e-4, rel=1.0e-12)
 
 
 def test_profile_reports_the_convective_regime_by_default():

@@ -212,14 +212,12 @@ def test_plan_rejects_values_that_break_the_spec():
 
 
 def test_plan_specs_are_built_when_read():
-    """``specs`` is a read-only property, not a stored field: the specs
-    ``apply_parameter`` induces, in plan order; the plan stays a frozen,
-    picklable record equal by base, parameter and values."""
+    """A plan keeps no specs, as a field or an attribute: a point's spec
+    is ``apply_parameter``'s to build.  The plan is a frozen, picklable
+    record equal by base, parameter and values."""
     values = (300.0e-6, 500.0e-6, 700.0e-6)
     plan = SweepPlan(base=_OFF_DEFAULT, parameter="hot_arm_length", values=values)
-    assert plan.specs == tuple(apply_parameter(_OFF_DEFAULT, "hot_arm_length", v)
-                               for v in values)
-    assert "specs" not in vars(plan)
+    assert not hasattr(plan, "specs")
     assert "specs" not in {f.name for f in dataclasses.fields(plan)}
     for name, value in (("specs", ()), ("values", ())):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -231,7 +229,7 @@ def test_plan_specs_are_built_when_read():
     assert repr(plan) == (f"SweepPlan(base={_OFF_DEFAULT!r}, "
                           f"parameter='hot_arm_length', values={values!r})")
     for clone in (pickle.loads(pickle.dumps(plan)), copy.deepcopy(plan)):
-        assert clone == plan and clone.specs == plan.specs
+        assert clone == plan and clone._points == plan._points
         assert run_sweep(clone) == run_sweep(plan)
     with pytest.raises(InvalidSpecError) as err:
         SweepPlan(base=_OFF_DEFAULT, parameter="hot_arm_length",
@@ -387,8 +385,8 @@ def test_sweeps_keep_every_bit_of_the_simulate_route():
             for plan in plans:
                 ours = _outcome(lambda: run_sweep(plan).records)
                 reference = _outcome(lambda: tuple(
-                    _simulate_record(value, simulate(spec))
-                    for value, spec in zip(plan.values, plan.specs)))
+                    _simulate_record(v, simulate(apply_parameter(base, parameter, v)))
+                    for v in plan.values))
                 assert ours == reference, (base, parameter, plan.values)
                 if ours[0] == "refused":
                     refusals.add(ours[1])

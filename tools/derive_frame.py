@@ -56,9 +56,9 @@ def derive():
         for (a0, a1, na), (b0, b1, nb), length in zip(fields[i], fields[j], lengths)))
     det = flex.det()
     x0, x1, x2 = (sp.cancel(delta * cofactor / det) for cofactor in flex.adjugate()[:, 0])
+    # The moments at A and B, by statics, carry the virtual work.
     at_a = g * x0 + (L1 - L2) * x1 + x2
     at_b = g * x0 - L2 * x1 + x2
-    at_c = x2 - L2 * x1
     deflection = sp.cancel(product(L1, at_a, at_b, L1, 0) / EI)
     rotation = sp.cancel(product(L1, at_a, at_b, 1, 1) / EI)
 
@@ -73,7 +73,7 @@ def derive():
         n2=sp.cancel(-x2 / (scale * g)),
     )
     outputs = (deflection + ext * rotation, deflection, rotation, hot, cold,
-               sp.Symbol("peak"), x0, x1, x2, at_a, at_b, at_c)
+               sp.Symbol("peak"), x0, x1, x2)
     return polynomials, outputs
 
 
@@ -119,10 +119,11 @@ def main():
     # The transverse redundant's factor is checked with the outputs.
     failures = [name for name, polynomial in polynomials.items()
                 if name in kernel and sp.expand(kernel[name] - polynomial) != 0]
-    names = ("tip", "deflection", "rotation", "hot", "cold", "peak",
-             "x0", "x1", "x2", "at_a", "at_b", "at_c")
+    names = ("tip", "deflection", "rotation", "hot", "cold", "peak", "x0", "x1", "x2")
     failures += [name for name, got, expected in zip(names, kernel["result"], outputs)
                  if sp.cancel(got - expected) != 0]
+    if len(kernel["result"]) != len(names):
+        failures.append(f"{len(kernel['result'])} outputs, not {len(names)}")
     if failures:
         print("kernel disagrees with the derivation:", ", ".join(failures))
         return 1
