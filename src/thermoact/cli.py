@@ -108,7 +108,7 @@ def _cmd_simulate(spec: ActuatorSpec, args) -> int:
         spec = apply_parameter(spec, "voltage", args.voltage)
     table = run_sweep(SweepPlan(base=spec, parameter="voltage",
                                 values=(spec.drive.voltage,)))
-    cells = next(_rows(table))[2:]
+    cells = next(_rows(table)).split(",")[2:]
     for (name, unit), cell in zip(_REPORT_FIELDS, cells):
         print(f"{name} = {cell} {unit}")
     if args.out:

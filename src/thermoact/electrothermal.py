@@ -71,23 +71,34 @@ class ThermalLoad:
     cold_elongation: float
 
 
-def _fin(spec: ActuatorSpec, hot, cold, gap, volts):
-    """The fin's path length, q, m and source plateau at these arms, gap and volts."""
+def _constants(spec: ActuatorSpec):
+    """What every point of ``spec`` shares: rho, w, h, h + w, beta, k w,
+    k, alpha, ambient, E, w h and the extension.  None can raise, even on
+    int fields; 2 (h + w) beta, k w h and E w h can, so each point forms
+    them in their places."""
     geo, mat = spec.geometry, spec.material
-    w, h = geo.beam_width, geo.beam_thickness
+    w, h, k = geo.beam_width, geo.beam_thickness, mat.thermal_conductivity
+    return (mat.resistivity, w, h, h + w, spec.environment.convection_coefficient,
+            k * w, k, mat.expansion_coefficient, spec.environment.ambient_temperature,
+            mat.young_modulus, w * h, geo.extension_length)
+
+
+def _fin(c, hot, cold, gap, volts):
+    """The fin's path length, q, m and source plateau at these arms, gap and volts."""
+    rho, w, h, hw, beta, kw, conductivity, alpha, ambient, young, wh, ext = c
     path = (hot + gap) + cold
-    j = volts / (mat.resistivity * path)
-    q = j * j * mat.resistivity
-    loss = 2.0 * (h + w) * spec.environment.convection_coefficient
-    m = math.sqrt(loss / (mat.thermal_conductivity * w * h))
+    j = volts / (rho * path)
+    q = j * j * rho
+    loss = 2.0 * hw * beta
+    m = math.sqrt(loss / (kw * h))
     return path, q, m, q * w * h / loss if loss > 0.0 else math.inf
 
 
 def solve_temperature_profile(spec: ActuatorSpec) -> TemperatureProfile:
     """Solve the fin equation for ``spec`` and return the closed form."""
     geo = spec.geometry
-    path, q, m, plateau = _fin(spec, geo.hot_arm_length, geo.cold_arm_length,
-                               geo.gap, spec.drive.voltage)
+    path, q, m, plateau = _fin(_constants(spec), geo.hot_arm_length,
+                               geo.cold_arm_length, geo.gap, spec.drive.voltage)
     return TemperatureProfile(
         path_length=path, decay_parameter=m, source_plateau=plateau,
         ambient=spec.environment.ambient_temperature, heating_rate=q,
@@ -183,20 +194,20 @@ def rise_integral(profile: TemperatureProfile, upto) -> float:
     return _result(_integral(shape, xi, expm1))
 
 
-def _load_and_peak(spec: ActuatorSpec, hot, cold, gap, volts):
+def _load_and_peak(c, hot, cold, gap, volts):
     """The hot and cold arm elongations (m) and the mid-span (peak)
-    temperature (C) of ``spec`` at these arms, gap and volts as three
-    floats from one scalar pass, with no profile record: the bits of
-    ``alpha * rise_integral(profile, L)`` at each arm length L and of
-    ``temperature_at``, which take floats."""
-    path, q, m, plateau = _fin(spec, hot, cold, gap, volts)
-    mat, expm1 = spec.material, math.expm1
+    temperature (C) of the spec with ``_constants`` ``c`` at these arms,
+    gap and volts as three floats from one scalar pass, with no profile
+    record: the bits of ``alpha * rise_integral(profile, L)`` at each arm
+    length L and of ``temperature_at``, which take floats."""
+    path, q, m, plateau = _fin(c, hot, cold, gap, volts)
+    rho, w, h, hw, beta, kw, conductivity, alpha, ambient, young, wh, ext = c
+    expm1 = math.expm1
     shape = _shape(m * path >= PLATEAU_THRESHOLD, path, m, plateau, q,
-                   mat.thermal_conductivity, expm1)
-    alpha = mat.expansion_coefficient
+                   conductivity, expm1)
     return (alpha * _integral(shape, float(hot), expm1),
             alpha * _integral(shape, float(cold), expm1),
-            spec.environment.ambient_temperature + _rise(shape, path / 2.0, expm1))
+            ambient + _rise(shape, path / 2.0, expm1))
 
 
 def fd_temperature_oracle(spec: ActuatorSpec, nodes: int = 4097):

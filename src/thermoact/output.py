@@ -19,31 +19,23 @@ _REPORT_FIELDS = (("tip_deflection", "um"), ("junction_deflection", "um"),
                   ("cold_elongation", "um"), ("peak_temperature", "C"))
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".9g")
-
-
 def _rows(table: SweepTable):
+    """Each record's CSV line, formatted by one ``%`` on the table's
+    template: the parameter name, then seven ``.9g`` floats."""
     param = table.plan.parameter
     scale = DISPLAY_UNITS[param][1]
+    template = param + "," + ",".join(["%.9g"] * 7)
     for rec in table.records:
-        yield (
-            param,
-            _fmt(rec.value / scale),
-            _fmt(rec.tip_deflection / _MICRO),
-            _fmt(rec.junction_deflection / _MICRO),
-            _fmt(rec.junction_rotation * 1.0e3),
-            _fmt(rec.hot_elongation / _MICRO),
-            _fmt(rec.cold_elongation / _MICRO),
-            _fmt(rec.peak_temperature),
-        )
+        yield template % (rec.value / scale, rec.tip_deflection / _MICRO,
+                          rec.junction_deflection / _MICRO, rec.junction_rotation * 1.0e3,
+                          rec.hot_elongation / _MICRO, rec.cold_elongation / _MICRO,
+                          rec.peak_temperature)
 
 
 def sweep_csv(table: SweepTable) -> str:
     """Render a sweep as CSV text, one row per operating point.  No
     cell, a parameter name or a ``.9g`` float, ever needs quoting."""
-    lines = [",".join(CSV_COLUMNS), *map(",".join, _rows(table))]
-    return "\n".join(lines) + "\n"
+    return "\n".join([",".join(CSV_COLUMNS), *_rows(table)]) + "\n"
 
 
 def sweep_chart_svg(table: SweepTable) -> str:
@@ -75,7 +67,7 @@ def sweep_chart_svg(table: SweepTable) -> str:
     def py(y):
         return height - bottom - (y - y_lo) / (y_hi - y_lo) * plot_h
 
-    points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+    points = " ".join("%.2f,%.2f" % (px(x), py(y)) for x, y in zip(xs, ys))
     axis_y = height - bottom
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -88,13 +80,13 @@ def sweep_chart_svg(table: SweepTable) -> str:
         f'<polyline fill="none" stroke="#1050a0" stroke-width="1.5" '
         f'points="{points}"/>',
         f'<text x="{left}" y="{axis_y + 18:.0f}" font-size="12" '
-        f'text-anchor="middle">{_fmt(min(xs))}</text>',
+        f'text-anchor="middle">{min(xs):.9g}</text>',
         f'<text x="{width - right}" y="{axis_y + 18:.0f}" font-size="12" '
-        f'text-anchor="middle">{_fmt(max(xs))}</text>',
+        f'text-anchor="middle">{max(xs):.9g}</text>',
         f'<text x="{left - 6}" y="{axis_y + 4:.0f}" font-size="12" '
-        f'text-anchor="end">{_fmt(min(ys))}</text>',
+        f'text-anchor="end">{min(ys):.9g}</text>',
         f'<text x="{left - 6}" y="{top + 4:.0f}" font-size="12" '
-        f'text-anchor="end">{_fmt(max(ys))}</text>',
+        f'text-anchor="end">{max(ys):.9g}</text>',
         f'<text x="{left + plot_w / 2:.0f}" y="{height - 20}" font-size="13" '
         f'text-anchor="middle">{x_label}</text>',
         '<text x="8" y="16" font-size="13">tip deflection [um]</text>',

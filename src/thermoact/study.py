@@ -11,9 +11,9 @@ parameters and their meanings:
                   base length ratio is preserved
 
 Each study draws every number from ``simulate``'s scalar kernel
-``thermomech._solve_point``, given the base spec and each point's four
-floats; no approximation or surrogate is introduced at this level, so
-study output inherits the pipeline's validation status unchanged.
+``thermomech._solve_point``, given the base's constants, formed once
+per study, and each point's four floats; nothing is approximated here,
+so study output inherits the pipeline's validation status unchanged.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .electrothermal import _constants
 from .model import ActuatorSpec, Drive, Geometry, InvalidSpecError
 from .thermomech import _solve_point
 
@@ -147,10 +148,11 @@ class SweepTable:
 
 
 def run_sweep(plan: SweepPlan) -> SweepTable:
-    """Solve every point of the plan, in order, from its base spec and
-    four floats into a record of ``_solve_point``'s first six floats,
-    ``simulate``'s bits."""
-    records = tuple(SweepRecord(value, *_solve_point(plan.base, *point)[:6])
+    """Solve every point of the plan, in order, from its base spec's
+    constants and four floats into a record of ``_solve_point``'s first
+    six floats, ``simulate``'s bits."""
+    c = _constants(plan.base)
+    records = tuple(SweepRecord(value, *_solve_point(c, *point)[:6])
                     for value, point in zip(plan.values, plan._points))
     return SweepTable(plan=plan, records=records)
 
@@ -211,14 +213,15 @@ def find_optimal_ratio(base: ActuatorSpec, grid: int = 71) -> OptimumReport:
     non-unimodal scan is reported with the corresponding flag instead of
     refined blindly; any grid ratio ``simulate`` refuses aborts the scan.
     The objective is the tip, the first float of ``_solve_point``'s tuple
-    on the base spec and the ratio's four floats, with no spec per ratio.
+    on the base's constants and the ratio's four floats: no spec per ratio.
     """
     if grid < 3:
         raise ValueError("grid must have at least 3 points")
     ratios = _linspace(*RATIO_RANGE, grid)
+    c = _constants(base)
 
     def objective(ratio: float) -> float:
-        return _solve_point(base, *_point(base, "ratio", ratio))[0]
+        return _solve_point(c, *_point(base, "ratio", ratio))[0]
 
     deflections = [objective(r) for r in ratios]
     low = min(deflections)

@@ -29,7 +29,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .electrothermal import (ThermalLoad, _load_and_peak, rise_integral,
+from .electrothermal import (ThermalLoad, _constants, _load_and_peak, rise_integral,
                              solve_temperature_profile)
 from .model import ActuatorSpec
 
@@ -37,7 +37,7 @@ from .model import ActuatorSpec
 # lever arm, so the solution refuses to report one.
 SMALL_ANGLE_LIMIT = 0.1
 # The smallest normal float: below it, a ratio has lost digits.
-_NORMAL = sys.float_info.min
+_NORMAL, _INF = sys.float_info.min, math.inf
 
 
 class FrameSingularError(ArithmeticError):
@@ -84,12 +84,13 @@ class StiffnessResult:
     elements_per_member: int
 
 
-def _solve_point(spec: ActuatorSpec, length1, length2, gap, volts):
-    """One operating point of ``spec`` at hot arm ``length1``, cold arm
-    ``length2``, ``gap`` and ``volts``, as a flat tuple of floats: tip,
-    junction deflection and rotation, hot and cold elongation and peak
-    temperature (a sweep record's order), then the redundants x0, x1
-    and x2.
+def _solve_point(c, length1, length2, gap, volts):
+    """One operating point of the spec with ``_constants`` ``c`` (rho, w,
+    h, h + w, beta, k w, conductivity, alpha, ambient, E, w h, extension)
+    at hot arm ``length1``, cold arm ``length2``, ``gap`` and ``volts``,
+    as a flat tuple of floats: tip, junction deflection and rotation, hot
+    and cold elongation and peak temperature (a sweep record's order),
+    then the redundants x0, x1 and x2.
 
     Compatibility at the released anchor D is F x = (delta, 0, 0), delta
     the hot minus the cold arm's free elongation.  Unit redundant i at D
@@ -116,13 +117,13 @@ def _solve_point(spec: ActuatorSpec, length1, length2, gap, volts):
     nonzero load; SmallAngleError a rotation past the small-angle limit;
     FrameSingularError redundants that are not finite.
     """
-    geometry = spec.geometry
-    hot, cold, peak = _load_and_peak(spec, length1, length2, gap, volts)
+    rho, w, h, hw, beta, kw, conductivity, alpha, ambient, young, wh, ext = c
+    hot, cold, peak = _load_and_peak(c, length1, length2, gap, volts)
     delta = hot - cold
     if not math.isfinite(delta):
         raise FrameSingularError("thermal load is not finite")
 
-    r, y, s = length2 / length1, gap / length1, geometry.beam_width / length1
+    r, y, s = length2 / length1, gap / length1, w / length1
     k = s * s / 12.0
     r2, y2 = r * r, y * y
     r3, ry = r2 * r, r * y
@@ -141,7 +142,8 @@ def _solve_point(spec: ActuatorSpec, length1, length2, gap, volts):
           + r4 + 4.0 * r3 * y + 4.0 * y)
     n2 = (6.0 * ky * y + 12.0 * ky + y * (2.0 + r * (3.0 - r2)) + 1.0
           + r2 * (3.0 - 2.0 * r))
-    if not all(_NORMAL <= value < math.inf for value in (y, q, d, rr, n0, n2)):
+    if not (_NORMAL <= y < _INF and _NORMAL <= q < _INF and _NORMAL <= d < _INF
+            and _NORMAL <= rr < _INF and _NORMAL <= n0 < _INF and _NORMAL <= n2 < _INF):
         raise FrameSingularError("frame gain is out of the float range")
 
     half = 1.5 * delta
@@ -154,14 +156,13 @@ def _solve_point(spec: ActuatorSpec, length1, length2, gap, volts):
             f"junction rotation {rotation:.4f} rad exceeds the "
             f"small-angle limit {SMALL_ANGLE_LIMIT}")
 
-    axial = spec.material.young_modulus * (geometry.beam_width * geometry.beam_thickness) \
-        * (3.0 * delta / length1)
+    axial = young * wh * (3.0 * delta / length1)
     x0 = axial * (k * n0 / q)
     x1 = 3.0 * axial * (ky * (r - 1.0) * (ry + 2.0 * r + y) / q)
     x2 = -axial * gap * (k * n2 / q)
-    if not all(map(math.isfinite, (x0, x1, x2))):
+    if not (-_INF < x0 < _INF and -_INF < x1 < _INF and -_INF < x2 < _INF):
         raise FrameSingularError("redundants are not finite")
-    return (deflection + geometry.extension_length * rotation, deflection,
+    return (deflection + ext * rotation, deflection,
             rotation, hot, cold, peak, x0, x1, x2)
 
 
@@ -171,7 +172,7 @@ def simulate(spec: ActuatorSpec) -> FrameSolution:
     sweep, as ``_solve_point`` computes and refuses them, in records."""
     g = spec.geometry
     tip, deflection, rotation, hot, cold, peak, x0, x1, x2 = _solve_point(
-        spec, g.hot_arm_length, g.cold_arm_length, g.gap, spec.drive.voltage)
+        _constants(spec), g.hot_arm_length, g.cold_arm_length, g.gap, spec.drive.voltage)
     return FrameSolution(
         thermal_load=ThermalLoad(hot, cold),
         redundants=(x0, x1, x2),

@@ -3,13 +3,16 @@ import csv
 import io
 import math
 import os
+import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import thermoact.output as output
+from thermoact.config import _MICRO, DISPLAY_UNITS
 from thermoact.model import default_spec
-from thermoact.output import CSV_COLUMNS, _rows, sweep_chart_svg, sweep_csv
+from thermoact.output import CSV_COLUMNS, sweep_chart_svg, sweep_csv
 from thermoact.study import (PARAMETERS, SweepPlan, SweepRecord, SweepTable,
                              apply_parameter, run_sweep)
 
@@ -54,12 +57,32 @@ _ODD_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5.0e-324, -1.0e-310,
 
 
 def _writer_csv(table):
-    """The sweep CSV as ``csv.writer`` renders it, with quoting."""
+    """The sweep CSV as ``csv.writer`` renders it, with quoting, from
+    cells formatted here one by one with ``format(v, ".9g")``."""
+    param = table.plan.parameter
+    scale = DISPLAY_UNITS[param][1]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    writer.writerows(_rows(table))
+    for rec in table.records:
+        writer.writerow([param] + [format(v, ".9g") for v in (
+            rec.value / scale, rec.tip_deflection / _MICRO,
+            rec.junction_deflection / _MICRO, rec.junction_rotation * 1.0e3,
+            rec.hot_elongation / _MICRO, rec.cold_elongation / _MICRO,
+            rec.peak_temperature)])
     return buf.getvalue()
+
+
+def _tables(parameter):
+    """A real sweep of ``parameter``, then a table on the same plan whose
+    records hold every odd float in every field."""
+    values = {"voltage": (0.0, 8.0), "ratio": (0.1, 0.8), "gap": (2.0e-6, 9.0e-6),
+              "hot_arm_length": (3.0e-4, 1.0e-3)}[parameter]
+    plan = SweepPlan(base=default_spec(), parameter=parameter, values=values)
+    n = len(_ODD_FLOATS)
+    odd = tuple(SweepRecord(*(_ODD_FLOATS[(i + k) % n] for k in range(7)))
+                for i in range(n))
+    return run_sweep(plan), SweepTable(plan=plan, records=odd)
 
 
 @pytest.mark.parametrize("parameter", PARAMETERS)
@@ -67,16 +90,105 @@ def test_csv_is_what_the_csv_writer_writes(parameter):
     """No parameter name and no ``.9g`` cell needs quoting, so joining
     the cells gives the writer's bytes: on real sweeps, on every odd
     float in every field and on a table with no records."""
-    base = default_spec()
-    values = {"voltage": (0.0, 8.0), "ratio": (0.1, 0.8), "gap": (2.0e-6, 9.0e-6),
-              "hot_arm_length": (3.0e-4, 1.0e-3)}[parameter]
-    plan = SweepPlan(base=base, parameter=parameter, values=values)
-    n = len(_ODD_FLOATS)
-    odd = tuple(SweepRecord(*(_ODD_FLOATS[(i + k) % n] for k in range(7)))
-                for i in range(n))
-    for records in (run_sweep(plan).records, odd, ()):
-        table = SweepTable(plan=plan, records=records)
+    real, odd = _tables(parameter)
+    for table in (real, odd, SweepTable(plan=real.plan, records=())):
         assert sweep_csv(table) == _writer_csv(table)
+
+
+def test_percent_formatting_is_format():
+    """The CSV template and the chart's points use ``%``; on floats it
+    gives the bytes ``format`` gives, to 9 significant digits and to 2
+    decimals: on the odd floats, then on a seeded sample, half uniform
+    bit patterns (nan payloads, subnormals, every exponent) and half
+    log-uniform magnitudes of either sign from 5e-324 to 1e308."""
+    rng = random.Random(2323)
+    floats = list(_ODD_FLOATS) + [-1.0e308, 1.0e-320, -5.0e-324]
+    for i in range(100_000):
+        if i % 2:
+            floats.append(struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0])
+        else:
+            floats.append(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-323.3, 308.0))
+    assert sum(v != v for v in floats) > 10
+    assert sum(0.0 < abs(v) < 2.3e-308 for v in floats) > 1000
+    assert [v for v in floats if "%.9g" % v != format(v, ".9g")] == []
+    assert [v for v in floats if "%.2f" % v != format(v, ".2f")] == []
+
+
+def _f_string_chart(table):
+    """``sweep_chart_svg`` as it was with one f-string per point and
+    ``format`` for the labels, kept here as the reference."""
+    param = table.plan.parameter
+    unit, scale = DISPLAY_UNITS[param]
+    xs = [rec.value / scale for rec in table.records]
+    ys = [rec.tip_deflection / _MICRO for rec in table.records]
+    x_label = f"{param} [{unit}]" if unit else param
+    width, height = 800, 600
+    left, right, top, bottom = 80.0, 24.0, 24.0, 64.0
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(ys), max(ys)
+    if x_hi == x_lo:
+        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+    if y_hi == y_lo:
+        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    plot_w = width - left - right
+    plot_h = height - top - bottom
+
+    def px(x):
+        return left + (x - x_lo) / (x_hi - x_lo) * plot_w
+
+    def py(y):
+        return height - bottom - (y - y_lo) / (y_hi - y_lo) * plot_h
+
+    def fmt(value):
+        return format(value, ".9g")
+
+    points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+    axis_y = height - bottom
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<line x1="{left}" y1="{axis_y}" x2="{width - right}" y2="{axis_y}" '
+        'stroke="black"/>',
+        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{axis_y}" '
+        'stroke="black"/>',
+        f'<polyline fill="none" stroke="#1050a0" stroke-width="1.5" '
+        f'points="{points}"/>',
+        f'<text x="{left}" y="{axis_y + 18:.0f}" font-size="12" '
+        f'text-anchor="middle">{fmt(min(xs))}</text>',
+        f'<text x="{width - right}" y="{axis_y + 18:.0f}" font-size="12" '
+        f'text-anchor="middle">{fmt(max(xs))}</text>',
+        f'<text x="{left - 6}" y="{axis_y + 4:.0f}" font-size="12" '
+        f'text-anchor="end">{fmt(min(ys))}</text>',
+        f'<text x="{left - 6}" y="{top + 4:.0f}" font-size="12" '
+        f'text-anchor="end">{fmt(max(ys))}</text>',
+        f'<text x="{left + plot_w / 2:.0f}" y="{height - 20}" font-size="13" '
+        f'text-anchor="middle">{x_label}</text>',
+        '<text x="8" y="16" font-size="13">tip deflection [um]</text>',
+        "</svg>",
+    ]
+    return "\n".join(parts) + "\n"
+
+
+def _chart_outcome(chart, table):
+    """("done", the chart's text) or ("refused", the refusal's type and
+    message): a lone value past 2**53 swallows the 0.5 padding."""
+    try:
+        return "done", chart(table)
+    except ArithmeticError as exc:
+        return "refused", type(exc), str(exc)
+
+
+@pytest.mark.parametrize("parameter", PARAMETERS)
+def test_chart_is_the_f_string_chart(parameter):
+    """The chart's bytes, or its refusal, are the reference's: on real
+    sweeps, on odd floats in every field and on each odd float alone."""
+    real, odd = _tables(parameter)
+    tables = [real, odd] + [SweepTable(plan=odd.plan, records=(record,))
+                            for record in odd.records]
+    outcomes = [_chart_outcome(sweep_chart_svg, table) for table in tables]
+    assert outcomes == [_chart_outcome(_f_string_chart, table) for table in tables]
+    assert sum(outcome[0] == "done" for outcome in outcomes) > len(outcomes) // 2
 
 
 def test_output_does_not_load_the_csv_module():

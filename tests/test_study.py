@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import thermoact.model as model
 import thermoact.study as study
 from thermoact.config import StudySettings, resolve_sweep
+from thermoact.electrothermal import _constants
 from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
                              InvalidSpecError, Material, default_spec)
 from thermoact.study import (OptimumReport, SweepPlan, SweepRecord,
@@ -211,7 +212,7 @@ def test_plan_rejects_values_that_break_the_spec():
                for d in err.value.diagnostics)
 
 
-def test_plan_specs_are_built_when_read():
+def test_a_plan_keeps_no_specs():
     """A plan keeps no specs, as a field or an attribute: a point's spec
     is ``apply_parameter``'s to build.  The plan is a frozen, picklable
     record equal by base, parameter and values."""
@@ -411,6 +412,65 @@ def test_the_optimum_keeps_every_bit_of_the_simulate_objective(monkeypatch):
                          ("refused", InvalidSpecError, "cold_arm_length must be positive")]
     assert {o[1][-1] for o in ours if o[0] == "done"} == {None, "flat", "non_unimodal"}
     assert any(o[0] == "refused" for o in ours)
+
+
+# Valid bases with int fields whose sum or product leaves the float
+# range, so that turning it into a float raises OverflowError.  Each is
+# refused by an earlier step of a point: (h + w) and k w h by the Joule
+# current's division, E w h by the frame gain.  A study that formed
+# these products from the base would raise first.
+_INT_BASES = [
+    (ActuatorSpec(material=Material(resistivity=1.0e-322),
+                  geometry=Geometry(beam_width=10 ** 308, beam_thickness=10 ** 308)),
+     ZeroDivisionError, "float division by zero"),
+    (ActuatorSpec(material=Material(resistivity=1.0e-322, thermal_conductivity=10 ** 200),
+                  geometry=Geometry(beam_width=10 ** 200)),
+     ZeroDivisionError, "float division by zero"),
+    (ActuatorSpec(geometry=Geometry(beam_width=10 ** 160, beam_thickness=10 ** 160)),
+     FrameSingularError, "frame gain is out of the float range"),
+]
+
+
+def test_int_fields_past_the_float_range_keep_their_refusal():
+    for base, kind, message in _INT_BASES:
+        for call in (lambda: simulate(base), lambda: find_optimal_ratio(base),
+                     lambda: run_sweep(SweepPlan(base, "gap", (4.0e-6, 6.0e-6)))):
+            assert _outcome(call) == ("refused", kind, message)
+
+
+def test_base_constants_cannot_raise():
+    """The constants a study shares are reads, sums and products that
+    return numbers on every valid base: the seeded ones, the int ones
+    and these at the ends of the float range."""
+    extremes = [
+        ActuatorSpec(environment=Environment(convection_coefficient=1.0e308)),
+        ActuatorSpec(geometry=Geometry(beam_width=5.0e-324, beam_thickness=5.0e-324)),
+        ActuatorSpec(material=Material(thermal_conductivity=1.0e-310)),
+        ActuatorSpec(material=Material(young_modulus=1.0e308, thermal_conductivity=1.0e308),
+                     environment=Environment(convection_coefficient=1.0e308),
+                     geometry=Geometry(beam_width=1.0e308, beam_thickness=1.0e308)),
+    ]
+    for base in _seeded_bases() + extremes + [base for base, *_ in _INT_BASES]:
+        constants = _constants(base)
+        assert len(constants) == 12
+        assert all(type(value) in (float, int) for value in constants)
+
+
+def test_a_study_forms_the_base_constants_once(monkeypatch):
+    calls = []
+
+    def counting(spec, constants=_constants):
+        calls.append(spec)
+        return constants(spec)
+
+    monkeypatch.setattr(study, "_constants", counting)
+    base = default_spec()
+    find_optimal_ratio(base, 71)
+    assert calls == [base]
+    for parameter in study.PARAMETERS:
+        calls.clear()
+        run_sweep(SweepPlan(base, *resolve_sweep(StudySettings(), parameter=parameter)))
+        assert calls == [base]
 
 
 def test_golden_section_finds_an_interior_peak():

@@ -9,8 +9,8 @@ k = s s / 12 with s = w / L1, reads off the polynomials Q, D, R, N0, N2
 and the factor of the transverse redundant, prints them expanded, and
 then checks ``thermomech._solve_point`` against the solve: its source is
 run with exact rationals for its float constants and symbols for its
-inputs, and every polynomial and every output it returns must equal the
-derived one.
+inputs, the spec's constants among them, and every polynomial and every
+output it returns must equal the derived one.
 
 sympy is not a dependency of thermoact.  Run from the repository root:
 
@@ -27,7 +27,7 @@ from types import SimpleNamespace
 import sympy as sp
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-from thermoact import thermomech  # noqa: E402
+from thermoact import electrothermal, thermomech  # noqa: E402
 
 L1, r, y, s, E, t, ext, hot, cold = sp.symbols(
     "L1 r y s E t L_ext hot cold", positive=True)
@@ -102,9 +102,13 @@ def run_kernel():
     module = ast.fix_missing_locations(_Exact().visit(ast.Module(statements, [])))
     spec = SimpleNamespace(
         geometry=SimpleNamespace(beam_width=w, beam_thickness=t, extension_length=ext),
-        material=SimpleNamespace(young_modulus=E))
-    local = dict(Rational=sp.Rational, spec=spec, length1=L1, length2=L2, gap=g,
-                 volts=sp.Symbol("volts"),
+        material=SimpleNamespace(young_modulus=E, resistivity=sp.Symbol("rho"),
+                                 thermal_conductivity=sp.Symbol("k_thermal"),
+                                 expansion_coefficient=sp.Symbol("alpha")),
+        environment=SimpleNamespace(convection_coefficient=sp.Symbol("beta"),
+                                    ambient_temperature=sp.Symbol("ambient")))
+    local = dict(Rational=sp.Rational, c=electrothermal._constants(spec), length1=L1,
+                 length2=L2, gap=g, volts=sp.Symbol("volts"),
                  _load_and_peak=lambda *point: (hot, cold, sp.Symbol("peak")))
     exec(compile(module, "_solve_point", "exec"), {}, local)
     return local
