@@ -17,7 +17,7 @@ from .model import (ActuatorSpec, Drive, Environment, Geometry,
                     InvalidSpecError, Material, default_spec)
 from .output import sweep_chart_svg, sweep_csv
 from .study import (OptimumReport, SweepPlan, SweepTable, find_optimal_ratio,
-                    run_sweep, sensitivity_summary)
+                    run_sweep)
 from .thermomech import (FrameSingularError, FrameSolution, SmallAngleError,
                          StiffnessResult, simulate, stiffness_oracle)
 
@@ -30,7 +30,7 @@ __all__ = [
     "StudySettings", "SweepPlan", "SweepTable", "TemperatureProfile",
     "ThermalLoad", "ThermalSystemError", "default_spec",
     "fd_temperature_oracle", "find_optimal_ratio", "parse_config",
-    "resolve_sweep", "rise_integral", "run_sweep", "sensitivity_summary",
-    "serialize_config", "simulate", "solve_temperature_profile",
-    "stiffness_oracle", "sweep_chart_svg", "sweep_csv", "temperature_at",
+    "resolve_sweep", "rise_integral", "run_sweep", "serialize_config",
+    "simulate", "solve_temperature_profile", "stiffness_oracle",
+    "sweep_chart_svg", "sweep_csv", "temperature_at",
 ]

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import warnings
 
 from .config import (_MICRO, MAX_GRID_POINTS, ConfigError, StudySettings,
                      parse_config, resolve_sweep)
@@ -86,13 +85,7 @@ def _load(config_path):
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config: {exc}"]) from exc
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", FutureWarning)
-        try:
-            return parse_config(text)
-        finally:
-            for warning in caught:
-                print(f"warning: {warning.message}", file=sys.stderr)
+    return parse_config(text)
 
 
 def _write(path, text):

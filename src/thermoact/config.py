@@ -20,7 +20,6 @@ Example::
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, fields
 
 from .model import (ActuatorSpec, Drive, Environment, Geometry,
@@ -48,11 +47,6 @@ _STUDY_KEYS = {
     "steps": int,
     "optimize_grid": int,
 }
-
-# Keys of inputs the model never read.  Every saved config has them, so
-# they are skipped with a warning rather than refused.
-_RETIRED_KEYS = frozenset({"material.poisson_ratio", "material.density",
-                           "material.specific_heat", "geometry.pad_side"})
 
 # Display unit and its factor to SI for each swept parameter (config
 # file, CLI flags, CSV values and chart axis).
@@ -113,7 +107,6 @@ def parse_config(text: str):
 
     Raises ConfigError carrying one line-numbered diagnostic per
     problem; nothing is constructed until the whole document is clean.
-    A retired key is skipped, value unread, with a FutureWarning.
     """
     values: dict[str, dict[str, object]] = {
         section: {} for section in (*_SECTION_TYPES, "study")}
@@ -128,10 +121,6 @@ def parse_config(text: str):
         key, _, literal = line.partition("=")
         key = key.strip()
         literal = literal.strip()
-        if key in _RETIRED_KEYS:
-            warnings.warn(f"line {lineno}: {key} is no longer used and is ignored",
-                          FutureWarning, stacklevel=2)
-            continue
         if key not in _SCHEMA:
             problems.append(f"line {lineno}: unknown key {key!r}")
             continue

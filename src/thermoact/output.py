@@ -8,6 +8,8 @@ tabulated comparison without dumping full binary precision.
 
 from __future__ import annotations
 
+import math
+
 from .config import _MICRO, DISPLAY_UNITS
 from .study import SweepTable
 
@@ -38,12 +40,20 @@ def sweep_csv(table: SweepTable) -> str:
     return "\n".join([",".join(CSV_COLUMNS), *_rows(table)]) + "\n"
 
 
+def _padded(lo: float, hi: float):
+    """``lo``..``hi``, or 0.5 either way of an empty range, or the
+    neighbouring floats where 0.5 is below one ulp."""
+    if hi == lo:
+        lo, hi = lo - 0.5, hi + 0.5
+    if hi - lo == 0.0:
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return lo, hi
+
+
 def sweep_chart_svg(table: SweepTable) -> str:
     """Tip deflection against the swept parameter, display units: an
-    800x600 single-polyline chart with min/max tick labels.
-
-    Degenerate ranges (single point, constant response) are padded so
-    the geometry stays finite and the file stays valid.
+    800x600 single-polyline chart with min/max tick labels, each
+    degenerate range padded so the geometry stays finite.
     """
     param = table.plan.parameter
     unit, scale = DISPLAY_UNITS[param]
@@ -52,12 +62,8 @@ def sweep_chart_svg(table: SweepTable) -> str:
     x_label = f"{param} [{unit}]" if unit else param
     width, height = 800, 600
     left, right, top, bottom = 80.0, 24.0, 24.0, 64.0
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    x_lo, x_hi = _padded(min(xs), max(xs))
+    y_lo, y_hi = _padded(min(ys), max(ys))
     plot_w = width - left - right
     plot_h = height - top - bottom
 

@@ -1,5 +1,5 @@
-"""Parameter studies over the actuator: sweeps, ratio optimisation and
-arm-length sensitivity.
+"""Parameter studies over the actuator: sweeps and ratio optimisation.
+A sensitivity study is a ``gap`` or ``hot_arm_length`` sweep.
 
 Studies vary one scalar at a time around a base spec.  The swept
 parameters and their meanings:
@@ -247,28 +247,3 @@ def find_optimal_ratio(base: ActuatorSpec, grid: int = 71) -> OptimumReport:
         best_ratio, best_deflection = ratios[peak], deflections[peak]
     return OptimumReport(base.geometry.hot_arm_length, best_ratio,
                          best_deflection, grid, gain, None)
-
-
-def sensitivity_summary(tables) -> list[tuple[float, float]]:
-    """Spread of tip deflection per sweep, ordered by hot-arm length.
-
-    All tables must sweep the same parameter over identical values;
-    each contributes (hot_arm_length, max - min of tip deflection).
-    A longer hot arm showing a larger spread marks the design as more
-    responsive to that parameter.
-    """
-    tables = list(tables)
-    if not tables:
-        raise ValueError("no sweep tables given")
-    parameter = tables[0].plan.parameter
-    values = tables[0].plan.values
-    for table in tables[1:]:
-        if table.plan.parameter != parameter or table.plan.values != values:
-            raise ValueError("sweeps are not over a common parameter grid")
-    out = []
-    for table in tables:
-        tips = [record.tip_deflection for record in table.records]
-        out.append((table.plan.base.geometry.hot_arm_length,
-                    max(tips) - min(tips)))
-    out.sort(key=lambda pair: pair[0])
-    return out

@@ -21,8 +21,7 @@ from thermoact.electrothermal import (fd_temperature_oracle,
 from thermoact.cli import main
 from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
                              Material, default_spec)
-from thermoact.study import (SweepPlan, find_optimal_ratio, run_sweep,
-                             sensitivity_summary)
+from thermoact.study import SweepPlan, find_optimal_ratio, run_sweep
 from thermoact.thermomech import SmallAngleError, simulate, stiffness_oracle
 
 _T0 = time.perf_counter()
@@ -116,25 +115,22 @@ def test_criterion_03_longer_hot_arms_deflect_further(report):
 
 
 def test_criterion_04_long_arms_are_more_sensitive(report):
-    ratio_tables = [
-        run_sweep(SweepPlan(base=_spec(h, 0.46, 5.0), parameter="ratio",
-                            values=RATIO_GRID))
-        for h in (500.0, 750.0)
-    ]
-    ratio_spreads = dict(sensitivity_summary(ratio_tables))
-    gap_tables = [
-        run_sweep(SweepPlan(base=_spec(h, 0.46, 5.0), parameter="gap",
-                            values=tuple(g * 1.0e-6 for g in GAP_GRID_UM)))
-        for h in (500.0, 750.0)
-    ]
-    gap_spreads = dict(sensitivity_summary(gap_tables))
-    ok = ratio_spreads[750.0e-6] > ratio_spreads[500.0e-6] \
-        and gap_spreads[750.0e-6] > gap_spreads[500.0e-6]
+    def spread(parameter, values, hot_um):
+        plan = SweepPlan(base=_spec(hot_um, 0.46, 5.0), parameter=parameter,
+                         values=values)
+        tips = [rec.tip_deflection for rec in run_sweep(plan).records]
+        return max(tips) - min(tips)
+
+    gaps = tuple(g * 1.0e-6 for g in GAP_GRID_UM)
+    ratio_spreads = {h: spread("ratio", RATIO_GRID, h) for h in (500.0, 750.0)}
+    gap_spreads = {h: spread("gap", gaps, h) for h in (500.0, 750.0)}
+    ok = ratio_spreads[750.0] > ratio_spreads[500.0] \
+        and gap_spreads[750.0] > gap_spreads[500.0]
     detail = (f"spreads grow with arm length: ratio sweep "
-              f"{ratio_spreads[500.0e-6] * 1e6:.2f} -> "
-              f"{ratio_spreads[750.0e-6] * 1e6:.2f} um, gap sweep "
-              f"{gap_spreads[500.0e-6] * 1e6:.2f} -> "
-              f"{gap_spreads[750.0e-6] * 1e6:.2f} um")
+              f"{ratio_spreads[500.0] * 1e6:.2f} -> "
+              f"{ratio_spreads[750.0] * 1e6:.2f} um, gap sweep "
+              f"{gap_spreads[500.0] * 1e6:.2f} -> "
+              f"{gap_spreads[750.0] * 1e6:.2f} um")
     report(4, ok, detail)
 
 

@@ -69,16 +69,6 @@ def test_config_file_feeds_the_simulation(tmp_path, capsys):
     assert f"tip_deflection = {quarter:.9g} um" in out
 
 
-def test_legacy_config_warns_and_simulates(capsys):
-    assert main(["simulate", "--config", str(GOLDEN / "legacy.cfg")]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == (GOLDEN / "simulate.stdout").read_text(encoding="utf-8")
-    assert captured.err.splitlines() == [
-        f"warning: line {n}: {key} is no longer used and is ignored"
-        for n, key in ((5, "material.poisson_ratio"), (6, "material.density"),
-                       (9, "material.specific_heat"), (21, "geometry.pad_side"))]
-
-
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "absent.cfg")]) == 1
     assert "cannot read config" in capsys.readouterr().err

@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -8,8 +6,6 @@ from thermoact.config import (_DEFAULT_GRIDS, DISPLAY_UNITS, MAX_GRID_POINTS,
                               resolve_sweep, serialize_config)
 from thermoact.model import default_spec
 from thermoact.study import _linspace
-
-LEGACY = Path(__file__).parent / "golden" / "legacy.cfg"
 
 
 def test_empty_document_is_the_default_device():
@@ -63,24 +59,6 @@ def test_default_spec_survives_a_round_trip():
     assert settings == StudySettings()
 
 
-def test_legacy_config_loads_with_one_warning_per_retired_key():
-    """A config saved before the inert inputs were retired still loads."""
-    with pytest.warns(FutureWarning) as caught:
-        spec, settings = parse_config(LEGACY.read_text(encoding="utf-8"))
-    assert spec == default_spec()
-    assert settings == StudySettings()
-    assert [str(w.message) for w in caught] == [
-        f"line {n}: {key} is no longer used and is ignored"
-        for n, key in ((5, "material.poisson_ratio"), (6, "material.density"),
-                       (9, "material.specific_heat"), (21, "geometry.pad_side"))]
-
-
-def test_retired_key_values_are_not_read():
-    with pytest.warns(FutureWarning):
-        spec, _ = parse_config("geometry.pad_side = wide\n")
-    assert spec == default_spec()
-
-
 def test_serialized_form_is_stable():
     text = serialize_config(default_spec(), StudySettings())
     assert text == serialize_config(*parse_config(text))
@@ -90,6 +68,7 @@ def test_serialized_form_is_stable():
     ("geometry.gap 5", "expected"),
     ("geometry.nope = 5", "unknown key"),
     ("widget.gap = 5", "unknown key"),
+    ("material.poisson_ratio = 0.066", "unknown key"),
     ("geometry.gap = wide", "expects a number"),
     ("study.steps = 2.5", "expects an integer"),
 ])

@@ -18,7 +18,7 @@ from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
                              InvalidSpecError, Material, default_spec)
 from thermoact.study import (OptimumReport, SweepPlan, SweepRecord,
                              apply_parameter, find_optimal_ratio,
-                             golden_section_max, run_sweep, sensitivity_summary)
+                             golden_section_max, run_sweep)
 from thermoact.thermomech import FrameSingularError, SmallAngleError, simulate
 
 from test_bits import EDGES, _domain, _extreme
@@ -597,30 +597,6 @@ def test_a_peak_on_the_grid_beats_the_refinement(monkeypatch):
 def test_find_optimal_ratio_validates_its_inputs():
     with pytest.raises(ValueError):
         find_optimal_ratio(_base(), grid=2)
-
-
-def test_sensitivity_orders_spreads_by_arm_length():
-    values = tuple(float(v) for v in np.linspace(0.2, 0.7, 11))
-    tables = [
-        run_sweep(SweepPlan(base=_base(hot_um), parameter="ratio",
-                            values=values))
-        for hot_um in (750.0, 500.0)
-    ]
-    spreads = sensitivity_summary(tables)
-    assert [round(l * 1.0e6) for l, _ in spreads] == [500, 750]
-    # a longer hot arm is the more responsive design
-    assert spreads[1][1] > spreads[0][1]
-
-
-def test_sensitivity_rejects_mismatched_grids():
-    a = run_sweep(SweepPlan(base=_base(), parameter="gap",
-                            values=(5.0e-6, 7.0e-6)))
-    b = run_sweep(SweepPlan(base=_base(500.0), parameter="gap",
-                            values=(5.0e-6, 8.0e-6)))
-    with pytest.raises(ValueError):
-        sensitivity_summary([a, b])
-    with pytest.raises(ValueError):
-        sensitivity_summary([])
 
 
 def test_reports_are_plain_records():
