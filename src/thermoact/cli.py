@@ -145,7 +145,9 @@ def _cmd_optimize(spec: ActuatorSpec, settings: StudySettings, args) -> int:
 
 def _cmd_validate(spec: ActuatorSpec) -> int:
     # The closed form runs first, so a point it refuses ends in its
-    # named error before numpy is loaded or the oracles see it.
+    # named error before numpy is loaded or the oracles see it.  The
+    # oracles then load numpy, scipy's top-level package and its
+    # compiled LAPACK wrappers, but not the scipy.linalg package.
     solution = simulate(spec)
     import numpy as np
 

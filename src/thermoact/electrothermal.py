@@ -24,6 +24,7 @@ overflow-free for any decay length.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .model import ActuatorSpec
@@ -210,6 +211,30 @@ def _load_and_peak(c, hot, cold, gap, volts):
             ambient + _rise(shape, path / 2.0, expm1))
 
 
+def _lapack():
+    """scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, which
+    both oracles call directly.  It is the module ``scipy.linalg.lapack``
+    re-exports, loaded here from the ``scipy.linalg`` directory without
+    running that package's ``__init__``, whose imports cost several
+    times the wrappers.  A later ``import scipy.linalg`` reuses it."""
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    import importlib.util
+    import os
+    from importlib.machinery import PathFinder
+
+    import scipy
+    spec = PathFinder.find_spec(name, [os.path.join(p, "linalg") for p in scipy.__path__])
+    if spec is None:
+        raise ImportError(f"cannot find {name}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def fd_temperature_oracle(spec: ActuatorSpec, nodes: int = 4097):
     """Independent finite-difference solution of the fin equation.
 
@@ -222,12 +247,12 @@ def fd_temperature_oracle(spec: ActuatorSpec, nodes: int = 4097):
     A system whose coefficients or right-hand side overflow (an extreme
     conductivity or Joule source) raises ThermalSystemError before the
     solve, and so does, from the solve, a singular one (k / dx^2
-    underflowing to zero with no side loss).  It imports numpy and
-    scipy's LAPACK wrappers on its first call, so the closed form runs
-    on the stdlib alone.
+    underflowing to zero with no side loss).  It imports numpy on its
+    first call, and scipy's top-level package with its compiled LAPACK
+    wrappers (``_lapack``) on its first solve, but never the
+    ``scipy.linalg`` package, so the closed form runs on the stdlib alone.
     """
     import numpy as np
-    from scipy.linalg.lapack import dgtsv
 
     if nodes < 3:
         raise ValueError("need at least 3 nodes")
@@ -250,9 +275,10 @@ def fd_temperature_oracle(spec: ActuatorSpec, nodes: int = 4097):
     # The wrapper wants an off-diagonal entry even for one unknown,
     # which LAPACK then never reads.
     sides = max(n - 1, 1)
-    *_, theta, info = dgtsv(np.full(sides, off), np.full(n, diagonal),
-                            np.full(sides, off), np.full(n, -q), overwrite_dl=1,
-                            overwrite_d=1, overwrite_du=1, overwrite_b=1)
+    *_, theta, info = _lapack().dgtsv(np.full(sides, off), np.full(n, diagonal),
+                                      np.full(sides, off), np.full(n, -q),
+                                      overwrite_dl=1, overwrite_d=1,
+                                      overwrite_du=1, overwrite_b=1)
     if info > 0:
         raise ThermalSystemError("finite-difference thermal system is singular")
 

@@ -29,8 +29,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .electrothermal import (ThermalLoad, _constants, _load_and_peak, rise_integral,
-                             solve_temperature_profile)
+from .electrothermal import (ThermalLoad, _constants, _lapack, _load_and_peak,
+                             rise_integral, solve_temperature_profile)
 from .model import ActuatorSpec
 
 # Rotations beyond this invalidate the linear kinematics of the tip
@@ -308,10 +308,11 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     factored.  Independent of the closed-form frame by construction;
     used for cross-validation and never by the studies.  With its mesh
     helper it is the only user of numpy in this module, and the only
-    user of scipy; it imports both on its first call.
+    user of scipy.  It imports numpy on its first call, and scipy's
+    top-level package with its compiled LAPACK wrappers (``_lapack``) on
+    its first solve, but never the ``scipy.linalg`` package.
     """
     import numpy as np
-    from scipy.linalg.lapack import dpbsv
 
     if elements_per_member < 1:
         raise ValueError("elements_per_member must be at least 1")
@@ -387,8 +388,8 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     solution = np.zeros(ndof)
     rhs = load[mesh.order]
     if rhs.any():
-        _, solution[mesh.order], info = dpbsv(band.reshape(-1, mesh.kd + 1).T, rhs,
-                                              overwrite_ab=1, overwrite_b=1)
+        _, solution[mesh.order], info = _lapack().dpbsv(
+            band.reshape(-1, mesh.kd + 1).T, rhs, overwrite_ab=1, overwrite_b=1)
         if info > 0 or not np.all(np.isfinite(solution)):
             raise FrameSingularError("stiffness system did not solve")
 

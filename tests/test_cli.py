@@ -377,8 +377,11 @@ def _child_env():
 def test_only_the_oracles_import_scipy(tmp_path):
     """Importing the CLI, simulating, sweeping, optimising and refusing
     a bad config load neither numpy nor scipy; the oracles behind
-    ``validate`` load both on first use, but never ``scipy.sparse``:
-    both call LAPACK through ``scipy.linalg.lapack``."""
+    ``validate`` load both on first use, but only scipy's compiled
+    LAPACK wrappers ``scipy.linalg._flapack``: not the ``scipy.linalg``
+    package, its array-API layer or ``scipy.sparse``.  A later import of
+    ``scipy.linalg.lapack`` re-exports the very routines the oracles
+    called."""
     script = (
         "import sys\n"
         "from thermoact.cli import main\n"
@@ -390,8 +393,14 @@ def test_only_the_oracles_import_scipy(tmp_path):
         "                if m.split('.')[0] in ('numpy', 'scipy'))\n"
         "assert not loaded, loaded\n"
         "assert main(['validate']) == 0\n"
-        "sparse = sorted(m for m in sys.modules if m.startswith('scipy.sparse'))\n"
-        "assert not sparse, sparse\n"
+        "assert 'scipy.linalg._flapack' in sys.modules\n"
+        "heavy = sorted(m for m in sys.modules if m in ('scipy.linalg', 'scipy.sparse')\n"
+        "               or m.startswith('scipy._lib._array_api'))\n"
+        "assert not heavy, heavy\n"
+        "from thermoact.electrothermal import _lapack\n"
+        "flapack = _lapack()\n"
+        "import scipy.linalg.lapack as lapack\n"
+        "assert lapack.dgtsv is flapack.dgtsv and lapack.dpbsv is flapack.dpbsv\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                           env=_child_env(), capture_output=True, text=True,

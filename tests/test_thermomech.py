@@ -3,6 +3,8 @@ import functools
 import inspect
 import math
 import random
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
@@ -12,7 +14,7 @@ import pytest
 from scipy.linalg.lapack import dpbsv
 
 from thermoact import thermomech
-from thermoact.electrothermal import (ThermalSystemError, fd_temperature_oracle,
+from thermoact.electrothermal import (ThermalSystemError, _lapack, fd_temperature_oracle,
                                       rise_integral, solve_temperature_profile,
                                       temperature_at)
 from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
@@ -22,6 +24,7 @@ from thermoact.thermomech import (FrameSingularError, SmallAngleError,
                                   stiffness_oracle)
 
 from test_bits import EDGES, _domain, _extreme
+from test_cli import _child_env
 
 W, T, E = 2.8e-6, 2.0e-6, 158.0e9
 EI = E * (T * W ** 3 / 12.0)
@@ -507,16 +510,69 @@ def test_oracle_refuses_a_non_finite_thermal_load_by_name(voltage):
 
 
 def test_oracles_share_no_code_with_the_closed_form():
-    """The FD oracle reads no module global but ``math`` and its error.
-    The stiffness oracle and its mesh helpers read their own names and
-    the closed-form thermal field alone: none of the frame solution's
-    flexibility, rigidity, solve or load helpers."""
+    """The FD oracle reads no module global but ``math``, its error and
+    the LAPACK loader.  The stiffness oracle and its mesh helpers read
+    their own names, the loader and the closed-form thermal field alone:
+    none of the frame solution's flexibility, rigidity, solve or load
+    helpers.  The loader itself reads ``sys`` and nothing else."""
     assert inspect.getclosurevars(fd_temperature_oracle).globals == {
-        "math": math, "ThermalSystemError": ThermalSystemError}
+        "math": math, "ThermalSystemError": ThermalSystemError, "_lapack": _lapack}
     allowed = {"FrameSingularError", "StiffnessResult", "_oracle_mesh",
-               "solve_temperature_profile", "rise_integral"}
+               "solve_temperature_profile", "rise_integral", "_lapack"}
     for func in (stiffness_oracle, _oracle_mesh.__wrapped__):
         assert set(inspect.getclosurevars(func).globals) <= allowed, func.__name__
+    assert inspect.getclosurevars(_lapack).globals == {"sys": sys}
+
+
+# Prints the float.hex of both oracles on the default and the
+# conduction-only device, loading ``scipy.linalg.lapack`` first when
+# asked to, then whether the ``scipy.linalg`` package is loaded.
+_ORACLE_BITS = """\
+import dataclasses, sys
+if sys.argv[1] == "lapack-first":
+    import scipy.linalg.lapack
+from thermoact.electrothermal import fd_temperature_oracle
+from thermoact.model import Environment, default_spec
+from thermoact.thermomech import stiffness_oracle
+conduction = dataclasses.replace(
+    default_spec(), environment=Environment(convection_coefficient=0.0))
+for spec in (default_spec(), conduction):
+    print(*(float(t).hex() for t in fd_temperature_oracle(spec)[1]))
+    result = stiffness_oracle(spec, 64)
+    print(*(float(v).hex() for v in (result.junction_deflection, result.junction_rotation,
+                                     result.tip_deflection, *result.reaction_cold_anchor)))
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_oracle_bits_do_not_depend_on_the_import_order():
+    """The oracles give the same bits whether they load scipy's LAPACK
+    wrappers themselves or find them loaded by ``scipy.linalg.lapack``,
+    as this module's own import does."""
+    out = {}
+    for order in ("oracles-first", "lapack-first"):
+        proc = subprocess.run([sys.executable, "-c", _ORACLE_BITS, order],
+                              env=_child_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        *out[order], linalg = proc.stdout.splitlines()
+        assert linalg == str(order == "lapack-first")
+    assert len(out["oracles-first"]) == 4
+    assert out["oracles-first"] == out["lapack-first"]
+
+
+def test_lapack_loader_names_the_module_it_cannot_find(tmp_path):
+    script = ("import scipy\n"
+              f"scipy.__path__[:] = [{str(tmp_path)!r}]\n"
+              "from thermoact.electrothermal import _lapack\n"
+              "try:\n"
+              "    _lapack()\n"
+              "except ImportError as exc:\n"
+              "    print(exc.name)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "scipy.linalg._flapack\n"
 
 
 _CONDUCTION_ONLY = dataclasses.replace(
