@@ -12,7 +12,8 @@ bends the frame and sweeps the tip sideways.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 
 class InvalidSpecError(ValueError):
@@ -27,11 +28,23 @@ class InvalidSpecError(ValueError):
         super().__init__("; ".join(self.diagnostics))
 
 
+class _Float64(float):
+    """A float that numpy compares with its own scalars in float64.  A
+    plain float it would round to a narrower scalar's type, where the
+    float max is inf."""
+
+
+# The bounds a field is checked against, each stated once, read by both
+# the comparison in ActuatorSpec.__post_init__ and collect_diagnostics.
+# A finite field is at most the float max: math.isfinite's bound, which
+# unlike math.inf no int past the float range compares below.
+_FLOAT_MAX = _Float64(sys.float_info.max)
+_ABSOLUTE_ZERO = -273.15
 # Lowest allowed value and its diagnostic for the fields whose bound is
 # not "positive".
 _LOWER_BOUNDS = {
     "convection_coefficient": (0.0, "must be non-negative"),
-    "ambient_temperature": (-273.15, "must be above absolute zero"),
+    "ambient_temperature": (_ABSOLUTE_ZERO, "must be above absolute zero"),
     "voltage": (0.0, "must be non-negative"),
 }
 
@@ -93,20 +106,44 @@ class Drive:
 class ActuatorSpec:
     """A complete, validated description of one actuator and its drive.
 
-    Construction runs the full validation sweep and raises
-    InvalidSpecError listing every violated bound.  Instances are frozen
-    and safe to share between studies.
+    Construction accepts a spec whose thirteen fields all meet their
+    bounds in one chained comparison: positive and at most the float
+    max, or for the convection coefficient and the voltage non-negative,
+    for the ambient temperature at least absolute zero, and the cold arm
+    no longer than the hot arm.  Any other spec, or a field the
+    comparison cannot order, goes through ``collect_diagnostics``, which
+    alone decides: it raises InvalidSpecError listing every violated
+    bound, or the error that its finiteness check raises.  A part left
+    out is one shared default instance, as every part is frozen.
+    Instances are frozen and safe to share between studies.
     """
 
-    material: Material = field(default_factory=Material)
-    environment: Environment = field(default_factory=Environment)
-    geometry: Geometry = field(default_factory=Geometry)
-    drive: Drive = field(default_factory=Drive)
+    material: Material = Material()
+    environment: Environment = Environment()
+    geometry: Geometry = Geometry()
+    drive: Drive = Drive()
 
     def __post_init__(self):
-        problems = collect_diagnostics(self)
-        if problems:
-            raise InvalidSpecError(problems)
+        m, e, g = self.material, self.environment, self.geometry
+        try:
+            valid = (0.0 < m.young_modulus <= _FLOAT_MAX
+                     and 0.0 < m.thermal_conductivity <= _FLOAT_MAX
+                     and 0.0 < m.expansion_coefficient <= _FLOAT_MAX
+                     and 0.0 < m.resistivity <= _FLOAT_MAX
+                     and 0.0 <= e.convection_coefficient <= _FLOAT_MAX
+                     and _ABSOLUTE_ZERO <= e.ambient_temperature <= _FLOAT_MAX
+                     and 0.0 < g.cold_arm_length <= g.hot_arm_length <= _FLOAT_MAX
+                     and 0.0 < g.gap <= _FLOAT_MAX
+                     and 0.0 < g.beam_width <= _FLOAT_MAX
+                     and 0.0 < g.beam_thickness <= _FLOAT_MAX
+                     and 0.0 < g.extension_length <= _FLOAT_MAX
+                     and 0.0 <= self.drive.voltage <= _FLOAT_MAX)
+        except Exception:   # the walk raises its own error, or names the field
+            valid = False
+        if not valid:
+            problems = collect_diagnostics(self)
+            if problems:
+                raise InvalidSpecError(problems)
 
 
 def collect_diagnostics(spec) -> list[str]:

@@ -111,10 +111,13 @@ def _solve_point(c, length1, length2, gap, volts):
     each output carries a few ulp of relative error, however
     ill-conditioned F is, unless something underflows.  Powers are
     products, so an overflow gives inf, not an exception.  In this
-    order, FrameSingularError refuses a delta that is not finite, a gap
-    ratio or polynomial that is not a finite normal float (the frame
-    gain) and a junction response below the normal range under a
-    nonzero load; SmallAngleError a rotation past the small-angle limit;
+    order, FrameSingularError refuses a delta that is not finite; a
+    frame under no load (delta == 0) is at rest, whatever its ratios,
+    with the signed zeros the formulas give where they solve (x1 is -0.0
+    unless the arms are equal, x2 is -0.0); FrameSingularError refuses a
+    gap ratio or polynomial that is not a finite normal float (the frame
+    gain) and a junction response below the normal range;
+    SmallAngleError a rotation past the small-angle limit;
     FrameSingularError redundants that are not finite.
     """
     rho, w, h, hw, beta, kw, conductivity, alpha, ambient, young, wh, ext = c
@@ -122,6 +125,9 @@ def _solve_point(c, length1, length2, gap, volts):
     delta = hot - cold
     if not math.isfinite(delta):
         raise FrameSingularError("thermal load is not finite")
+    if delta == 0.0:
+        return (0.0, 0.0, 0.0, hot, cold, peak,
+                0.0, -0.0 if length2 < length1 else 0.0, -0.0)
 
     r, y, s = length2 / length1, gap / length1, w / length1
     k = s * s / 12.0
@@ -149,7 +155,7 @@ def _solve_point(c, length1, length2, gap, volts):
     half = 1.5 * delta
     deflection = half * (y * d / q)
     rotation = half / length1 * (y * rr / q)
-    if delta != 0.0 and not (abs(deflection) >= _NORMAL and abs(rotation) >= _NORMAL):
+    if not (abs(deflection) >= _NORMAL and abs(rotation) >= _NORMAL):
         raise FrameSingularError("junction response underflows")
     if not abs(rotation) < SMALL_ANGLE_LIMIT:
         raise SmallAngleError(
@@ -173,14 +179,8 @@ def simulate(spec: ActuatorSpec) -> FrameSolution:
     g = spec.geometry
     tip, deflection, rotation, hot, cold, peak, x0, x1, x2 = _solve_point(
         _constants(spec), g.hot_arm_length, g.cold_arm_length, g.gap, spec.drive.voltage)
-    return FrameSolution(
-        thermal_load=ThermalLoad(hot, cold),
-        redundants=(x0, x1, x2),
-        junction_deflection=deflection,
-        junction_rotation=rotation,
-        tip_deflection=tip,
-        peak_temperature=peak,
-    )
+    return FrameSolution(ThermalLoad(hot, cold), (x0, x1, x2), deflection, rotation,
+                         tip, peak)
 
 
 @functools.lru_cache(maxsize=4)

@@ -28,7 +28,7 @@ from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
 from thermoact.study import PARAMETERS, apply_parameter, find_optimal_ratio
 from thermoact.thermomech import simulate
 
-DIGEST = "5fd9138aa9b7930bcfc496d068248ae64a72b5eac409bf377437508a6c03be5e"
+DIGEST = "734443523fdfe79b88644f97cb065dfdbeb2157c4635301d5f3c611d55dc475d"
 
 DOMAIN_POINTS = 2000
 EXTREME_POINTS = 500

@@ -14,7 +14,8 @@ import pytest
 from scipy.linalg.lapack import dpbsv
 
 from thermoact import thermomech
-from thermoact.electrothermal import (ThermalSystemError, _lapack, fd_temperature_oracle,
+from thermoact.electrothermal import (ThermalSystemError, _constants, _lapack,
+                                      _load_and_peak, fd_temperature_oracle,
                                       rise_integral, solve_temperature_profile,
                                       temperature_at)
 from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
@@ -963,6 +964,69 @@ def test_unpowered_device_does_not_move():
     oracle = stiffness_oracle(spec, elements_per_member=8)
     assert oracle.tip_deflection == 0.0
     assert oracle.junction_rotation == 0.0
+
+
+def _motion(solution):
+    """Tip, junction deflection and rotation, then the redundants, as a
+    repr that tells -0.0 from 0.0."""
+    return repr((solution.tip_deflection, solution.junction_deflection,
+                 solution.junction_rotation, *solution.redundants))
+
+
+def _at_rest(spec):
+    """The zero motion a frame under no load reports: the signed zeros
+    the closed form gives where its polynomials are in range."""
+    g = spec.geometry
+    x1 = -0.0 if g.cold_arm_length < g.hot_arm_length else 0.0
+    return repr((0.0, 0.0, 0.0, 0.0, x1, -0.0))
+
+
+# Accepted draws of _extreme(random.Random(4242), i), i < 20 000, with
+# a thermal load of exactly zero.
+_LOADLESS_DRAWS = 4982
+
+
+def test_every_frame_under_no_load_is_at_rest():
+    """Every accepted extreme draw whose thermal load is exactly zero,
+    unpowered or with both elongations underflowed, solves to zero
+    motion, however far out of the float range its frame gain or E w h
+    lies: 1991 of the 4982 such draws have one or the other out of it."""
+    rng = random.Random(4242)
+    at_rest = 0
+    for i in range(20000):
+        build = _extreme(rng, i)
+        try:
+            spec = build()
+            g = spec.geometry
+            hot, cold, peak = _load_and_peak(
+                _constants(spec), g.hot_arm_length, g.cold_arm_length, g.gap,
+                spec.drive.voltage)
+        except (ArithmeticError, ValueError):
+            continue
+        if hot - cold != 0.0:
+            continue
+        at_rest += 1
+        solution = simulate(spec)
+        assert _motion(solution) == _at_rest(spec), spec
+        assert solution.thermal_load == ThermalLoad(hot, cold), spec
+        assert solution.peak_temperature == peak, spec
+    assert at_rest == _LOADLESS_DRAWS
+
+
+@pytest.mark.parametrize("geometry", [dict(gap=1.0e60), dict(beam_width=1.0e75),
+                                      dict(cold_arm_length=750.0e-6, gap=1.0e60)],
+                         ids=["gap-1e60", "width-1e75", "equal-arms-gap-1e60"])
+def test_an_unpowered_frame_out_of_the_gain_range_is_at_rest(geometry):
+    """The reference device at 0 V with a gap of 1e60 m or a beam width
+    of 1e75 m has a frame gain out of the float range; with no load it
+    stays still."""
+    spec = dataclasses.replace(default_spec(), drive=Drive(voltage=0.0),
+                               geometry=dataclasses.replace(default_spec().geometry,
+                                                            **geometry))
+    solution = simulate(spec)
+    assert _motion(solution) == _at_rest(spec)
+    assert solution.thermal_load == ThermalLoad(0.0, 0.0)
+    assert solution.peak_temperature == spec.environment.ambient_temperature
 
 
 def test_equal_arms_produce_no_deflection_at_all():
