@@ -7,9 +7,10 @@
 
 Exit codes: 0 success, 1 configuration problems or a malformed command
 line, 2 solver guard tripped (rotation outside the small-angle regime,
-singular system, non-finite thermal load or oracle system) or an
-arithmetic failure on extreme inputs, 3 validation breach from the
-``validate`` subcommand.
+a fin, frame or oracle quantity out of the float range, a singular
+system), each a named SmallAngleError, FrameSingularError or
+ThermalSystemError, 3 validation breach from the ``validate``
+subcommand.
 """
 
 from __future__ import annotations
@@ -210,12 +211,6 @@ def main(argv=None) -> int:
         return 1
     except (SmallAngleError, FrameSingularError, ThermalSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ArithmeticError as exc:
-        # Accepted but extreme inputs can overflow or divide by zero in
-        # the thermal closed form; that is a solver failure, not a crash.
-        print(f"error: numerical failure ({type(exc).__name__}: {exc})",
-              file=sys.stderr)
         return 2
 
 

@@ -36,9 +36,19 @@ from .model import ActuatorSpec
 PLATEAU_THRESHOLD = 1.0e-6
 
 
+# The last floats whose square and cube round below the float max; the
+# next ones' powers raise OverflowError.
+_SQUARE_MAX = float.fromhex("0x1.fffffffffffffp+511")
+_CUBE_MAX = float.fromhex("0x1.428a2f98d728ap+341")
+
+
 class ThermalSystemError(ArithmeticError):
-    """The finite-difference system of the thermal oracle is not finite
-    or is singular."""
+    """The thermal stage cannot be solved in floating point.  The fin's
+    closed form refuses a divisor of its current density or decay
+    parameter that underflows and a conduction-only coordinate whose
+    cube overflows; the finite-difference oracle a divisor of its side
+    loss or coupling out of the float range and a system that is not
+    finite or is singular."""
 
 
 @dataclass(frozen=True)
@@ -85,18 +95,28 @@ def _constants(spec: ActuatorSpec):
 
 
 def _fin(c, hot, cold, gap, volts):
-    """The fin's path length, q, m and source plateau at these arms, gap and volts."""
+    """The fin's path length, q, m and source plateau at these arms, gap
+    and volts.  ThermalSystemError refuses, in this order, a rho times
+    path length and a k w h that underflow to zero, the divisors of j
+    and of m squared."""
     rho, w, h, hw, beta, kw, conductivity, alpha, ambient, young, wh, ext = c
     path = (hot + gap) + cold
-    j = volts / (rho * path)
+    rho_path = rho * path
+    if rho_path == 0.0:
+        raise ThermalSystemError("fin resistivity times path length underflows")
+    j = volts / rho_path
     q = j * j * rho
     loss = 2.0 * hw * beta
-    m = math.sqrt(loss / (kw * h))
+    kwh = kw * h
+    if kwh == 0.0:
+        raise ThermalSystemError("fin conduction term k w h underflows")
+    m = math.sqrt(loss / kwh)
     return path, q, m, q * w * h / loss if loss > 0.0 else math.inf
 
 
 def solve_temperature_profile(spec: ActuatorSpec) -> TemperatureProfile:
-    """Solve the fin equation for ``spec`` and return the closed form."""
+    """Solve the fin equation for ``spec`` and return the closed form,
+    or ThermalSystemError as ``_fin`` refuses it."""
     geo = spec.geometry
     path, q, m, plateau = _fin(_constants(spec), geo.hot_arm_length,
                                geo.cold_arm_length, geo.gap, spec.drive.voltage)
@@ -159,9 +179,13 @@ def _rise(shape, x, expm1):
 
 
 def _integral(shape, x, expm1):
-    """Integral of the rise from the anchor to checked coordinate(s) x."""
+    """Integral of the rise from the anchor to checked coordinate(s) x.
+    ThermalSystemError refuses a conduction-only float x whose cube
+    leaves the float range; an array's cube overflows to inf."""
     path, m, plateau, half, b, scale, anchor = shape
     if half is not None:
+        if isinstance(x, float) and x > _CUBE_MAX:
+            raise ThermalSystemError("fin path coordinate cubed overflows")
         return half * (path * x * x / 2.0 - x ** 3 / 3.0)
     return plateau * (x - (_anti(m * x - b, b, expm1) - anchor) / (m * scale))
 
@@ -185,11 +209,12 @@ def rise_integral(profile: TemperatureProfile, upto) -> float:
     ``upto``, in C m.
 
     Closed form in both regimes; plain numbers and arrays are taken and
-    returned as by ``temperature_at``.  This is the quantity the arm
-    elongations and equivalent thermal loads are built from: measuring
-    the hot arm from one anchor and the cold arm from the other makes
-    the two arm integrals the same function of arm length, so equal
-    arms yield an exactly zero differential.
+    returned as by ``temperature_at``.  A conduction-only plain number
+    whose cube leaves the float range raises ThermalSystemError.  This is
+    the quantity the arm elongations and equivalent thermal loads are
+    built from: measuring the hot arm from one anchor and the cold arm
+    from the other makes the two arm integrals the same function of arm
+    length, so equal arms yield an exactly zero differential.
     """
     shape, xi, expm1 = _prepare(profile, upto)
     return _result(_integral(shape, xi, expm1))
@@ -244,13 +269,15 @@ def fd_temperature_oracle(spec: ActuatorSpec, nodes: int = 4097):
     ndarrays.  Second-order accurate, and exact for the conduction-only
     parabola.  Used by the test suite and the ``validate`` command to
     cross-check the closed form; the simulation pipeline never calls it.
-    A system whose coefficients or right-hand side overflow (an extreme
-    conductivity or Joule source) raises ThermalSystemError before the
-    solve, and so does, from the solve, a singular one (k / dx^2
-    underflowing to zero with no side loss).  It imports numpy on its
-    first call, and scipy's top-level package with its compiled LAPACK
-    wrappers (``_lapack``) on its first solve, but never the
-    ``scipy.linalg`` package, so the closed form runs on the stdlib alone.
+    A side loss or coupling k / dx^2 whose divisor w h or dx^2 leaves the
+    float range raises ThermalSystemError before either is formed, and
+    so do a system whose coefficients or right-hand side overflow (an
+    extreme conductivity or Joule source) before the solve and, from the
+    solve, a singular one (k / dx^2 underflowing to zero with no side
+    loss).  It imports numpy on its first call, and scipy's top-level
+    package with its compiled LAPACK wrappers (``_lapack``) on its first
+    solve, but never the ``scipy.linalg`` package, so the closed form
+    runs on the stdlib alone.
     """
     import numpy as np
 
@@ -262,14 +289,21 @@ def fd_temperature_oracle(spec: ActuatorSpec, nodes: int = 4097):
     j = spec.drive.voltage / (mat.resistivity * path)
     q = j * j * mat.resistivity
     k = mat.thermal_conductivity
-    loss = 2.0 * (h + w) * env.convection_coefficient / (w * h)
+    section = w * h
+    if section == 0.0:
+        raise ThermalSystemError("finite-difference cross-section w h underflows")
+    loss = 2.0 * (h + w) * env.convection_coefficient / section
 
     x = np.linspace(0.0, path, nodes)
     dx = path / (nodes - 1)
     n = nodes - 2  # interior unknowns, theta = T - ambient
 
-    off = k / dx ** 2                     # sub- and super-diagonal
-    diagonal = -2.0 * k / dx ** 2 - loss
+    square = dx ** 2 if dx <= _SQUARE_MAX else math.inf
+    if not 0.0 < square < math.inf:
+        raise ThermalSystemError(
+            "finite-difference node spacing squared leaves the float range")
+    off = k / square                      # sub- and super-diagonal
+    diagonal = -2.0 * k / square - loss
     if not (math.isfinite(off) and math.isfinite(diagonal) and math.isfinite(q)):
         raise ThermalSystemError("finite-difference thermal system is not finite")
     # The wrapper wants an off-diagonal entry even for one unknown,

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from .electrothermal import _constants
-from .model import ActuatorSpec, Drive, Geometry, InvalidSpecError
+from .model import _FLOAT_MAX, ActuatorSpec, Drive, Geometry, InvalidSpecError
 from .thermomech import _solve_point
 
 PARAMETERS = ("voltage", "ratio", "gap", "hot_arm_length")
@@ -58,13 +58,15 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 def _point(base: ActuatorSpec, parameter: str, value: float):
     """The hot arm, cold arm, gap and voltage, as ``_solve_point`` takes
     them, of ``base`` with one study parameter set to ``value``.  Checks
-    only the changed fields and the arm order, as ``base`` is valid; a
-    point that fails goes to the full constructor, whose InvalidSpecError
-    names every violated bound.  ValueError for an unknown parameter."""
+    only the changed fields and the arm order against the constructor's
+    bounds, as ``base`` is valid; a point that fails goes to the full
+    constructor, whose InvalidSpecError names every violated bound, or
+    whose finiteness check raises (OverflowError for an int past the
+    float range).  ValueError for an unknown parameter."""
     g = base.geometry
     hot, cold, gap, volts = g.hot_arm_length, g.cold_arm_length, g.gap, base.drive.voltage
     if parameter == "voltage":
-        volts, valid = value, 0.0 <= value < math.inf
+        volts, valid = value, 0.0 <= value <= _FLOAT_MAX
     else:
         if parameter == "ratio":
             cold = value * hot
@@ -74,7 +76,7 @@ def _point(base: ActuatorSpec, parameter: str, value: float):
             hot, cold = value, cold / hot * value
         else:
             raise ValueError(f"unknown study parameter {parameter!r}")
-        valid = 0.0 < cold <= hot < math.inf and 0.0 < gap < math.inf
+        valid = 0.0 < cold <= hot <= _FLOAT_MAX and 0.0 < gap <= _FLOAT_MAX
     if not valid:
         _spec(base, (hot, cold, gap, volts))     # raises InvalidSpecError
     return hot, cold, gap, volts

@@ -29,8 +29,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .electrothermal import (ThermalLoad, _constants, _lapack, _load_and_peak,
-                             rise_integral, solve_temperature_profile)
+from .electrothermal import (_CUBE_MAX, ThermalLoad, _constants, _lapack,
+                             _load_and_peak, rise_integral,
+                             solve_temperature_profile)
 from .model import ActuatorSpec
 
 # Rotations beyond this invalidate the linear kinematics of the tip
@@ -41,8 +42,9 @@ _NORMAL, _INF = sys.float_info.min, math.inf
 
 
 class FrameSingularError(ArithmeticError):
-    """The frame cannot be solved in floating point: its thermal load or
-    a ratio of its closed form leaves the float range."""
+    """The frame cannot be solved in floating point: its thermal load, a
+    ratio or response of its closed form, or a quantity of the stiffness
+    oracle leaves the float range, or the oracle's system does not solve."""
 
 
 class SmallAngleError(RuntimeError):
@@ -117,8 +119,11 @@ def _solve_point(c, length1, length2, gap, volts):
     unless the arms are equal, x2 is -0.0); FrameSingularError refuses a
     gap ratio or polynomial that is not a finite normal float (the frame
     gain) and a junction response below the normal range;
-    SmallAngleError a rotation past the small-angle limit;
-    FrameSingularError redundants that are not finite.
+    SmallAngleError a finite rotation past the small-angle limit and
+    FrameSingularError an infinite one; FrameSingularError redundants
+    that are not finite.  For 0 < r <= 1, D is at most R term by term,
+    so the deflection is at most L1 times the rotation, and finite
+    whenever the rotation is within the limit.
     """
     rho, w, h, hw, beta, kw, conductivity, alpha, ambient, young, wh, ext = c
     hot, cold, peak = _load_and_peak(c, length1, length2, gap, volts)
@@ -158,6 +163,8 @@ def _solve_point(c, length1, length2, gap, volts):
     if not (abs(deflection) >= _NORMAL and abs(rotation) >= _NORMAL):
         raise FrameSingularError("junction response underflows")
     if not abs(rotation) < SMALL_ANGLE_LIMIT:
+        if abs(rotation) == _INF:
+            raise FrameSingularError("junction rotation overflows")
         raise SmallAngleError(
             f"junction rotation {rotation:.4f} rad exceeds the "
             f"small-angle limit {SMALL_ANGLE_LIMIT}")
@@ -295,10 +302,11 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     bincount of the signed coefficients that sums each slot's entries in
     their element order, and the load vector by another.  The reaction
     at D is K u - f over the element entries of D's three rows alone.
-    A mesh whose nodes coincide in floating point (an element length
-    along its member that is not finite and positive) raises
-    FrameSingularError before any division.  So, before the solve, do an
-    element stiffness coefficient that is not finite and positive, a
+    A beam width whose cube overflows raises FrameSingularError before
+    the rigidity EI is formed, and a mesh whose nodes coincide in
+    floating point (an element length along its member that is not
+    finite and positive) before any division.  So, before the solve, do
+    an element stiffness coefficient that is not finite and positive, a
     heated element whose path span is not positive and an equivalent
     thermal load that is not finite (a Joule source so large that the
     fin integral overflows).  A non-positive Cholesky pivot (a frame too
@@ -321,6 +329,8 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     mesh = _oracle_mesh(nel)
     profile = solve_temperature_profile(spec)
 
+    if not geo.beam_width <= _CUBE_MAX:
+        raise FrameSingularError("stiffness beam width cubed overflows")
     second_moment = geo.beam_thickness * geo.beam_width ** 3 / 12.0
     area = geo.beam_width * geo.beam_thickness
     ei = mat.young_modulus * second_moment

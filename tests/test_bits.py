@@ -28,7 +28,7 @@ from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
 from thermoact.study import PARAMETERS, apply_parameter, find_optimal_ratio
 from thermoact.thermomech import simulate
 
-DIGEST = "734443523fdfe79b88644f97cb065dfdbeb2157c4635301d5f3c611d55dc475d"
+DIGEST = "f3ceb97511809bad26ffe5fa80578d851e4311c1e1ad36a54ca2837d44a2a351"
 
 DOMAIN_POINTS = 2000
 EXTREME_POINTS = 500

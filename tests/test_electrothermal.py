@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from thermoact.electrothermal import (PLATEAU_THRESHOLD, ThermalSystemError,
-                                      fd_temperature_oracle, rise_integral,
-                                      solve_temperature_profile, temperature_at)
+from thermoact.electrothermal import (_CUBE_MAX, _SQUARE_MAX, PLATEAU_THRESHOLD,
+                                      ThermalSystemError, fd_temperature_oracle,
+                                      rise_integral, solve_temperature_profile,
+                                      temperature_at)
 from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
                              default_spec)
 from thermoact.thermomech import simulate
@@ -173,17 +174,91 @@ def test_fd_oracle_rejects_degenerate_meshes():
         fd_temperature_oracle(default_spec(), nodes=2)
 
 
-@pytest.mark.parametrize("spec", [
-    dataclasses.replace(default_spec(), material=dataclasses.replace(
+def _conductive(**geometry):
+    return ActuatorSpec(material=dataclasses.replace(default_spec().material,
+                                                     thermal_conductivity=1.0e300),
+                        geometry=Geometry(**geometry), drive=Drive(voltage=0.0))
+
+
+@pytest.mark.parametrize("spec,message", [
+    (dataclasses.replace(default_spec(), material=dataclasses.replace(
         default_spec().material, thermal_conductivity=1.0e300)),
-    dataclasses.replace(default_spec(), drive=Drive(voltage=1.0e200)),
-], ids=["overflowing-coefficients", "overflowing-source"])
-def test_fd_oracle_refuses_a_system_that_is_not_finite(spec):
-    """k / dx^2 or the Joule source overflows: a named arithmetic error,
-    not the banded solver's ValueError."""
-    with pytest.raises(ThermalSystemError, match="not finite"):
+     "finite-difference thermal system is not finite"),
+    (dataclasses.replace(default_spec(), drive=Drive(voltage=1.0e200)),
+     "finite-difference thermal system is not finite"),
+    (_conductive(beam_width=1.0e-160, beam_thickness=1.0e-170),
+     "finite-difference cross-section w h underflows"),
+    (_conductive(hot_arm_length=1.0e158, cold_arm_length=1.0e158),
+     "finite-difference node spacing squared leaves the float range"),
+    (_conductive(hot_arm_length=1.0e-160, cold_arm_length=1.0e-160, gap=1.0e-160),
+     "finite-difference node spacing squared leaves the float range"),
+], ids=["overflowing-coefficients", "overflowing-source", "section-underflow",
+        "spacing-overflow", "spacing-underflow"])
+def test_fd_oracle_refuses_a_system_that_is_not_finite(spec, message):
+    """k / dx^2 or the Joule source overflows, or a divisor of the side
+    loss or of k / dx^2 leaves the float range (a cross-section w h that
+    underflows, a node spacing whose square overflows or underflows): a
+    named arithmetic error, raised before the division or the banded
+    solver's ValueError."""
+    with pytest.raises(ThermalSystemError, match=f"^{message}$"):
         fd_temperature_oracle(spec, nodes=4097)
     assert issubclass(ThermalSystemError, ArithmeticError)
+
+
+def test_the_power_bounds_are_the_last_floats_whose_powers_are_finite():
+    """The square and cube of each bound are finite, and the next float's
+    raise OverflowError: a check against the bound refuses exactly the
+    operands whose power the stdlib cannot form."""
+    for bound, power in ((_SQUARE_MAX, 2), (_CUBE_MAX, 3)):
+        assert math.isfinite(bound ** power)
+        with pytest.raises(OverflowError):
+            math.nextafter(bound, math.inf) ** power
+
+
+def test_fd_oracle_takes_a_node_spacing_up_to_the_square_bound():
+    """Three nodes on equal arms of length L put the middle node L from
+    each end: at the bound the unpowered system solves to ambient, one
+    float past it the spacing is refused."""
+    past = math.nextafter(_SQUARE_MAX, math.inf)
+    for length, solves in ((_SQUARE_MAX, True), (past, False)):
+        spec = ActuatorSpec(geometry=Geometry(hot_arm_length=length,
+                                              cold_arm_length=length),
+                            drive=Drive(voltage=0.0))
+        if solves:
+            x, temps = fd_temperature_oracle(spec, nodes=3)
+            assert x[1] == length and temps.tolist() == [20.0, 20.0, 20.0]
+        else:
+            with pytest.raises(ThermalSystemError, match="node spacing squared"):
+                fd_temperature_oracle(spec, nodes=3)
+
+
+def test_the_fin_names_each_quantity_that_leaves_the_float_range():
+    """A resistivity times path length or a k w h that underflows to zero
+    is refused before j or m divides by it, and a conduction-only
+    coordinate whose cube overflows before its integral is formed; the
+    cube bound itself integrates, and an array coordinate past it is not
+    finite, as numpy overflows."""
+    base = default_spec()
+    for material, site in ((dict(resistivity=1.0e-322), "resistivity times path length"),
+                           (dict(thermal_conductivity=1.0e-320), "conduction term k w h")):
+        spec = dataclasses.replace(base, material=dataclasses.replace(base.material,
+                                                                      **material))
+        for call in (solve_temperature_profile, simulate):
+            with pytest.raises(ThermalSystemError, match=f"^fin {site} underflows$"):
+                call(spec)
+    long = ActuatorSpec(environment=Environment(convection_coefficient=0.0),
+                        geometry=Geometry(hot_arm_length=1.0e103, cold_arm_length=1.0e103,
+                                          gap=1.0e103))
+    profile = solve_temperature_profile(long)
+    assert profile.regime == "conduction-only"
+    assert rise_integral(profile, _CUBE_MAX) == math.inf
+    past = math.nextafter(_CUBE_MAX, math.inf)
+    with pytest.raises(ThermalSystemError, match="^fin path coordinate cubed overflows$"):
+        rise_integral(profile, past)
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(rise_integral(profile, np.array([past]))).any()
+    with pytest.raises(ThermalSystemError, match="^fin path coordinate cubed overflows$"):
+        simulate(dataclasses.replace(long, geometry=Geometry(hot_arm_length=past)))
 
 
 @pytest.mark.parametrize("nodes", [3, 4097])

@@ -4,7 +4,10 @@ command line asks for, ``main`` returns an exit code of the documented
 taxonomy (0 success, 1 configuration problem, 2 solver guard, 3
 validation breach from ``validate`` alone), never raises and never
 warns.  A ``simulate`` or ``optimize-ratio`` that succeeds reports
-only finite numbers; a flat objective is one explicit example.
+only finite numbers; a flat objective is one explicit example, and so
+is every config of ``test_cli.RANGE_REFUSALS``, each of which leaves
+the float range in a stage's arithmetic, so that none of them reaches
+``main`` as an unnamed arithmetic error.
 
 The examples are derandomized and the database is off, so every run
 draws the same cases."""
@@ -23,6 +26,8 @@ from thermoact.cli import main
 from thermoact.config import serialize_config
 from thermoact.model import default_spec
 from thermoact.study import PARAMETERS
+
+from test_cli import RANGE_REFUSALS
 
 # Every spec key with its default in config units, as the serializer
 # writes them (geometry in micrometres).
@@ -61,6 +66,17 @@ COMMANDS = st.one_of(
 )
 
 
+def _range_refusals(commands, **command):
+    """Hypothesis examples of the ``RANGE_REFUSALS`` configs whose
+    command is one of ``commands``."""
+    def decorate(test):
+        for reached_by, text, _ in RANGE_REFUSALS.values():
+            if reached_by in commands:
+                test = example(text=text + "\n", **command)(test)
+        return test
+    return decorate
+
+
 def _run(command, text):
     """Exit code, stdout and stderr of ``main`` on a config file holding
     ``text``, with every warning raised as an error."""
@@ -81,6 +97,7 @@ def _run(command, text):
 @settings(derandomize=True, database=None, deadline=None, max_examples=250)
 @given(text=_config_text(), command=COMMANDS)
 @example(text="drive.voltage = 0.0\n", command=["optimize-ratio", "--grid", "5"])
+@_range_refusals({"simulate"}, command=["simulate"])
 def test_every_input_ends_in_a_documented_exit_code(text, command):
     code, out, err = _run(command, text)
     assert code in (0, 1, 2), err
@@ -92,6 +109,7 @@ def test_every_input_ends_in_a_documented_exit_code(text, command):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(text=_config_text())
+@_range_refusals({"simulate", "validate"})
 def test_validate_ends_in_a_documented_exit_code(text):
     """``validate`` runs both oracles on numpy and scipy; none of them
     may warn before its exit line."""

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import thermoact.model as model
 import thermoact.study as study
 from thermoact.config import StudySettings, resolve_sweep
-from thermoact.electrothermal import _constants
+from thermoact.electrothermal import ThermalSystemError, _constants
 from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
                              InvalidSpecError, Material, default_spec)
 from thermoact.study import (OptimumReport, SweepPlan, SweepRecord,
@@ -212,6 +212,23 @@ def test_plan_rejects_values_that_break_the_spec():
                for d in err.value.diagnostics)
 
 
+@pytest.mark.parametrize("parameter", ["gap", "voltage"])
+def test_a_plan_refuses_at_construction_what_apply_parameter_refuses(parameter):
+    """A plan checks each value against the constructor's bounds, so an
+    int past the float range is refused when the plan is built, with
+    ``apply_parameter``'s error, and never reaches ``run_sweep``; the
+    float max itself is accepted by both."""
+    base = default_spec()
+    with pytest.raises(OverflowError) as applied:
+        apply_parameter(base, parameter, 10 ** 400)
+    with pytest.raises(OverflowError) as planned:
+        SweepPlan(base, parameter, (10 ** 400,))
+    assert str(planned.value) == str(applied.value) == "int too large to convert to float"
+    top = sys.float_info.max
+    assert SweepPlan(base, parameter, (top,))._points == (
+        study._point(apply_parameter(base, parameter, top), parameter, top),)
+
+
 def test_a_plan_keeps_no_specs():
     """A plan keeps no specs, as a field or an attribute: a point's spec
     is ``apply_parameter``'s to build.  The plan is a frozen, picklable
@@ -330,10 +347,11 @@ def _outcome(study_call):
 
 
 # Valid bases whose refusal shows the order of a point's steps.  (a) is
-# refused with ZeroDivisionError by the Joule current of every point,
-# before its rigidity EI (beam_width ** 3) overflows.  (b) is refused at
-# the first grid ratio of an optimisation, whose cold arm underflows to
-# zero, before its fin's m divides by k w h = 0.
+# refused by the fin of every point, whose resistivity times path length
+# underflows, before its 1e103 m beam width leaves the frame gain out of
+# the float range.  (b) is refused at the first grid ratio of an
+# optimisation, whose cold arm underflows to zero, before its fin's
+# k w h = 0 is refused.
 _ORDER_BASES = [
     ActuatorSpec(material=Material(resistivity=1.0e-322),
                  geometry=Geometry(beam_width=1.0e103)),
@@ -408,24 +426,25 @@ def test_the_optimum_keeps_every_bit_of_the_simulate_objective(monkeypatch):
     monkeypatch.setattr(study, "_solve_point",
                         lambda base, spec: (simulate(spec).tip_deflection,))
     assert ours == [_outcome(lambda: find_optimal_ratio(base)) for base in bases]
-    assert ours[-2:] == [("refused", ZeroDivisionError, "float division by zero"),
-                         ("refused", InvalidSpecError, "cold_arm_length must be positive")]
+    assert ours[-2:] == [
+        ("refused", ThermalSystemError, "fin resistivity times path length underflows"),
+        ("refused", InvalidSpecError, "cold_arm_length must be positive")]
     assert {o[1][-1] for o in ours if o[0] == "done"} == {None, "flat", "non_unimodal"}
     assert any(o[0] == "refused" for o in ours)
 
 
 # Valid bases with int fields whose sum or product leaves the float
 # range, so that turning it into a float raises OverflowError.  Each is
-# refused by an earlier step of a point: (h + w) and k w h by the Joule
-# current's division, E w h by the frame gain.  A study that formed
-# these products from the base would raise first.
+# refused by an earlier step of a point: (h + w) and k w h by the fin's
+# check of its resistivity times path length, E w h by the frame gain.
+# A study that formed these products from the base would raise first.
 _INT_BASES = [
     (ActuatorSpec(material=Material(resistivity=1.0e-322),
                   geometry=Geometry(beam_width=10 ** 308, beam_thickness=10 ** 308)),
-     ZeroDivisionError, "float division by zero"),
+     ThermalSystemError, "fin resistivity times path length underflows"),
     (ActuatorSpec(material=Material(resistivity=1.0e-322, thermal_conductivity=10 ** 200),
                   geometry=Geometry(beam_width=10 ** 200)),
-     ZeroDivisionError, "float division by zero"),
+     ThermalSystemError, "fin resistivity times path length underflows"),
     (ActuatorSpec(geometry=Geometry(beam_width=10 ** 160, beam_thickness=10 ** 160)),
      FrameSingularError, "frame gain is out of the float range"),
 ]

@@ -14,15 +14,16 @@ import pytest
 from scipy.linalg.lapack import dpbsv
 
 from thermoact import thermomech
-from thermoact.electrothermal import (ThermalSystemError, _constants, _lapack,
-                                      _load_and_peak, fd_temperature_oracle,
+from thermoact.electrothermal import (_CUBE_MAX, _SQUARE_MAX, ThermalSystemError,
+                                      _constants, _lapack, _load_and_peak,
+                                      fd_temperature_oracle,
                                       rise_integral, solve_temperature_profile,
                                       temperature_at)
 from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
                              Material, default_spec)
-from thermoact.thermomech import (FrameSingularError, SmallAngleError,
-                                  ThermalLoad, _oracle_mesh, simulate,
-                                  stiffness_oracle)
+from thermoact.thermomech import (SMALL_ANGLE_LIMIT, FrameSingularError,
+                                  SmallAngleError, ThermalLoad, _oracle_mesh,
+                                  simulate, stiffness_oracle)
 
 from test_bits import EDGES, _domain, _extreme
 from test_cli import _child_env
@@ -459,6 +460,43 @@ def test_rotation_guard_trips_on_overdrive():
         simulate(spec)
 
 
+def _census_draw(index):
+    """Draw ``index`` of ``_extreme(random.Random(4242), i)``, the draws
+    of ``tools/refusals.py``."""
+    rng = random.Random(4242)
+    for i in range(index + 1):
+        build = _extreme(rng, i)
+    return build()
+
+
+def test_a_rotation_that_overflows_is_a_frame_refusal():
+    """Census draw 13964, a 2.9e-26 m hot arm whose cold arm elongates
+    1.05e283 m more than it, turns by a finite -1.8e285 rad, but its
+    1.5 delta / L1 leaves the float range, so the kernel's rotation is
+    -inf: a frame that floats cannot hold, with no angle to report.
+    Draw 13082, whose exact deflection overflows but whose rotation
+    the kernel forms, stays a small-angle refusal.  The exact responses
+    are ``_exact_frame``'s on the float inputs and the kernel's delta."""
+    top = sys.float_info.max
+    for index in (13964, 13082):
+        spec = _census_draw(index)
+        g = spec.geometry
+        hot, cold, _ = _load_and_peak(_constants(spec), g.hot_arm_length,
+                                      g.cold_arm_length, g.gap, spec.drive.voltage)
+        _, deflection, rotation, *_ = _exact_frame(spec, Fraction(hot - cold))
+        assert SMALL_ANGLE_LIMIT < abs(rotation) < top
+        if index == 13964:
+            assert hot - cold == pytest.approx(-1.05e283, rel=1.0e-2)
+            assert abs(deflection) < top
+            assert 1.5 * (hot - cold) / g.hot_arm_length == -math.inf
+            with pytest.raises(FrameSingularError, match="^junction rotation overflows$"):
+                simulate(spec)
+        else:
+            assert abs(deflection) > top
+            with pytest.raises(SmallAngleError, match="exceeds the small-angle limit"):
+                simulate(spec)
+
+
 def test_simulation_agrees_with_the_stiffness_oracle(solution):
     oracle = stiffness_oracle(default_spec(), elements_per_member=64)
     assert solution.tip_deflection == pytest.approx(
@@ -511,15 +549,17 @@ def test_oracle_refuses_a_non_finite_thermal_load_by_name(voltage):
 
 
 def test_oracles_share_no_code_with_the_closed_form():
-    """The FD oracle reads no module global but ``math``, its error and
-    the LAPACK loader.  The stiffness oracle and its mesh helpers read
-    their own names, the loader and the closed-form thermal field alone:
+    """The FD oracle reads no module global but ``math``, its error, the
+    LAPACK loader and the square's float-range bound.  The stiffness
+    oracle and its mesh helpers read their own names, the loader, the
+    cube's bound and the closed-form thermal field alone:
     none of the frame solution's flexibility, rigidity, solve or load
     helpers.  The loader itself reads ``sys`` and nothing else."""
     assert inspect.getclosurevars(fd_temperature_oracle).globals == {
-        "math": math, "ThermalSystemError": ThermalSystemError, "_lapack": _lapack}
+        "math": math, "ThermalSystemError": ThermalSystemError, "_lapack": _lapack,
+        "_SQUARE_MAX": _SQUARE_MAX}
     allowed = {"FrameSingularError", "StiffnessResult", "_oracle_mesh",
-               "solve_temperature_profile", "rise_integral", "_lapack"}
+               "solve_temperature_profile", "rise_integral", "_lapack", "_CUBE_MAX"}
     for func in (stiffness_oracle, _oracle_mesh.__wrapped__):
         assert set(inspect.getclosurevars(func).globals) <= allowed, func.__name__
     assert inspect.getclosurevars(_lapack).globals == {"sys": sys}
@@ -726,6 +766,8 @@ def _rotated_oracle(spec, nel):
     geo, mat = spec.geometry, spec.material
     mesh = _rotated_mesh(nel)
     profile = solve_temperature_profile(spec)
+    if not geo.beam_width <= _CUBE_MAX:
+        raise FrameSingularError("stiffness beam width cubed overflows")
     ei = mat.young_modulus * (geo.beam_thickness * geo.beam_width ** 3 / 12.0)
     ea = mat.young_modulus * (geo.beam_width * geo.beam_thickness)
     length1, gap = geo.hot_arm_length, geo.gap
@@ -867,7 +909,25 @@ def test_oracle_keeps_every_bit_of_the_rotated_route():
             "and positive", "stiffness element has a coefficient that is not finite "
             "and positive", "heated element has a path span that is not positive",
             "equivalent thermal load is not finite",
-            "stiffness system did not solve"} <= outcomes
+            "stiffness system did not solve",
+            "stiffness beam width cubed overflows"} <= outcomes
+
+
+def test_the_stiffness_oracle_takes_a_beam_width_up_to_the_cube_bound():
+    """An unpowered frame of a soft beam as wide as the cube bound has a
+    finite rigidity and stays at rest; one float wider, its width cubed
+    overflows and is refused by name before the rigidity is formed."""
+    past = math.nextafter(_CUBE_MAX, math.inf)
+    for width, solves in ((_CUBE_MAX, True), (past, False)):
+        spec = ActuatorSpec(material=Material(young_modulus=1.0e-20),
+                            geometry=Geometry(beam_width=width), drive=Drive(voltage=0.0))
+        if solves:
+            result = stiffness_oracle(spec, 2)
+            assert (result.tip_deflection, result.reaction_cold_anchor) == (0.0, (0.0,) * 3)
+        else:
+            with pytest.raises(FrameSingularError,
+                               match="^stiffness beam width cubed overflows$"):
+                stiffness_oracle(spec, 2)
 
 
 def test_oracle_tip_is_the_exact_one_element_tip():

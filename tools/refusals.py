@@ -1,4 +1,4 @@
-"""Census of what ``simulate`` makes of seeded extreme specs.
+"""Census of what ``simulate`` and ``validate`` make of seeded extreme specs.
 
 Draws ``tests/test_bits.py``'s ``_extreme(random.Random(4242), i)`` for
 i < 20 000, builds each spec and simulates it, and prints how many specs
@@ -8,27 +8,41 @@ it also prints how many have a thermal load delta, the hot minus the
 cold arm's elongation, of exactly zero.  A refusal text's numbers are
 replaced by ``#``, so that one kind of refusal is one line.
 
-Only the standard library and thermoact are needed.  Run from the
-repository root:
+Then it runs ``validate``'s route, the CLI's ``_cmd_validate`` with its
+output discarded and every warning raised as an error, on every spec
+that ``simulate`` solves, and prints its outcomes the same way: exit 0,
+exit 3 (a validation breach) or a named refusal.  A raw error on either
+route is counted by its type and the package source line that raised
+it.  The census exits 1 if it finds any raw error, else 0.
+
+Only the standard library and thermoact are needed for the ``simulate``
+census; the ``validate`` route also needs numpy and scipy.  Run from the
+repository root, in about ten seconds:
 
     python tools/refusals.py
 """
 
+import contextlib
+import io
 import random
 import re
 import sys
+import traceback
+import warnings
 from collections import Counter
 from pathlib import Path
 
 root = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(root / "src"), str(root / "tests")]
 from test_bits import _extreme  # noqa: E402
+from thermoact.cli import _cmd_validate  # noqa: E402
 from thermoact.electrothermal import _constants, _load_and_peak  # noqa: E402
 from thermoact.model import InvalidSpecError  # noqa: E402
 from thermoact.thermomech import FrameSingularError, simulate  # noqa: E402
 
 DRAWS, SEED = 20000, 4242
 _NUMBER = re.compile(r"-?\d+\.\d+")
+_PACKAGE = str(root / "src" / "thermoact")
 
 
 def _delta(spec):
@@ -38,10 +52,36 @@ def _delta(spec):
     return hot - cold
 
 
+def _refusal(exc):
+    """One census line for an exception, and whether it is a raw error:
+    a named refusal's type and text, numbers as ``#``, or a raw error's
+    type and the innermost package line that raised it."""
+    kind = type(exc)
+    if kind.__module__.startswith("thermoact"):
+        return f"{kind.__name__}: {_NUMBER.sub('#', str(exc))}", False
+    where = ""
+    for frame in traceback.extract_tb(exc.__traceback__):
+        if frame.filename.startswith(_PACKAGE):
+            where = f" at {Path(frame.filename).name}:{frame.lineno} ({frame.line})"
+    return f"{kind.__name__} (raw error){where}", True
+
+
+def _validate(spec):
+    """Exit code or refusal of ``validate``'s route on ``spec``."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return f"exit {_cmd_validate(spec)}"
+
+
 def census():
-    """Counts of each outcome, and of the frame refusals with delta == 0."""
+    """Counts of each ``simulate`` outcome, of the frame refusals with
+    delta == 0 and of each ``validate`` outcome on the specs that solve,
+    and the number of raw errors on both routes."""
     rng = random.Random(SEED)
-    outcomes, at_rest = Counter(), Counter()
+    outcomes, at_rest, validated = Counter(), Counter(), Counter()
+    raw = 0
     for i in range(DRAWS):
         build = _extreme(rng, i)
         try:
@@ -52,27 +92,37 @@ def census():
         try:
             simulate(spec)
         except Exception as exc:
-            kind = type(exc)
-            if kind.__module__.startswith("thermoact"):
-                outcome = f"{kind.__name__}: {_NUMBER.sub('#', str(exc))}"
-            else:
-                outcome = f"{kind.__name__} (raw error)"
+            outcome, is_raw = _refusal(exc)
             outcomes[outcome] += 1
-            if kind is FrameSingularError and _delta(spec) == 0.0:
+            raw += is_raw
+            if type(exc) is FrameSingularError and _delta(spec) == 0.0:
                 at_rest[outcome] += 1
-        else:
-            outcomes["solved"] += 1
-    return outcomes, at_rest
+            continue
+        outcomes["solved"] += 1
+        try:
+            outcome = _validate(spec)
+        except Exception as exc:
+            outcome, is_raw = _refusal(exc)
+            raw += is_raw
+        validated[outcome] += 1
+    return outcomes, at_rest, validated, raw
+
+
+def _print(counts, note=lambda outcome: ""):
+    for outcome, count in sorted(counts.items(), key=lambda item: (-item[1], item[0])):
+        print(f"{count:7d}  {outcome}{note(outcome)}")
 
 
 def main():
-    outcomes, at_rest = census()
-    print(f"{DRAWS} draws of _extreme(random.Random({SEED}), i)")
-    for outcome, count in sorted(outcomes.items(), key=lambda item: (-item[1], item[0])):
-        frame = outcome.startswith(FrameSingularError.__name__)
-        share = f"  (delta == 0: {at_rest[outcome]})" if frame else ""
-        print(f"{count:7d}  {outcome}{share}")
+    outcomes, at_rest, validated, raw = census()
+    print(f"{DRAWS} draws of _extreme(random.Random({SEED}), i), through simulate")
+    _print(outcomes, lambda outcome: f"  (delta == 0: {at_rest[outcome]})"
+           if outcome.startswith(FrameSingularError.__name__) else "")
+    print(f"{outcomes['solved']} that simulate solves, through validate")
+    _print(validated)
+    print(f"{raw} raw errors")
+    return 1 if raw else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
