@@ -46,9 +46,9 @@ class ThermalSystemError(ArithmeticError):
     """The thermal stage cannot be solved in floating point.  The fin's
     closed form refuses a divisor of its current density or decay
     parameter that underflows and a conduction-only coordinate whose
-    cube overflows; the finite-difference oracle a divisor of its side
-    loss or coupling out of the float range and a system that is not
-    finite or is singular."""
+    cube overflows; the finite-difference oracle a divisor of its current
+    density, side loss or coupling out of the float range and a system
+    that is not finite or is singular."""
 
 
 @dataclass(frozen=True)
@@ -83,31 +83,29 @@ class ThermalLoad:
 
 
 def _constants(spec: ActuatorSpec):
-    """What every point of ``spec`` shares: rho, w, h, h + w, beta, k w,
-    k, alpha, ambient, E, w h and the extension.  None can raise, even on
-    int fields; 2 (h + w) beta, k w h and E w h can, so each point forms
-    them in their places."""
+    """What every point of ``spec`` shares: rho, w, h, the side loss
+    2 (h + w) beta, the conduction term k w h, k, alpha, ambient, the
+    axial rigidity E w h and the extension.  w and h become floats
+    first, so no sum or product can raise, even on int fields."""
     geo, mat = spec.geometry, spec.material
-    w, h, k = geo.beam_width, geo.beam_thickness, mat.thermal_conductivity
-    return (mat.resistivity, w, h, h + w, spec.environment.convection_coefficient,
-            k * w, k, mat.expansion_coefficient, spec.environment.ambient_temperature,
-            mat.young_modulus, w * h, geo.extension_length)
+    w, h, k = geo.beam_width + 0.0, geo.beam_thickness + 0.0, mat.thermal_conductivity
+    return (mat.resistivity, w, h, 2.0 * (h + w) * spec.environment.convection_coefficient,
+            k * w * h, k, mat.expansion_coefficient, spec.environment.ambient_temperature,
+            mat.young_modulus * (w * h), geo.extension_length)
 
 
 def _fin(c, hot, cold, gap, volts):
     """The fin's path length, q, m and source plateau at these arms, gap
-    and volts.  ThermalSystemError refuses, in this order, a rho times
-    path length and a k w h that underflow to zero, the divisors of j
-    and of m squared."""
-    rho, w, h, hw, beta, kw, conductivity, alpha, ambient, young, wh, ext = c
+    and volts, on the ``_constants`` ``c``.  ThermalSystemError refuses,
+    in this order, a rho times path length and a k w h that underflow to
+    zero, the divisors of j and of m squared."""
+    rho, w, h, loss, kwh, conductivity, alpha, ambient, rigidity, ext = c
     path = (hot + gap) + cold
     rho_path = rho * path
     if rho_path == 0.0:
         raise ThermalSystemError("fin resistivity times path length underflows")
     j = volts / rho_path
     q = j * j * rho
-    loss = 2.0 * hw * beta
-    kwh = kw * h
     if kwh == 0.0:
         raise ThermalSystemError("fin conduction term k w h underflows")
     m = math.sqrt(loss / kwh)
@@ -227,7 +225,7 @@ def _load_and_peak(c, hot, cold, gap, volts):
     record: the bits of ``alpha * rise_integral(profile, L)`` at each arm
     length L and of ``temperature_at``, which take floats."""
     path, q, m, plateau = _fin(c, hot, cold, gap, volts)
-    rho, w, h, hw, beta, kw, conductivity, alpha, ambient, young, wh, ext = c
+    rho, w, h, loss, kwh, conductivity, alpha, ambient, rigidity, ext = c
     expm1 = math.expm1
     shape = _shape(m * path >= PLATEAU_THRESHOLD, path, m, plateau, q,
                    conductivity, expm1)
@@ -269,15 +267,15 @@ def fd_temperature_oracle(spec: ActuatorSpec, nodes: int = 4097):
     ndarrays.  Second-order accurate, and exact for the conduction-only
     parabola.  Used by the test suite and the ``validate`` command to
     cross-check the closed form; the simulation pipeline never calls it.
-    A side loss or coupling k / dx^2 whose divisor w h or dx^2 leaves the
-    float range raises ThermalSystemError before either is formed, and
-    so do a system whose coefficients or right-hand side overflow (an
-    extreme conductivity or Joule source) before the solve and, from the
-    solve, a singular one (k / dx^2 underflowing to zero with no side
-    loss).  It imports numpy on its first call, and scipy's top-level
-    package with its compiled LAPACK wrappers (``_lapack``) on its first
-    solve, but never the ``scipy.linalg`` package, so the closed form
-    runs on the stdlib alone.
+    A current density, side loss or coupling k / dx^2 whose divisor (rho
+    path, w h or dx^2) leaves the float range raises ThermalSystemError
+    before it is formed, and so do a system whose coefficients or
+    right-hand side overflow (an extreme conductivity or Joule source)
+    before the solve and, from the solve, a singular one (k / dx^2
+    underflowing to zero with no side loss).  It imports numpy on its
+    first call, and scipy's top-level package with its compiled LAPACK
+    wrappers (``_lapack``) on its first solve, but never the
+    ``scipy.linalg`` package, so the closed form runs on the stdlib alone.
     """
     import numpy as np
 
@@ -286,7 +284,10 @@ def fd_temperature_oracle(spec: ActuatorSpec, nodes: int = 4097):
     geo, mat, env = spec.geometry, spec.material, spec.environment
     w, h = geo.beam_width, geo.beam_thickness
     path = (geo.hot_arm_length + geo.gap) + geo.cold_arm_length
-    j = spec.drive.voltage / (mat.resistivity * path)
+    rho_path = mat.resistivity * path
+    if rho_path == 0.0:
+        raise ThermalSystemError("finite-difference resistivity times path length underflows")
+    j = spec.drive.voltage / rho_path
     q = j * j * mat.resistivity
     k = mat.thermal_conductivity
     section = w * h

@@ -87,12 +87,11 @@ class StiffnessResult:
 
 
 def _solve_point(c, length1, length2, gap, volts):
-    """One operating point of the spec with ``_constants`` ``c`` (rho, w,
-    h, h + w, beta, k w, conductivity, alpha, ambient, E, w h, extension)
-    at hot arm ``length1``, cold arm ``length2``, ``gap`` and ``volts``,
-    as a flat tuple of floats: tip, junction deflection and rotation, hot
-    and cold elongation and peak temperature (a sweep record's order),
-    then the redundants x0, x1 and x2.
+    """One operating point of the spec with ``electrothermal._constants``
+    ``c`` at hot arm ``length1``, cold arm ``length2``, ``gap`` and
+    ``volts``, as a flat tuple of floats: tip, junction deflection and
+    rotation, hot and cold elongation and peak temperature (a sweep
+    record's order), then the redundants x0, x1 and x2.
 
     Compatibility at the released anchor D is F x = (delta, 0, 0), delta
     the hot minus the cold arm's free elongation.  Unit redundant i at D
@@ -125,7 +124,7 @@ def _solve_point(c, length1, length2, gap, volts):
     so the deflection is at most L1 times the rotation, and finite
     whenever the rotation is within the limit.
     """
-    rho, w, h, hw, beta, kw, conductivity, alpha, ambient, young, wh, ext = c
+    rho, w, h, loss, kwh, conductivity, alpha, ambient, rigidity, ext = c
     hot, cold, peak = _load_and_peak(c, length1, length2, gap, volts)
     delta = hot - cold
     if not math.isfinite(delta):
@@ -169,7 +168,7 @@ def _solve_point(c, length1, length2, gap, volts):
             f"junction rotation {rotation:.4f} rad exceeds the "
             f"small-angle limit {SMALL_ANGLE_LIMIT}")
 
-    axial = young * wh * (3.0 * delta / length1)
+    axial = rigidity * (3.0 * delta / length1)
     x0 = axial * (k * n0 / q)
     x1 = 3.0 * axial * (ky * (r - 1.0) * (ry + 2.0 * r + y) / q)
     x2 = -axial * gap * (k * n2 / q)

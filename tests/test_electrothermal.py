@@ -10,7 +10,7 @@ from thermoact.electrothermal import (_CUBE_MAX, _SQUARE_MAX, PLATEAU_THRESHOLD,
                                       rise_integral, solve_temperature_profile,
                                       temperature_at)
 from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
-                             default_spec)
+                             Material, default_spec)
 from thermoact.thermomech import simulate
 
 
@@ -186,17 +186,20 @@ def _conductive(**geometry):
      "finite-difference thermal system is not finite"),
     (dataclasses.replace(default_spec(), drive=Drive(voltage=1.0e200)),
      "finite-difference thermal system is not finite"),
+    (ActuatorSpec(material=Material(resistivity=1.0e-322)),
+     "finite-difference resistivity times path length underflows"),
     (_conductive(beam_width=1.0e-160, beam_thickness=1.0e-170),
      "finite-difference cross-section w h underflows"),
     (_conductive(hot_arm_length=1.0e158, cold_arm_length=1.0e158),
      "finite-difference node spacing squared leaves the float range"),
     (_conductive(hot_arm_length=1.0e-160, cold_arm_length=1.0e-160, gap=1.0e-160),
      "finite-difference node spacing squared leaves the float range"),
-], ids=["overflowing-coefficients", "overflowing-source", "section-underflow",
-        "spacing-overflow", "spacing-underflow"])
+], ids=["overflowing-coefficients", "overflowing-source", "resistivity-underflow",
+        "section-underflow", "spacing-overflow", "spacing-underflow"])
 def test_fd_oracle_refuses_a_system_that_is_not_finite(spec, message):
-    """k / dx^2 or the Joule source overflows, or a divisor of the side
-    loss or of k / dx^2 leaves the float range (a cross-section w h that
+    """k / dx^2 or the Joule source overflows, or a divisor of the
+    current density, the side loss or k / dx^2 leaves the float range (a
+    resistivity times path length or a cross-section w h that
     underflows, a node spacing whose square overflows or underflows): a
     named arithmetic error, raised before the division or the banded
     solver's ValueError."""

@@ -22,6 +22,7 @@ from thermoact.study import (OptimumReport, SweepPlan, SweepRecord,
 from thermoact.thermomech import FrameSingularError, SmallAngleError, simulate
 
 from test_bits import EDGES, _domain, _extreme
+from test_bits import _outcome as _dump_line
 
 
 def _base(hot_um=750.0, ratio=0.46, volts=8.0):
@@ -434,10 +435,11 @@ def test_the_optimum_keeps_every_bit_of_the_simulate_objective(monkeypatch):
 
 
 # Valid bases with int fields whose sum or product leaves the float
-# range, so that turning it into a float raises OverflowError.  Each is
-# refused by an earlier step of a point: (h + w) and k w h by the fin's
-# check of its resistivity times path length, E w h by the frame gain.
-# A study that formed these products from the base would raise first.
+# range.  ``_constants`` makes the width and thickness floats first, so
+# each such sum or product is inf, not an OverflowError, and every point
+# refuses by name, as on the same base written in floats: the first two
+# by the fin's check of its resistivity times path length, the last two
+# by the frame gain.
 _INT_BASES = [
     (ActuatorSpec(material=Material(resistivity=1.0e-322),
                   geometry=Geometry(beam_width=10 ** 308, beam_thickness=10 ** 308)),
@@ -447,20 +449,64 @@ _INT_BASES = [
      ThermalSystemError, "fin resistivity times path length underflows"),
     (ActuatorSpec(geometry=Geometry(beam_width=10 ** 160, beam_thickness=10 ** 160)),
      FrameSingularError, "frame gain is out of the float range"),
+    (ActuatorSpec(geometry=Geometry(beam_width=10 ** 308, beam_thickness=10 ** 308)),
+     FrameSingularError, "frame gain is out of the float range"),
 ]
+
+
+def _floated(spec):
+    """``spec`` with each int field written as the float nearest it."""
+    parts = {}
+    for name, part in vars(spec).items():
+        parts[name] = dataclasses.replace(part, **{
+            field: float(value) for field, value in vars(part).items()
+            if type(value) is int})
+    return ActuatorSpec(**parts)
 
 
 def test_int_fields_past_the_float_range_keep_their_refusal():
     for base, kind, message in _INT_BASES:
-        for call in (lambda: simulate(base), lambda: find_optimal_ratio(base),
-                     lambda: run_sweep(SweepPlan(base, "gap", (4.0e-6, 6.0e-6)))):
-            assert _outcome(call) == ("refused", kind, message)
+        for spec in (base, _floated(base)):
+            for call in (lambda: simulate(spec), lambda: find_optimal_ratio(spec),
+                         lambda: run_sweep(SweepPlan(spec, "gap", (4.0e-6, 6.0e-6)))):
+                assert _outcome(call) == ("refused", kind, message)
+
+
+def test_int_fields_that_floats_hold_solve_as_floats():
+    """``simulate`` on each int spec of the bit dump's edge cases, and on
+    two more whose int section and arms solve, gives the bits or the
+    refusal it gives on the same spec written in floats.  The edge with
+    arms past 2**53 is left out, as no float writes them."""
+    specs = [build() for build in EDGES] + [
+        ActuatorSpec(geometry=Geometry(hot_arm_length=3, cold_arm_length=1, gap=1,
+                                       beam_width=1, beam_thickness=1,
+                                       extension_length=1)),
+        ActuatorSpec(material=Material(young_modulus=158 * 10 ** 9,
+                                       thermal_conductivity=41,
+                                       expansion_coefficient=1, resistivity=1),
+                     environment=Environment(convection_coefficient=50,
+                                             ambient_temperature=20),
+                     geometry=Geometry(hot_arm_length=750, cold_arm_length=345, gap=5,
+                                       beam_width=3, beam_thickness=2,
+                                       extension_length=50),
+                     drive=Drive(voltage=8))]
+    compared = 0
+    for spec in specs:
+        ints = [value for part in vars(spec).values() for value in vars(part).values()
+                if type(value) is int]
+        if ints and all(float(value) == value for value in ints):
+            assert _dump_line(lambda: spec) == _dump_line(lambda: _floated(spec))
+            compared += 1
+    assert compared == 4
 
 
 def test_base_constants_cannot_raise():
     """The constants a study shares are reads, sums and products that
     return numbers on every valid base: the seeded ones, the int ones
-    and these at the ends of the float range."""
+    and these at the ends of the float range.  The width, the thickness,
+    the side loss, the conduction term and the axial rigidity are floats
+    on every base, the int ones included, with the bits they have on the
+    base written in floats."""
     extremes = [
         ActuatorSpec(environment=Environment(convection_coefficient=1.0e308)),
         ActuatorSpec(geometry=Geometry(beam_width=5.0e-324, beam_thickness=5.0e-324)),
@@ -471,8 +517,17 @@ def test_base_constants_cannot_raise():
     ]
     for base in _seeded_bases() + extremes + [base for base, *_ in _INT_BASES]:
         constants = _constants(base)
-        assert len(constants) == 12
+        assert len(constants) == 10
         assert all(type(value) in (float, int) for value in constants)
+        rho, w, h, loss, kwh, k, alpha, ambient, rigidity, ext = constants
+        mat = base.material
+        assert (rho, k, alpha, ambient, ext) == (
+            mat.resistivity, mat.thermal_conductivity, mat.expansion_coefficient,
+            base.environment.ambient_temperature, base.geometry.extension_length)
+        floats = (w, h, loss, kwh, rigidity)
+        assert all(type(value) is float for value in floats)
+        rho, w, h, loss, kwh, k, alpha, ambient, rigidity, ext = _constants(_floated(base))
+        assert [v.hex() for v in floats] == [v.hex() for v in (w, h, loss, kwh, rigidity)]
 
 
 def test_a_study_forms_the_base_constants_once(monkeypatch):

@@ -13,11 +13,17 @@ output discarded and every warning raised as an error, on every spec
 that ``simulate`` solves, and prints its outcomes the same way: exit 0,
 exit 3 (a validation breach) or a named refusal.  A raw error on either
 route is counted by its type and the package source line that raised
-it.  The census exits 1 if it finds any raw error, else 0.
+it.
+
+Last, on every spec that ``simulate`` refuses, it calls both oracles
+directly, ``fd_temperature_oracle(spec)`` and ``stiffness_oracle(spec,
+64)``, each with every warning raised as an error, and prints each
+oracle's outcomes the same way.  The census exits 1 if it finds any raw
+error on any of the three routes, else 0.
 
 Only the standard library and thermoact are needed for the ``simulate``
-census; the ``validate`` route also needs numpy and scipy.  Run from the
-repository root, in about ten seconds:
+census; the ``validate`` and oracle routes also need numpy and scipy.
+Run from the repository root, in about ten seconds:
 
     python tools/refusals.py
 """
@@ -36,9 +42,11 @@ root = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(root / "src"), str(root / "tests")]
 from test_bits import _extreme  # noqa: E402
 from thermoact.cli import _cmd_validate  # noqa: E402
-from thermoact.electrothermal import _constants, _load_and_peak  # noqa: E402
+from thermoact.electrothermal import (_constants, _load_and_peak,  # noqa: E402
+                                      fd_temperature_oracle)
 from thermoact.model import InvalidSpecError  # noqa: E402
-from thermoact.thermomech import FrameSingularError, simulate  # noqa: E402
+from thermoact.thermomech import (FrameSingularError, simulate,  # noqa: E402
+                                  stiffness_oracle)
 
 DRAWS, SEED = 20000, 4242
 _NUMBER = re.compile(r"-?\d+\.\d+")
@@ -75,12 +83,31 @@ def _validate(spec):
         return f"exit {_cmd_validate(spec)}"
 
 
+_ORACLES = (("fd_temperature_oracle", fd_temperature_oracle),
+            ("stiffness_oracle", lambda spec: stiffness_oracle(spec, 64)))
+
+
+def _oracles(spec):
+    """Each oracle's census line on ``spec``, called directly with every
+    warning raised as an error, and whether it is a raw error."""
+    for name, oracle in _ORACLES:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                oracle(spec)
+            outcome, is_raw = "solved", False
+        except Exception as exc:
+            outcome, is_raw = _refusal(exc)
+        yield f"{name}: {outcome}", is_raw
+
+
 def census():
     """Counts of each ``simulate`` outcome, of the frame refusals with
-    delta == 0 and of each ``validate`` outcome on the specs that solve,
-    and the number of raw errors on both routes."""
+    delta == 0, of each ``validate`` outcome on the specs that solve and
+    of each oracle's outcome on the specs that ``simulate`` refuses, and
+    the number of raw errors on the three routes."""
     rng = random.Random(SEED)
-    outcomes, at_rest, validated = Counter(), Counter(), Counter()
+    outcomes, at_rest, validated, direct = Counter(), Counter(), Counter(), Counter()
     raw = 0
     for i in range(DRAWS):
         build = _extreme(rng, i)
@@ -97,6 +124,9 @@ def census():
             raw += is_raw
             if type(exc) is FrameSingularError and _delta(spec) == 0.0:
                 at_rest[outcome] += 1
+            for outcome, is_raw in _oracles(spec):
+                direct[outcome] += 1
+                raw += is_raw
             continue
         outcomes["solved"] += 1
         try:
@@ -105,7 +135,7 @@ def census():
             outcome, is_raw = _refusal(exc)
             raw += is_raw
         validated[outcome] += 1
-    return outcomes, at_rest, validated, raw
+    return outcomes, at_rest, validated, direct, raw
 
 
 def _print(counts, note=lambda outcome: ""):
@@ -114,12 +144,15 @@ def _print(counts, note=lambda outcome: ""):
 
 
 def main():
-    outcomes, at_rest, validated, raw = census()
+    outcomes, at_rest, validated, direct, raw = census()
     print(f"{DRAWS} draws of _extreme(random.Random({SEED}), i), through simulate")
     _print(outcomes, lambda outcome: f"  (delta == 0: {at_rest[outcome]})"
            if outcome.startswith(FrameSingularError.__name__) else "")
     print(f"{outcomes['solved']} that simulate solves, through validate")
     _print(validated)
+    refused = sum(outcomes.values()) - outcomes["solved"] - outcomes["invalid spec"]
+    print(f"{refused} that simulate refuses, through each oracle called directly")
+    _print(direct)
     print(f"{raw} raw errors")
     return 1 if raw else 0
 
