@@ -132,12 +132,12 @@ def _prepare(profile, x):
     and takes ``numpy.expm1``, so only array arguments import numpy."""
     if isinstance(x, (int, float)):
         coords, expm1 = float(x), math.expm1
-        outside = coords < 0.0 or coords > profile.path_length
+        inside = 0.0 <= coords <= profile.path_length
     else:
         import numpy as np
         coords, expm1 = np.asarray(x, dtype=float), np.expm1
-        outside = np.any(coords < 0.0) or np.any(coords > profile.path_length)
-    if outside:
+        inside = np.all((coords >= 0.0) & (coords <= profile.path_length))
+    if not inside:
         raise ValueError("path coordinate outside [0, path_length]")
     return _shape(profile.regime == "convective", profile.path_length,
                   profile.decay_parameter, profile.source_plateau,

@@ -11,9 +11,9 @@ plain floats.  The rigid extension carries the junction motion to the
 jaw tip.
 
 A completely independent direct-stiffness solution on a refined beam
-mesh (``stiffness_oracle``) serves as cross-check; it builds its own
-nodes and section properties and shares no code with the closed form
-beyond the thermal stage.
+mesh of the heated members (``stiffness_oracle``) serves as
+cross-check; it builds its own nodes and section properties and shares
+no code with the closed form beyond the thermal stage.
 
 Geometry convention: the hot arm runs along +x from its anchor A at the
 origin to the junction B; the link drops across the gap to C; the cold
@@ -76,8 +76,13 @@ class FrameSolution:
 @dataclass(frozen=True)
 class StiffnessResult:
     """Outputs of the direct-stiffness cross-check, same sign convention
-    as FrameSolution.  ``reaction_cold_anchor`` is (fx, fy, moment),
-    K u - f at the fixed degrees of freedom of anchor D."""
+    as FrameSolution.  The mesh numbers its nodes in A->D order along
+    the three heated members, with half-bandwidth 5, and
+    ``elements_per_member`` counts the elements on each of them.  The
+    extension is not meshed: ``tip_deflection`` is B's rigid lever,
+    junction deflection plus extension length times junction rotation.
+    ``reaction_cold_anchor`` is (fx, fy, moment), K u - f at the fixed
+    degrees of freedom of anchor D."""
 
     junction_deflection: float
     junction_rotation: float
@@ -192,29 +197,23 @@ def simulate(spec: ActuatorSpec) -> FrameSolution:
 @functools.lru_cache(maxsize=4)
 def _oracle_mesh(nel: int):
     """The stiffness oracle's read-only arrays that depend on the mesh
-    size ``nel`` alone.  Nodes are chained A=0 .. B=nel .. C=2nel ..
-    D=3nel, then the extension leaves B and runs to J=4nel.  The members
-    run along +x (AB), -y (BC), -x (CD) and +x (BJ), so every rotation
-    is a signed permutation, and every entry of a rotated element block
-    is exactly plus or minus one of the element's five coefficients, or
-    zero.  Each nonzero entry is cached as its coefficient's flat index
-    in the (5, 4nel) coefficient array and its sign.  The clamped system
-    is laid out as LAPACK's upper band storage in its own node order,
-    whose half-bandwidth ``kd`` is 8 for every mesh size."""
+    size ``nel`` alone.  The heated members AB, BC and CD are one chain
+    of nodes A=0 .. B=nel .. C=2nel .. D=3nel, element e joining nodes e
+    and e + 1; the unloaded extension is not meshed.  The members run
+    along +x (AB), -y (BC) and -x (CD), so every rotation is a signed
+    permutation, and every entry of a rotated element block is exactly
+    plus or minus one of the element's five coefficients, or zero.  Each
+    nonzero entry is cached as its coefficient's flat index in the
+    (5, 3nel) coefficient array and its sign.  The clamped system, the
+    chain without A's and D's DOFs, is laid out as LAPACK's upper band
+    storage in node order, whose half-bandwidth ``kd`` is 5 for every
+    mesh size: no element joins nodes more than one place apart."""
     from types import SimpleNamespace
 
     import numpy as np
 
-    n_el, ndof = 4 * nel, 3 * (4 * nel + 1)
-    ends = np.array([[0, nel], [nel, 2 * nel], [2 * nel, 3 * nel], [nel, 4 * nel]])
-    chain = np.empty((4, nel + 1), dtype=np.int64)
-    chain[:, 0], chain[:, -1] = ends[:, 0], ends[:, 1]
-    chain[:, 1:-1] = nel * np.arange(4)[:, None] + np.arange(1, nel)
-    node1, node2 = chain[:, :-1].ravel(), chain[:, 1:].ravel()
-
-    dofs = np.empty((n_el, 6), dtype=np.int64)
-    dofs[:, 0:3] = 3 * node1[:, None] + np.arange(3)
-    dofs[:, 3:6] = 3 * node2[:, None] + np.arange(3)
+    n_el, kd = 3 * nel, 5
+    dofs = 3 * np.arange(n_el)[:, None] + np.arange(6)
     rows = np.repeat(dofs, 6, axis=1).ravel()
     cols = np.tile(dofs, (1, 6)).ravel()
 
@@ -224,8 +223,8 @@ def _oracle_mesh(nel: int):
     # the codes about and flips their signs in exact integer arithmetic.
     local = np.array([[1, 0, 0, -1, 0, 0], [0, 2, 3, 0, -2, 3], [0, 3, 4, 0, -3, 5],
                       [-1, 0, 0, 1, 0, 0], [0, -2, -3, 0, 2, -3], [0, 3, 5, 0, -3, 4]])
-    cos, sin = np.array([1, 0, -1, 1]), np.array([0, -1, 0, 0])
-    rot = np.zeros((4, 6, 6), dtype=np.int64)
+    cos, sin = np.array([1, 0, -1]), np.array([0, -1, 0])
+    rot = np.zeros((3, 6, 6), dtype=np.int64)
     for block in (0, 3):
         rot[:, block, block] = rot[:, block + 1, block + 1] = cos
         rot[:, block, block + 1], rot[:, block + 1, block] = sin, -sin
@@ -233,49 +232,32 @@ def _oracle_mesh(nel: int):
     code = np.repeat(rot.transpose(0, 2, 1) @ local @ rot, nel, axis=0).ravel()
     nonzero = code != 0
 
-    # Band order: the A chain up to B, then the link and the extension
-    # interleaved node by node (C and J last), then the cold arm up to D.
-    # No element joins nodes more than two places apart in it.  Dropping
-    # A's and D's DOFs, first and last, leaves ``order``: the global DOF
-    # at each place of the clamped system, to gather loads and scatter
-    # the solution.
-    nodes = np.concatenate([
-        np.arange(nel + 1),
-        np.stack([chain[1, 1:], chain[3, 1:]], axis=1).ravel(),
-        chain[2, 1:]])
-    order = (3 * nodes[:, None] + np.arange(3)).ravel()[3:-3]
-    place = np.full(ndof, -1)
-    place[order] = np.arange(order.size)
-
-    # The band spans every entry on and above the diagonal of the clamped
-    # system, zeros included (a mesh of one element per member has no
-    # nonzero entry 8 places out); kept are the nonzero ones.  A kept
+    # Kept are the nonzero entries on and above the diagonal of the
+    # clamped system, whose place is the DOF less A's three.  A kept
     # entry's slot is its flat index in the (kd + 1, n) upper band
     # storage in column-major order; entries that share a slot are
     # summed by the caller's bincount in element order.
-    row, col = place[rows], place[cols]
-    upper = (row >= 0) & (row <= col)
-    kd = int((col - row)[upper].max())
-    kept = np.flatnonzero(upper & nonzero)
+    row, col = rows - 3, cols - 3
+    kept = np.flatnonzero((row >= 0) & (row <= col) & (col < 3 * n_el - 3) & nonzero)
     row, col = row[kept], col[kept]
 
-    # Each entry's flat index in the (5, 4nel) coefficients, by its code
+    # Each entry's flat index in the (5, 3nel) coefficients, by its code
     # and its element, and its sign; D's rows take their nonzero entries.
     index = (np.abs(code) - 1) * n_el + np.arange(code.size) // 36
     sign = np.sign(code).astype(float)
-    anchor_d = 3 * 3 * nel
-    at_d = np.flatnonzero((rows >= anchor_d) & (rows < anchor_d + 3) & nonzero)
+    anchor_d = 3 * n_el
+    at_d = np.flatnonzero((rows >= anchor_d) & nonzero)
 
-    # Each heated element pushes its end nodes apart along its axis, x
-    # or y: the DOF and the sign of each of its two load terms.
-    heated, axis = np.arange(3 * nel), np.repeat(np.abs(sin[:3]), nel)
-    sense = np.repeat(cos[:3] + sin[:3], nel).astype(float)
+    # Each element pushes its end nodes apart along its axis, x or y:
+    # the DOF and the sign of each of its two load terms.
+    near = dofs[:, 0] + np.repeat(np.abs(sin), nel)
+    sense = np.repeat(cos + sin, nel).astype(float)
     arrays = dict(
-        fractions=np.linspace(0.0, 1.0, nel + 1)[1:-1], order=order,
+        fractions=np.linspace(0.0, 1.0, nel + 1)[1:-1],
         slot=col * (kd + 1) + kd + row - col, index=index[kept], sign=sign[kept],
         d_rows=rows[at_d] - anchor_d, d_cols=cols[at_d], d_index=index[at_d],
         d_sign=sign[at_d], load_sign=np.stack([-sense, sense]),
-        load_dofs=np.concatenate([dofs[heated, axis], dofs[heated, 3 + axis]]))
+        load_dofs=np.concatenate([near, near + 3]))
     for array in arrays.values():
         array.flags.writeable = False
     return SimpleNamespace(kd=kd, **arrays)
@@ -284,40 +266,45 @@ def _oracle_mesh(nel: int):
 def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> StiffnessResult:
     """Displacement-method solution on a refined mesh of beam elements.
 
-    Meshes all four members with ``elements_per_member`` 6-DOF
-    Euler-Bernoulli frame elements, applies each heated element's mean
-    temperature rise as an equivalent axial load pair, clamps both
-    anchors and solves the banded system of the free degrees of freedom
-    by LAPACK's band Cholesky ``pbsv``.  What depends on the mesh size
-    alone is built once per size and kept in a small bounded cache of
-    read-only arrays: the band layout of the clamped system (a node
-    order of half-bandwidth 8 and the free DOFs in that order), and
-    gather tables that the exact 0 and +-1 member rotations give: for
-    each nonzero upper-triangle element entry its slot in the upper band
-    storage, its coefficient and its sign, the same for the entries of
-    D's rows, and the DOF and sign of each load term.  Nothing from a
-    spec is cached.  Each call forms the element lengths and the five
-    stiffness coefficients of each element, fills the band by one
-    bincount of the signed coefficients that sums each slot's entries in
-    their element order, and the load vector by another.  The reaction
-    at D is K u - f over the element entries of D's three rows alone.
-    A beam width whose cube overflows raises FrameSingularError before
-    the rigidity EI is formed, and a mesh whose nodes coincide in
-    floating point (an element length along its member that is not
-    finite and positive) before any division.  So, before the solve, do
-    an element stiffness coefficient that is not finite and positive, a
-    heated element whose path span is not positive and an equivalent
-    thermal load that is not finite (a Joule source so large that the
-    fin integral overflows).  A non-positive Cholesky pivot (a frame too
-    ill-conditioned for the band solve to carry) or a solution that is
-    not finite raises FrameSingularError("stiffness system did not
-    solve").  A frame under no load is at rest, and its system is not
-    factored.  Independent of the closed-form frame by construction;
-    used for cross-validation and never by the studies.  With its mesh
-    helper it is the only user of numpy in this module, and the only
-    user of scipy.  It imports numpy on its first call, and scipy's
-    top-level package with its compiled LAPACK wrappers (``_lapack``) on
-    its first solve, but never the ``scipy.linalg`` package.
+    Meshes the three heated members AB, BC and CD with
+    ``elements_per_member`` 6-DOF Euler-Bernoulli frame elements each,
+    applies each element's mean temperature rise as an equivalent axial
+    load pair, clamps both anchors and solves the banded system of the
+    free degrees of freedom by LAPACK's band Cholesky ``pbsv``.  The
+    unloaded extension adds no stiffness at B, so it is not meshed: the
+    tip is B's rigid lever, the junction deflection plus the extension
+    length times the junction rotation, formed in float64 from the
+    solution.  What depends on the mesh size alone is built once per
+    size and kept in a small bounded cache of read-only arrays: gather
+    tables that the exact 0 and +-1 member rotations give, for the band
+    of the nodes in A->D order (half-bandwidth 5): for each nonzero
+    upper-triangle element entry its slot in the upper band storage, its
+    coefficient and its sign, the same for the entries of D's rows, and
+    the DOF and sign of each load term.  Nothing from a spec is cached.
+    Each call forms the element lengths and the five stiffness
+    coefficients of each element, fills the band by one bincount of the
+    signed coefficients that sums each slot's entries in their element
+    order, and the load vector by another.  The reaction at D is K u - f
+    over the element entries of D's three rows alone.  A beam width
+    whose cube overflows raises FrameSingularError before the rigidity
+    EI is formed, and a mesh whose nodes coincide in floating point (an
+    element length along its member that is not finite and positive)
+    before any division.  So, before the solve, do an element stiffness
+    coefficient that is not finite and positive, a heated element whose
+    path span is not positive and an equivalent thermal load that is not
+    finite (a Joule source so large that the fin integral overflows).  A
+    non-positive Cholesky pivot (a frame too ill-conditioned for the
+    band solve to carry) or a solution that is not finite raises
+    FrameSingularError("stiffness system did not solve"), and a tip past
+    the float range (a long extension on a frame that turns far past the
+    small-angle limit) is refused by name.  A frame under no load is at
+    rest, and its system is not factored.  Independent of
+    the closed-form frame by construction; used for cross-validation and
+    never by the studies.  With its mesh helper it is the only user of
+    numpy in this module, and the only user of scipy.  It imports numpy
+    on its first call, and scipy's top-level package with its compiled
+    LAPACK wrappers (``_lapack``) on its first solve, but never the
+    ``scipy.linalg`` package.
     """
     import numpy as np
 
@@ -336,17 +323,16 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     ea = mat.young_modulus * area
 
     # Member k's nodes, corners included, as coordinates along its own
-    # direction (+x, -y, -x, +x for AB, BC, CD, BJ): negation is exact,
-    # so each difference is the element's delta times its direction
-    # cosine.  The lengths are not positive for nodes that coincide in
-    # floating point (a member far shorter than the frame), which leave
-    # no element to divide by, or for nodes out of order, which the
-    # cached gather tables would not fit.
+    # direction (+x, -y, -x for AB, BC, CD): negation is exact, so each
+    # difference is the element's delta times its direction cosine.  The
+    # lengths are not positive for nodes that coincide in floating point
+    # (a member far shorter than the frame), which leave no element to
+    # divide by, or for nodes out of order, which the cached gather
+    # tables would not fit.
     length1 = geo.hot_arm_length
-    starts = np.array([0.0, 0.0, -length1, length1])
-    stops = np.array([length1, geo.gap, geo.cold_arm_length - length1,
-                      length1 + geo.extension_length])
-    along = np.empty((4, nel + 1))
+    starts = np.array([0.0, 0.0, -length1])
+    stops = np.array([length1, geo.gap, geo.cold_arm_length - length1])
+    along = np.empty((3, nel + 1))
     along[:, 0], along[:, -1] = starts, stops
     along[:, 1:-1] = starts[:, None] + mesh.fractions * (stops - starts)[:, None]
     lengths = (along[:, 1:] - along[:, :-1]).ravel()
@@ -361,16 +347,16 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     if not (coefficients.min() > 0.0 and coefficients.max() < np.inf):
         raise FrameSingularError(
             "stiffness element has a coefficient that is not finite and positive")
+    ndof = 3 * (3 * nel + 1)
     band = np.bincount(mesh.slot, weights=coefficients[mesh.index] * mesh.sign,
-                       minlength=(mesh.kd + 1) * mesh.order.size)
+                       minlength=(mesh.kd + 1) * (ndof - 6))
 
-    # Equivalent loads: heated members are the release path AB, BC, CD,
-    # whose elements tile the path coordinate [0, path_length] in order.
-    # Member k's nodes lie i * (length / nel) past its start, its end
-    # exact: np.linspace's arithmetic whenever the step is not zero.  A
-    # zero step, which np.linspace treats apart, needs a member shorter
-    # than nel / 2 of the smallest subnormal, whose nodes coincide, so
-    # the length check above has refused it.
+    # Equivalent loads: the elements tile the path coordinate
+    # [0, path_length] in order.  Member k's nodes lie i * (length / nel)
+    # past its start, its end exact: np.linspace's arithmetic whenever
+    # the step is not zero.  A zero step, which np.linspace treats apart,
+    # needs a member shorter than nel / 2 of the smallest subnormal,
+    # whose nodes coincide, so the length check above has refused it.
     path = np.array((length1, geo.gap, geo.cold_arm_length))
     spans = np.arange(1.0, nel + 1.0)[:, None] * (path / nel)
     spans[-1] = path
@@ -386,32 +372,35 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     if not np.all(np.isfinite(axial_force)):
         raise FrameSingularError("equivalent thermal load is not finite")
     # No DOF takes more than two load terms, so their order cannot matter.
-    ndof = 3 * (4 * nel + 1)
     load = np.bincount(mesh.load_dofs, weights=(axial_force * mesh.load_sign).ravel(),
                        minlength=ndof)
 
     # The band, filled column by column, is LAPACK's (kd + 1, n) upper
     # storage as it stands; a non-positive pivot leaves info > 0.  A
     # frame under no load stays at rest without a factorisation, which
-    # an ill-conditioned frame might not survive.
-    solution = np.zeros(ndof)
-    rhs = load[mesh.order]
-    if rhs.any():
-        _, solution[mesh.order], info = _lapack().dpbsv(
-            band.reshape(-1, mesh.kd + 1).T, rhs, overwrite_ab=1, overwrite_b=1)
+    # an ill-conditioned frame might not survive.  The solve may
+    # overwrite the free loads; only D's are read after it.
+    solution, free = np.zeros(ndof), load[3:-3]
+    if free.any():
+        _, solution[3:-3], info = _lapack().dpbsv(
+            band.reshape(-1, mesh.kd + 1).T, free, overwrite_ab=1, overwrite_b=1)
         if info > 0 or not np.all(np.isfinite(solution)):
             raise FrameSingularError("stiffness system did not solve")
 
     # K u at D's rows, summed entry by entry in element order.
-    anchor_d = 3 * 3 * nel
     reaction = np.bincount(
         mesh.d_rows, minlength=3,
         weights=coefficients[mesh.d_index] * mesh.d_sign * solution[mesh.d_cols],
-    ) - load[anchor_d:anchor_d + 3]
+    ) - load[-3:]
+    deflection, rotation = -solution[3 * nel + 1], -solution[3 * nel + 2]
+    with np.errstate(over="ignore"):
+        tip = deflection + geo.extension_length * rotation
+    if not np.isfinite(tip):
+        raise FrameSingularError("stiffness tip deflection overflows")
     return StiffnessResult(
-        junction_deflection=float(-solution[3 * nel + 1]),
-        junction_rotation=float(-solution[3 * nel + 2]),
-        tip_deflection=float(-solution[3 * 4 * nel + 1]),
+        junction_deflection=float(deflection),
+        junction_rotation=float(rotation),
+        tip_deflection=float(tip),
         reaction_cold_anchor=(float(reaction[0]), float(reaction[1]),
                               float(reaction[2])),
         elements_per_member=nel,

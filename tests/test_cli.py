@@ -445,8 +445,8 @@ def test_only_the_oracles_import_scipy(tmp_path):
 
 # Accepted configs that only the oracles behind ``validate`` cannot
 # carry: k / dx^2 overflows in the finite-difference system, or
-# underflows to zero with no side loss and leaves it singular, an
-# extension below one ulp of the hot arm collapses the stiffness mesh, a
+# underflows to zero with no side loss and leaves it singular, a cold
+# arm below one ulp of the hot arm collapses the stiffness mesh, a
 # gap below one ulp of the path collapses the heated spans, and members
 # far too short or long for their section take the element stiffness
 # out of the float range.  A 10 fm gap leaves the clamped stiffness
@@ -459,9 +459,9 @@ ORACLE_REFUSALS = [
     pytest.param("validate", "material.thermal_conductivity = 1e300",
                  "error: finite-difference thermal system is not finite",
                  id="huge-conductivity-validate"),
-    pytest.param("validate", "geometry.extension_length = 1e-200",
+    pytest.param("validate", "geometry.cold_arm_length = 1e-20",
                  "error: stiffness mesh has an element length that is not "
-                 "finite and positive", id="tiny-extension-validate"),
+                 "finite and positive", id="tiny-cold-arm-validate"),
     pytest.param("validate", "geometry.gap = 1e-30",
                  "error: heated element has a path span that is not positive",
                  id="tiny-gap-validate"),
@@ -470,8 +470,6 @@ ORACLE_REFUSALS = [
     pytest.param("validate", "geometry.hot_arm_length = 1e-100\n"
                  "geometry.cold_arm_length = 1e-101",
                  "error: frame gain is out of the float range", id="tiny-arms-validate"),
-    pytest.param("validate", "geometry.extension_length = 1e+300",
-                 _COEFFICIENT, id="huge-extension-validate"),
     pytest.param("validate", "geometry.beam_thickness = 1e+300",
                  _COEFFICIENT, id="huge-thickness-validate"),
     pytest.param("validate", "material.thermal_conductivity = 1e-310\n"
@@ -503,6 +501,25 @@ def test_a_non_finite_load_is_one_stderr_line_from_the_process(tmp_path, command
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == message + "\n"
+
+
+@pytest.mark.parametrize("line", [
+    pytest.param("geometry.extension_length = 1e-200", id="tiny-extension-validate"),
+    pytest.param("geometry.extension_length = 1e+300", id="huge-extension-validate"),
+])
+def test_an_extreme_extension_validates(tmp_path, line):
+    """The extension carries no load, so the stiffness oracle does not
+    mesh it: an extension far below one ulp of the hot arm, or far too
+    long for its section, leaves the frame's oracle as it is, and the
+    console script reports ``validation ok`` with nothing on stderr."""
+    cfg = tmp_path / "extension.cfg"
+    cfg.write_text(line + "\n")
+    proc = subprocess.run([sys.executable, "-m", "thermoact.cli", "validate",
+                           "--config", str(cfg)], cwd=tmp_path, env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout.endswith("validation ok\n")
+    assert proc.stderr == ""
 
 
 def test_a_stiffness_pivot_failure_is_a_named_solver_error(tmp_path, capsys):

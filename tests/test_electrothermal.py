@@ -487,6 +487,10 @@ def test_array_coordinates_are_checked_and_0d_gives_a_float():
             temperature_at(profile, np.array([0.0, bad]))
         with pytest.raises(ValueError):
             rise_integral(profile, [bad])
+    for nan in (math.nan, [math.nan], np.array([0.0, math.nan])):
+        for func in (temperature_at, rise_integral):
+            with pytest.raises(ValueError, match="outside"):
+                func(profile, nan)
     mid = profile.path_length / 2.0
     assert type(temperature_at(profile, np.array(mid))) is float
     assert type(rise_integral(profile, np.array(mid))) is float

@@ -528,15 +528,42 @@ def test_oracle_rejects_an_empty_mesh():
 
 
 def test_oracle_refuses_a_collapsed_element_before_dividing():
-    """An extension far shorter than one ulp of the hot arm puts J on B
-    in floating point: the oracle refuses the zero-length elements
-    before any warning from a division."""
+    """A cold arm far shorter than one ulp of the hot arm puts D on C's
+    x coordinate in floating point: the oracle refuses the zero-length
+    elements of the heated member CD before any warning from a
+    division."""
     spec = dataclasses.replace(default_spec(), geometry=dataclasses.replace(
-        default_spec().geometry, extension_length=1.0e-200))
+        default_spec().geometry, cold_arm_length=1.0e-200))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FrameSingularError, match="element length"):
             stiffness_oracle(spec, elements_per_member=4)
+
+
+def test_oracle_tip_is_the_junction_lever_and_refuses_an_overflow_by_name():
+    """The extension is not meshed: the tip is the oracle's own junction
+    deflection plus the extension times its rotation, formed in float64
+    from a float32 extension too.  A frame that turns past 1 rad on an
+    extension near the float max has a tip past the float range, which
+    the oracle names with no warning from the arithmetic; at 8 V the same
+    extension gives a finite tip."""
+    for extension in (40.0e-6, np.float32(40.0e-6)):
+        spec = dataclasses.replace(default_spec(), geometry=dataclasses.replace(
+            default_spec().geometry, extension_length=extension))
+        result = stiffness_oracle(spec, 4)
+        assert type(result.tip_deflection) is float
+        assert result.tip_deflection == result.junction_deflection \
+            + float(extension) * result.junction_rotation
+    spec = dataclasses.replace(
+        default_spec(), drive=Drive(voltage=100.0),
+        geometry=dataclasses.replace(default_spec().geometry, extension_length=1.7e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(stiffness_oracle(
+            dataclasses.replace(spec, drive=Drive(voltage=8.0)), 4).tip_deflection)
+        with pytest.raises(FrameSingularError,
+                           match="^stiffness tip deflection overflows$"):
+            stiffness_oracle(spec, 4)
 
 
 @pytest.mark.parametrize("voltage", [1.0e150, 1.0e160, 1.0e200])
@@ -624,34 +651,34 @@ _CONDUCTION_ONLY = dataclasses.replace(
 # rectilinear frame's exact 0 and +-1 rotations make every global
 # element entry plus or minus one element coefficient, or zero, each
 # band slot sums its entries in element order, and LAPACK's band
-# Cholesky factors the clamped system in the cached node order, so a
-# rewrite of the oracle's kernels that keeps the node order, the
-# summation order and the solver keeps these bits.  Another solver or node order moves
-# the last digits; test_oracle_tip_is_the_exact_one_element_tip bounds
-# how far.
+# Cholesky factors the clamped system in A->D node order, so a rewrite
+# of the oracle's kernels that keeps the node order, the summation
+# order and the solver keeps these bits.  Another solver or node order
+# moves the last digits; test_oracle_tip_is_the_exact_one_element_tip
+# bounds how far.
 _PINNED_ORACLE = [
     (default_spec(), 1,
-     ("0x1.65de39c6d83c4p-17", "0x1.c9a60f4f11139p-5", "0x1.b0d966f71b429p-17",
-      "-0x1.1f3e292b25a50p-15", "0x1.6b2492b556f28p-23", "0x1.0ea6edf4c7c6fp-33")),
+     ("0x1.65de39c9c59b5p-17", "0x1.c9a60f4fe26fbp-5", "0x1.b0d966fa2aee7p-17",
+      "-0x1.1f3e2927b2378p-15", "0x1.6b2492ce4ed18p-23", "0x1.0ea6edf995846p-33")),
     (default_spec(), 16,
-     ("0x1.65de39ca97a4fp-17", "0x1.c9a60f4fb9e14p-5", "0x1.b0d966faec38cp-17",
-      "-0x1.1f3e292ed0a04p-15", "0x1.6b2492d779500p-23", "0x1.0ea6edfb2f946p-33")),
+     ("0x1.65de39adf4a29p-17", "0x1.c9a60f47e7839p-5", "0x1.b0d966dd0b3f5p-17",
+      "-0x1.1f3e294375d6ep-15", "0x1.6b2491e2f5b00p-23", "0x1.0ea6edcc29974p-33")),
     (default_spec(), 64,
-     ("0x1.65de436a6ea1ap-17", "0x1.c9a61295c35b9p-5", "0x1.b0d9712c4eee1p-17",
-      "-0x1.1f3e1c1c10fdep-15", "0x1.6b24e0e5d7000p-23", "0x1.0ea6fd4c83e50p-33")),
+     ("0x1.65de3bd6efcadp-17", "0x1.c9a60fc5c0d24p-5", "0x1.b0d9691aa4e36p-17",
+      "-0x1.1f3e25caa5ddfp-15", "0x1.6b24a53fe7800p-23", "0x1.0ea6f173b84bcp-33")),
     (_CONDUCTION_ONLY, 64,
-     ("0x1.c3be8cf9d9ae2p-17", "0x1.20d9676efb41bp-4", "0x1.11327d8c2cdd6p-16",
-      "-0x1.6a9771437cc6dp-15", "0x1.ca671d6979400p-23", "0x1.55a6385e6e3e2p-33")),
+     ("0x1.c3be836a5a85cp-17", "0x1.20d965a903f26p-4", "0x1.11327874df43cp-16",
+      "-0x1.6a977d7b2bd96p-15", "0x1.ca66d21eb7c00p-23", "0x1.55a6296aa75b0p-33")),
     (default_spec(), 2,
-     ("0x1.65de39c43e365p-17", "0x1.c9a60f4e57095p-5", "0x1.b0d966f462c0ap-17",
-      "-0x1.1f3e292e36e54p-15", "0x1.6b24929f25b10p-23", "0x1.0ea6edf082c6bp-33")),
+     ("0x1.65de39cb14d65p-17", "0x1.c9a60f503ff42p-5", "0x1.b0d966fb897bdp-17",
+      "-0x1.1f3e292626c74p-15", "0x1.6b2492d97b490p-23", "0x1.0ea6edfbbbc3ep-33")),
     # An unpowered device: the signs of the zeros are pinned too.
     (dataclasses.replace(default_spec(), drive=Drive(voltage=0.0)), 64,
      ("-0x0.0p+0", "-0x0.0p+0", "-0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0")),
     (dataclasses.replace(default_spec(),
                          environment=Environment(convection_coefficient=5000.0)), 64,
-     ("0x1.ddba5b8cd4d19p-22", "0x1.3179041798825p-9", "0x1.20e9a22350914p-21",
-      "-0x1.7f7621cb5bec3p-20", "0x1.e4ccb06cae400p-28", "0x1.695071f70ea92p-38")),
+     ("0x1.ddba51571bfc8p-22", "0x1.31790227a2c97p-9", "0x1.20e99cb1b88e8p-21",
+      "-0x1.7f762edac9fdfp-20", "0x1.e4cc60b4d0c00p-28", "0x1.69506214084f4p-38")),
 ]
 _ORACLE_IDS = ["default-1", "default-16", "default-64", "conduction-only-64",
                "default-2", "unpowered-64", "convection-5000-64"]
@@ -690,31 +717,29 @@ def test_oracle_mesh_cache_keeps_the_bits_and_is_read_only():
 
 
 @pytest.mark.parametrize("elements", [1, 2, 16, 64])
-def test_oracle_band_has_half_bandwidth_eight(elements):
-    """The cached node order keeps every element within two nodes, so the
-    band is 8 wide above the diagonal for every mesh size, and every
-    slot lies inside the (kd + 1, n) upper band storage."""
+def test_oracle_band_has_half_bandwidth_five(elements):
+    """The nodes run in A->D order and every element joins neighbours, so
+    the band is 5 wide above the diagonal for every mesh size, every
+    slot lies inside the (kd + 1, n) upper band storage of the n free
+    DOFs between A's and D's, and each of them has its diagonal entry."""
     mesh = _oracle_mesh(elements)
-    assert mesh.kd == 8
-    clamped = {0, 1, 2, 9 * elements, 9 * elements + 1, 9 * elements + 2}
-    assert sorted(mesh.order) == sorted(set(range(3 * (4 * elements + 1))) - clamped)
-    assert 0 <= mesh.slot.min() and mesh.slot.max() < 9 * mesh.order.size
+    assert mesh.kd == 5
+    free = 3 * (3 * elements - 1)
+    assert 0 <= mesh.slot.min() and mesh.slot.max() < 6 * free
+    assert set(range(5, 6 * free, 6)) <= set(mesh.slot.tolist())
 
 
 @functools.lru_cache(maxsize=None)
 def _rotated_mesh(nel):
     """The mesh arrays of the oracle's earlier route, which rotated full
-    6x6 element blocks: node chains, DOF table, the 0 and +-1 rotations,
-    every upper-triangle entry of the clamped system (zeros included)
-    with its band slot, and every entry of D's rows."""
-    n_el, ndof = 4 * nel, 3 * (4 * nel + 1)
-    ends = np.array([[0, nel], [nel, 2 * nel], [2 * nel, 3 * nel], [nel, 4 * nel]])
-    chain = np.empty((4, nel + 1), dtype=np.int64)
-    chain[:, 0], chain[:, -1] = ends[:, 0], ends[:, 1]
-    chain[:, 1:-1] = nel * np.arange(4)[:, None] + np.arange(1, nel)
-    node1, node2 = chain[:, :-1].ravel(), chain[:, 1:].ravel()
-    direction = np.repeat([[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0], [1.0, 0.0]],
-                          nel, axis=0)
+    6x6 element blocks: the node chain A..D of the heated members, DOF
+    table, the 0 and +-1 rotations, every upper-triangle entry of the
+    clamped system (zeros included) with its band slot, and every entry
+    of D's rows."""
+    n_el, ndof = 3 * nel, 3 * (3 * nel + 1)
+    node1 = np.arange(n_el)
+    node2 = node1 + 1
+    direction = np.repeat([[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0]], nel, axis=0)
     cos, sin = direction[:, 0], direction[:, 1]
     rot = np.zeros((n_el, 6, 6))
     for block in (0, 3):
@@ -726,21 +751,18 @@ def _rotated_mesh(nel):
     dofs[:, 3:6] = 3 * node2[:, None] + np.arange(3)
     rows = np.repeat(dofs, 6, axis=1).ravel()
     cols = np.tile(dofs, (1, 6)).ravel()
-    nodes = np.concatenate([np.arange(nel + 1),
-                            np.stack([chain[1, 1:], chain[3, 1:]], axis=1).ravel(),
-                            chain[2, 1:]])
-    order = (3 * nodes[:, None] + np.arange(3)).ravel()[3:-3]
+    order = np.arange(3, ndof - 3)
     place = np.full(ndof, -1)
     place[order] = np.arange(order.size)
     row, col = place[rows], place[cols]
     kept = np.flatnonzero((row >= 0) & (row <= col))
     row, col = row[kept], col[kept]
     kd = int((col - row).max())
-    at_d = np.flatnonzero((rows >= 9 * nel) & (rows < 9 * nel + 3))
+    at_d = np.flatnonzero(rows >= ndof - 3)
     return SimpleNamespace(
         kd=kd, order=order, node1=node1, node2=node2, direction=direction, rot=rot,
         dofs=dofs, kept=kept, slot=col * (kd + 1) + kd + row - col, at_d=at_d,
-        d_rows=rows[at_d] - 9 * nel, d_cols=cols[at_d])
+        d_rows=rows[at_d] - (ndof - 3), d_cols=cols[at_d])
 
 
 def _rotated_blocks(mesh, coefficients):
@@ -761,8 +783,8 @@ def _rotated_blocks(mesh, coefficients):
 
 def _rotated_oracle(spec, nel):
     """float.hex of the oracle's fields by the earlier route: 2-D node
-    coordinates, full rotated element blocks, scalar linspace spans and
-    np.add.at loads."""
+    coordinates, full rotated element blocks, scalar linspace spans,
+    np.add.at loads and the tip on B's rigid lever."""
     geo, mat = spec.geometry, spec.material
     mesh = _rotated_mesh(nel)
     profile = solve_temperature_profile(spec)
@@ -772,13 +794,12 @@ def _rotated_oracle(spec, nel):
     ea = mat.young_modulus * (geo.beam_width * geo.beam_thickness)
     length1, gap = geo.hot_arm_length, geo.gap
     corners = np.array([(0.0, 0.0), (length1, 0.0), (length1, -gap),
-                        (length1 - geo.cold_arm_length, -gap),
-                        (length1 + geo.extension_length, 0.0)])
-    starts, stops = corners[[0, 1, 2, 1]], corners[[1, 2, 3, 4]]
-    coords = np.empty((4 * nel + 1, 2))
+                        (length1 - geo.cold_arm_length, -gap)])
+    starts, stops = corners[:-1], corners[1:]
+    coords = np.empty((3 * nel + 1, 2))
     coords[::nel] = corners
     fractions = np.linspace(0.0, 1.0, nel + 1)[1:-1, None]
-    coords[1:].reshape(4, nel, 2)[:, :-1] = \
+    coords[1:].reshape(3, nel, 2)[:, :-1] = \
         starts[:, None] + fractions * (stops - starts)[:, None]
     delta = coords[mesh.node2] - coords[mesh.node1]
     lengths = (delta * mesh.direction).sum(axis=1)
@@ -807,9 +828,9 @@ def _rotated_oracle(spec, nel):
         axial_force = ea * mat.expansion_coefficient * mean_rise
     if not np.all(np.isfinite(axial_force)):
         raise FrameSingularError("equivalent thermal load is not finite")
-    load = np.zeros(3 * (4 * nel + 1))
-    dofs = mesh.dofs[:3 * nel]
-    hcos, hsin = mesh.direction[:3 * nel, 0], mesh.direction[:3 * nel, 1]
+    load = np.zeros(3 * (3 * nel + 1))
+    dofs = mesh.dofs
+    hcos, hsin = mesh.direction[:, 0], mesh.direction[:, 1]
     np.add.at(load, dofs[:, 0], -axial_force * hcos)
     np.add.at(load, dofs[:, 1], -axial_force * hsin)
     np.add.at(load, dofs[:, 3], axial_force * hcos)
@@ -823,9 +844,13 @@ def _rotated_oracle(spec, nel):
             raise FrameSingularError("stiffness system did not solve")
     reaction = np.bincount(mesh.d_rows, minlength=3,
                            weights=values[mesh.at_d] * solution[mesh.d_cols],
-                           ) - load[9 * nel:9 * nel + 3]
-    fields = (-solution[3 * nel + 1], -solution[3 * nel + 2], -solution[12 * nel + 1],
-              *reaction)
+                           ) - load[-3:]
+    deflection, rotation = -solution[3 * nel + 1], -solution[3 * nel + 2]
+    with np.errstate(over="ignore"):
+        tip = deflection + geo.extension_length * rotation
+    if not np.isfinite(tip):
+        raise FrameSingularError("stiffness tip deflection overflows")
+    fields = (deflection, rotation, tip, *reaction)
     return tuple(float(value).hex() for value in fields)
 
 
@@ -837,10 +862,9 @@ def test_oracle_gather_matches_the_rotated_blocks(elements):
     near overflow, and the load vector that np.add.at gives."""
     mesh, rotated = _oracle_mesh(elements), _rotated_mesh(elements)
     assert mesh.kd == rotated.kd
-    assert np.array_equal(mesh.order, rotated.order)
     rng = np.random.default_rng(elements)
-    coefficients = 10.0 ** rng.uniform(-300.0, 300.0, (5, 4 * elements))
-    picks = rng.choice(coefficients.size, 4 * elements, replace=False)
+    coefficients = 10.0 ** rng.uniform(-300.0, 300.0, (5, 3 * elements))
+    picks = rng.choice(coefficients.size, 3 * elements, replace=False)
     coefficients.ravel()[picks] = rng.choice(
         [5.0e-324, 1.0e-310, 2.2e-308, 1.0e308, 1.7e308], picks.size)
 
@@ -848,7 +872,7 @@ def test_oracle_gather_matches_the_rotated_blocks(elements):
         return array.view(np.uint64).tolist()
 
     values = _rotated_blocks(rotated, coefficients)
-    size, ndof = (mesh.kd + 1) * mesh.order.size, 3 * (4 * elements + 1)
+    size, ndof = (mesh.kd + 1) * rotated.order.size, 3 * (3 * elements + 1)
     with np.errstate(all="ignore"):
         assert bits(np.bincount(mesh.slot, minlength=size,
                                 weights=coefficients.ravel()[mesh.index] * mesh.sign)) \
@@ -862,11 +886,11 @@ def test_oracle_gather_matches_the_rotated_blocks(elements):
     force = rng.choice([-1.0, 1.0], 3 * elements) * 10.0 ** rng.uniform(
         -300.0, 300.0, 3 * elements)
     expected = np.zeros(ndof)
-    dofs, (hcos, hsin) = rotated.dofs, rotated.direction[:3 * elements].T
-    np.add.at(expected, dofs[:3 * elements, 0], -force * hcos)
-    np.add.at(expected, dofs[:3 * elements, 1], -force * hsin)
-    np.add.at(expected, dofs[:3 * elements, 3], force * hcos)
-    np.add.at(expected, dofs[:3 * elements, 4], force * hsin)
+    dofs, (hcos, hsin) = rotated.dofs, rotated.direction.T
+    np.add.at(expected, dofs[:, 0], -force * hcos)
+    np.add.at(expected, dofs[:, 1], -force * hsin)
+    np.add.at(expected, dofs[:, 3], force * hcos)
+    np.add.at(expected, dofs[:, 4], force * hsin)
     with np.errstate(all="ignore"):
         load = np.bincount(mesh.load_dofs, weights=(force * mesh.load_sign).ravel(),
                            minlength=ndof)
