@@ -12,7 +12,8 @@ exponential boundary layers, or a parabola when there is no side-surface
 heat loss.  Everything downstream needs only the pointwise rise and its
 running integral, so both are exposed in closed form; the frame solution
 takes its two arm elongations and its peak as three floats from one
-scalar pass over the same helpers, sharing their constants.
+flat scalar pass that writes the same expressions out, with no helper
+call, and a test ties the two routes together bit for bit.
 
 Numerical care: the textbook form 1 - cosh(m x') / cosh(m L/2) overflows
 for long or strongly cooled beams and cancels catastrophically for short
@@ -94,34 +95,26 @@ def _constants(spec: ActuatorSpec):
             mat.young_modulus * (w * h), geo.extension_length)
 
 
-def _fin(c, hot, cold, gap, volts):
-    """The fin's path length, q, m and source plateau at these arms, gap
-    and volts, on the ``_constants`` ``c``.  ThermalSystemError refuses,
-    in this order, a rho times path length and a k w h that underflow to
-    zero, the divisors of j and of m squared."""
-    rho, w, h, loss, kwh, conductivity, alpha, ambient, rigidity, ext = c
-    path = (hot + gap) + cold
+def solve_temperature_profile(spec: ActuatorSpec) -> TemperatureProfile:
+    """Solve the fin equation for ``spec`` and return the closed form.
+    ThermalSystemError refuses, in this order, a rho times path length
+    and a k w h that underflow to zero, the divisors of j and of m
+    squared."""
+    rho, w, h, loss, kwh, conductivity, alpha, ambient, rigidity, ext = _constants(spec)
+    geo = spec.geometry
+    path = (geo.hot_arm_length + geo.gap) + geo.cold_arm_length
     rho_path = rho * path
     if rho_path == 0.0:
         raise ThermalSystemError("fin resistivity times path length underflows")
-    j = volts / rho_path
+    j = spec.drive.voltage / rho_path
     q = j * j * rho
     if kwh == 0.0:
         raise ThermalSystemError("fin conduction term k w h underflows")
     m = math.sqrt(loss / kwh)
-    return path, q, m, q * w * h / loss if loss > 0.0 else math.inf
-
-
-def solve_temperature_profile(spec: ActuatorSpec) -> TemperatureProfile:
-    """Solve the fin equation for ``spec`` and return the closed form,
-    or ThermalSystemError as ``_fin`` refuses it."""
-    geo = spec.geometry
-    path, q, m, plateau = _fin(_constants(spec), geo.hot_arm_length,
-                               geo.cold_arm_length, geo.gap, spec.drive.voltage)
     return TemperatureProfile(
-        path_length=path, decay_parameter=m, source_plateau=plateau,
-        ambient=spec.environment.ambient_temperature, heating_rate=q,
-        conductivity=spec.material.thermal_conductivity,
+        path_length=path, decay_parameter=m,
+        source_plateau=q * w * h / loss if loss > 0.0 else math.inf, ambient=ambient,
+        heating_rate=q, conductivity=conductivity,
         regime="convective" if m * path >= PLATEAU_THRESHOLD else "conduction-only")
 
 
@@ -139,9 +132,7 @@ def _prepare(profile, x):
         inside = np.all((coords >= 0.0) & (coords <= profile.path_length))
     if not inside:
         raise ValueError("path coordinate outside [0, path_length]")
-    return _shape(profile.regime == "convective", profile.path_length,
-                  profile.decay_parameter, profile.source_plateau,
-                  profile.heating_rate, profile.conductivity, expm1), coords, expm1
+    return _shape(profile, expm1), coords, expm1
 
 
 def _result(value):
@@ -154,12 +145,14 @@ def _anti(v, b, expm1):
     return expm1(v - b) - expm1(-v - b)
 
 
-def _shape(convective, path, m, plateau, heating, conductivity, expm1):
+def _shape(profile, expm1):
     """The constants the rise and its integral share: path length, m,
     plateau, then q / (2 k), None, None, None when conduction-only, or
     None, b = m L / 2, 1 + exp(-2b) and anti(-b) when convective."""
-    if not convective:
-        return path, m, plateau, heating / (2.0 * conductivity), None, None, None
+    path, m, plateau = profile.path_length, profile.decay_parameter, profile.source_plateau
+    if profile.regime != "convective":
+        half = profile.heating_rate / (2.0 * profile.conductivity)
+        return path, m, plateau, half, None, None, None
     b = m * (0.5 * path)
     return path, m, plateau, None, b, 1.0 + math.exp(-2.0 * b), _anti(-b, b, expm1)
 
@@ -221,17 +214,44 @@ def rise_integral(profile: TemperatureProfile, upto) -> float:
 def _load_and_peak(c, hot, cold, gap, volts):
     """The hot and cold arm elongations (m) and the mid-span (peak)
     temperature (C) of the spec with ``_constants`` ``c`` at these arms,
-    gap and volts as three floats from one scalar pass, with no profile
-    record: the bits of ``alpha * rise_integral(profile, L)`` at each arm
-    length L and of ``temperature_at``, which take floats."""
-    path, q, m, plateau = _fin(c, hot, cold, gap, volts)
+    gap and volts, as three floats from one flat scalar pass with no
+    helper call and no profile record.  The fin constants, the regime
+    switch, both arm integrals and the mid-path rise are the public
+    route's expressions, written out with the same association, so the
+    results are the bits of ``alpha * rise_integral(profile, L)`` at each
+    arm length L and of ``temperature_at`` at mid-path, and the refusals
+    are that route's, in its order: ThermalSystemError for a rho times
+    path length, then a k w h, that underflows to zero, then for a
+    conduction-only hot arm, then cold arm, whose cube overflows.
+    ``tools/derive_frame.py`` checks each branch against the fin
+    equation."""
     rho, w, h, loss, kwh, conductivity, alpha, ambient, rigidity, ext = c
-    expm1 = math.expm1
-    shape = _shape(m * path >= PLATEAU_THRESHOLD, path, m, plateau, q,
-                   conductivity, expm1)
-    return (alpha * _integral(shape, float(hot), expm1),
-            alpha * _integral(shape, float(cold), expm1),
-            ambient + _rise(shape, path / 2.0, expm1))
+    path = (hot + gap) + cold
+    rho_path = rho * path
+    if rho_path == 0.0:
+        raise ThermalSystemError("fin resistivity times path length underflows")
+    j = volts / rho_path
+    q = j * j * rho
+    if kwh == 0.0:
+        raise ThermalSystemError("fin conduction term k w h underflows")
+    m = math.sqrt(loss / kwh)
+    hot, cold, mid = float(hot), float(cold), path / 2.0
+    if m * path >= PLATEAU_THRESHOLD:
+        # _shape, then _integral at each arm and _rise at mid-path, with
+        # _anti(v, b) = expm1(v - b) - expm1(-v - b) written out.
+        plateau, expm1, b = q * w * h / loss, math.expm1, m * (0.5 * path)
+        scale = 1.0 + math.exp(-2.0 * b)
+        anchor, ms = expm1(-b - b) - expm1(b - b), m * scale
+        u, v, t = m * hot - b, m * cold - b, m * mid - b
+        return (alpha * (plateau * (hot - (expm1(u - b) - expm1(-u - b) - anchor) / ms)),
+                alpha * (plateau * (cold - (expm1(v - b) - expm1(-v - b) - anchor) / ms)),
+                ambient + plateau * (expm1(t - b) * expm1(-t - b) / scale))
+    if hot > _CUBE_MAX or cold > _CUBE_MAX:
+        raise ThermalSystemError("fin path coordinate cubed overflows")
+    half = q / (2.0 * conductivity)
+    return (alpha * (half * (path * hot * hot / 2.0 - hot ** 3 / 3.0)),
+            alpha * (half * (path * cold * cold / 2.0 - cold ** 3 / 3.0)),
+            ambient + half * mid * (path - mid))
 
 
 def _lapack():

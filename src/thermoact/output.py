@@ -66,15 +66,10 @@ def sweep_chart_svg(table: SweepTable) -> str:
     y_lo, y_hi = _padded(min(ys), max(ys))
     plot_w = width - left - right
     plot_h = height - top - bottom
-
-    def px(x):
-        return left + (x - x_lo) / (x_hi - x_lo) * plot_w
-
-    def py(y):
-        return height - bottom - (y - y_lo) / (y_hi - y_lo) * plot_h
-
-    points = " ".join("%.2f,%.2f" % (px(x), py(y)) for x, y in zip(xs, ys))
-    axis_y = height - bottom
+    axis_y, x_span, y_span = height - bottom, x_hi - x_lo, y_hi - y_lo
+    points = " ".join(["%.2f,%.2f" % (left + (x - x_lo) / x_span * plot_w,
+                                      axis_y - (y - y_lo) / y_span * plot_h)
+                       for x, y in zip(xs, ys)])
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',

@@ -11,9 +11,10 @@ parameters and their meanings:
                   base length ratio is preserved
 
 Each study draws every number from ``simulate``'s scalar kernel
-``thermomech._solve_point``, given the base's constants, formed once
-per study, and each point's four floats; nothing is approximated here,
-so study output inherits the pipeline's validation status unchanged.
+``thermomech._solve_point``, given the base's constants and each
+point's four floats from the parameter's point rule, both formed once
+per study; nothing is approximated here, so study output inherits the
+pipeline's validation status unchanged.
 """
 
 from __future__ import annotations
@@ -55,31 +56,45 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return values
 
 
-def _point(base: ActuatorSpec, parameter: str, value: float):
-    """The hot arm, cold arm, gap and voltage, as ``_solve_point`` takes
-    them, of ``base`` with one study parameter set to ``value``.  Checks
-    only the changed fields and the arm order against the constructor's
-    bounds, as ``base`` is valid; a point that fails goes to the full
-    constructor, whose InvalidSpecError names every violated bound, or
-    whose finiteness check raises (OverflowError for an int past the
-    float range).  ValueError for an unknown parameter."""
+def _point(base: ActuatorSpec, parameter: str):
+    """The point rule of one study parameter on ``base``: a function of
+    one value that returns the hot arm, cold arm, gap and voltage, as
+    ``_solve_point`` takes them, of ``base`` with ``parameter`` set to
+    that value.  The base's four floats are read and the rule chosen
+    here, once per study.  A point is checked only on the fields it
+    changes and on the arm order, against the constructor's bounds, as
+    ``base`` is valid; a point that fails goes to the full constructor,
+    whose InvalidSpecError names every violated bound, or whose
+    finiteness check raises (OverflowError for an int past the float
+    range).  ValueError for an unknown parameter."""
     g = base.geometry
     hot, cold, gap, volts = g.hot_arm_length, g.cold_arm_length, g.gap, base.drive.voltage
     if parameter == "voltage":
-        volts, valid = value, 0.0 <= value <= _FLOAT_MAX
+        def point(value):
+            if not 0.0 <= value <= _FLOAT_MAX:
+                _spec(base, (hot, cold, gap, value))     # raises InvalidSpecError
+            return hot, cold, gap, value
+        return point
+    if parameter == "ratio":
+        def arms(value):
+            return hot, value * hot, gap
+    elif parameter == "gap":
+        def arms(value):
+            return hot, cold, value
+    elif parameter == "hot_arm_length":
+        ratio = cold / hot
+
+        def arms(value):
+            return value, ratio * value, gap
     else:
-        if parameter == "ratio":
-            cold = value * hot
-        elif parameter == "gap":
-            gap = value
-        elif parameter == "hot_arm_length":
-            hot, cold = value, cold / hot * value
-        else:
-            raise ValueError(f"unknown study parameter {parameter!r}")
-        valid = 0.0 < cold <= hot <= _FLOAT_MAX and 0.0 < gap <= _FLOAT_MAX
-    if not valid:
-        _spec(base, (hot, cold, gap, volts))     # raises InvalidSpecError
-    return hot, cold, gap, volts
+        raise ValueError(f"unknown study parameter {parameter!r}")
+
+    def point(value):
+        hot, cold, gap = arms(value)
+        if not (0.0 < cold <= hot <= _FLOAT_MAX and 0.0 < gap <= _FLOAT_MAX):
+            _spec(base, (hot, cold, gap, volts))         # raises InvalidSpecError
+        return hot, cold, gap, volts
+    return point
 
 
 def _spec(base, point):
@@ -93,7 +108,7 @@ def _spec(base, point):
 def apply_parameter(base: ActuatorSpec, parameter: str, value: float) -> ActuatorSpec:
     """A copy of ``base`` with one study parameter set to ``value``, or
     ``_point``'s refusal.  The studies themselves build no spec."""
-    return _spec(base, _point(base, parameter, value))
+    return _spec(base, _point(base, parameter)(value))
 
 
 @dataclass(frozen=True)
@@ -117,10 +132,10 @@ class SweepPlan:
             raise ValueError("sweep needs at least one value")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("sweep values must be strictly increasing")
-        points = []
+        points, point = [], _point(self.base, self.parameter)
         for value in self.values:
             try:
-                points.append(_point(self.base, self.parameter, value))
+                points.append(point(value))
             except InvalidSpecError as exc:
                 raise InvalidSpecError(
                     [f"{self.parameter} = {value!r}: {d}" for d in exc.diagnostics]
@@ -220,10 +235,10 @@ def find_optimal_ratio(base: ActuatorSpec, grid: int = 71) -> OptimumReport:
     if grid < 3:
         raise ValueError("grid must have at least 3 points")
     ratios = _linspace(*RATIO_RANGE, grid)
-    c = _constants(base)
+    c, point = _constants(base), _point(base, "ratio")
 
     def objective(ratio: float) -> float:
-        return _solve_point(c, *_point(base, "ratio", ratio))[0]
+        return _solve_point(c, *point(ratio))[0]
 
     deflections = [objective(r) for r in ratios]
     low = min(deflections)

@@ -1,17 +1,20 @@
 import dataclasses
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
 
 from thermoact.electrothermal import (_CUBE_MAX, _SQUARE_MAX, PLATEAU_THRESHOLD,
-                                      ThermalSystemError, fd_temperature_oracle,
-                                      rise_integral, solve_temperature_profile,
-                                      temperature_at)
+                                      ThermalSystemError, _constants, _load_and_peak,
+                                      fd_temperature_oracle, rise_integral,
+                                      solve_temperature_profile, temperature_at)
 from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
-                             Material, default_spec)
-from thermoact.thermomech import simulate
+                             InvalidSpecError, Material, default_spec)
+from thermoact.thermomech import FrameSingularError, SmallAngleError, simulate
+
+from test_bits import _domain, _extreme
 
 
 def _with(spec, **geometry):
@@ -519,21 +522,70 @@ def _public_route_cases():
             base, environment=Environment(convection_coefficient=beta))
 
 
+def _seeded_draws():
+    """The bit dump's seeded draws that the constructor accepts: 300 in
+    the single-point domain, then 600 over many decades of every field,
+    among which each of the fin's three refusals occurs."""
+    rng = random.Random(20261020)
+    specs = [_domain(rng) for _ in range(300)]
+    for i in range(600):
+        try:
+            specs.append(_extreme(rng, i)())
+        except InvalidSpecError:
+            pass
+    return specs
+
+
+# Both the resistivity times path length and k w h underflow: the
+# former is refused first.
+_BOTH_UNDERFLOW = ActuatorSpec(material=Material(resistivity=1.0e-322,
+                                                 thermal_conductivity=1.0e-320))
+
+
+def _thermal(call):
+    """The bits of the three floats ``call`` returns, or the type and
+    message of its refusal."""
+    try:
+        return [v.hex() for v in call()]
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
 def test_simulate_takes_its_thermal_stage_from_the_public_route():
     """``simulate`` computes its thermal load and peak temperature in
-    one private scalar pass; each must equal, to the bit, the public
-    route through the profile that the FD oracle checks."""
-    regimes = set()
-    for spec in _public_route_cases():
-        solution = simulate(spec)
-        profile = solve_temperature_profile(spec)
-        regimes.add(profile.regime)
-        alpha = spec.material.expansion_coefficient
-        public = (alpha * rise_integral(profile, spec.geometry.hot_arm_length),
-                  alpha * rise_integral(profile, spec.geometry.cold_arm_length),
-                  temperature_at(profile, profile.path_length / 2.0))
-        ours = (solution.thermal_load.hot_elongation,
-                solution.thermal_load.cold_elongation,
-                solution.peak_temperature)
-        assert [v.hex() for v in ours] == [v.hex() for v in public], spec
+    one private flat scalar pass, ``_load_and_peak``; each must equal,
+    to the bit, the public route through the profile that the FD oracle
+    checks, and where either route refuses, both raise the same error
+    with the same message.  ``simulate`` gives the pass's three floats
+    or its refusal, unless the frame refuses a pass that solved."""
+    regimes, refusals = set(), set()
+    for spec in [*_public_route_cases(), *_seeded_draws(), _BOTH_UNDERFLOW]:
+        g, alpha = spec.geometry, spec.material.expansion_coefficient
+
+        def public():
+            profile = solve_temperature_profile(spec)
+            regimes.add(profile.regime)
+            return (alpha * rise_integral(profile, g.hot_arm_length),
+                    alpha * rise_integral(profile, g.cold_arm_length),
+                    temperature_at(profile, profile.path_length / 2.0))
+
+        ours = _thermal(lambda: _load_and_peak(_constants(spec), g.hot_arm_length,
+                                               g.cold_arm_length, g.gap,
+                                               spec.drive.voltage))
+        assert ours == _thermal(public), spec
+        try:
+            solution = simulate(spec)
+        except ThermalSystemError as exc:
+            assert ours == (ThermalSystemError, str(exc)), spec
+            refusals.add(str(exc))
+            continue
+        except (FrameSingularError, SmallAngleError):
+            assert type(ours) is list, spec
+            continue
+        assert ours == [v.hex() for v in (solution.thermal_load.hot_elongation,
+                                          solution.thermal_load.cold_elongation,
+                                          solution.peak_temperature)], spec
     assert regimes == {"convective", "conduction-only"}
+    assert refusals == {"fin resistivity times path length underflows",
+                        "fin conduction term k w h underflows",
+                        "fin path coordinate cubed overflows"}

@@ -227,7 +227,55 @@ def test_a_plan_refuses_at_construction_what_apply_parameter_refuses(parameter):
     assert str(planned.value) == str(applied.value) == "int too large to convert to float"
     top = sys.float_info.max
     assert SweepPlan(base, parameter, (top,))._points == (
-        study._point(apply_parameter(base, parameter, top), parameter, top),)
+        study._point(apply_parameter(base, parameter, top), parameter)(top),)
+
+
+# The ends of every field's range: NaN, both zeros, both infinities,
+# the float max and the float below it, an int past the float range,
+# and ordinary floats and an int.
+_RULE_VALUES = (math.nan, 0.0, -0.0, math.inf, -math.inf, sys.float_info.max,
+                math.nextafter(sys.float_info.max, 0.0), 10 ** 400, 0.5, 5.0e-6, 3)
+# A ratio's cold arm on these subnormal arms underflows to zero.
+_SUBNORMAL_ARMS = ActuatorSpec(geometry=Geometry(hot_arm_length=5.0e-324,
+                                                 cold_arm_length=5.0e-324))
+
+
+def _point_outcome(call):
+    """The type and repr of each of the hot arm, cold arm, gap and
+    voltage ``call`` returns, or its refusal's type and diagnostics."""
+    try:
+        point = call()
+    except (InvalidSpecError, OverflowError) as exc:
+        return type(exc), getattr(exc, "diagnostics", str(exc))
+    return [(type(v), repr(v)) for v in point]
+
+
+def _fields(spec):
+    g = spec.geometry
+    return g.hot_arm_length, g.cold_arm_length, g.gap, spec.drive.voltage
+
+
+@pytest.mark.parametrize("parameter", study.PARAMETERS)
+def test_each_point_rule_ends_as_apply_parameter_does(parameter):
+    """The point rule a study chooses once, ``_point(base, parameter)``,
+    gives for every value the four fields of the spec that
+    ``apply_parameter`` builds, and that the fully checked replace route
+    builds, with their types and signs, or the same exception type and
+    diagnostics."""
+    outcomes = []
+    for base in (_OFF_DEFAULT, _SUBNORMAL_ARMS, _HUGE_ARMS):
+        rule = study._point(base, parameter)
+        for value in _RULE_VALUES:
+            ours = _point_outcome(lambda: rule(value))
+            assert ours == _point_outcome(
+                lambda: _fields(apply_parameter(base, parameter, value))), (base, value)
+            assert ours == _point_outcome(
+                lambda: _fields(_replace_route(base, parameter, value))), (base, value)
+            outcomes.append(ours)
+    assert {type(o) for o in outcomes} == {list, tuple}     # solved and refused
+    assert (OverflowError, "int too large to convert to float") in outcomes
+    if parameter == "ratio":
+        assert (InvalidSpecError, ["cold_arm_length must be positive"]) in outcomes
 
 
 def test_a_plan_keeps_no_specs():
@@ -421,11 +469,12 @@ def test_the_optimum_keeps_every_bit_of_the_simulate_objective(monkeypatch):
     seeded = _seeded_bases()
     bases = seeded[:-len(_ORDER_BASES)][::3] + _ORDER_BASES
     ours = [_outcome(lambda: find_optimal_ratio(base)) for base in bases]
-    # The optimisation solves _solve_point(base, *_point(base, "ratio", r)).
-    monkeypatch.setattr(study, "_point", lambda base, parameter, value:
+    # The optimisation solves _solve_point(c, *point(r)) with the point
+    # rule point = _point(base, "ratio") and the constants c of the base.
+    monkeypatch.setattr(study, "_point", lambda base, parameter: lambda value:
                         (_replace_route(base, parameter, value),))
     monkeypatch.setattr(study, "_solve_point",
-                        lambda base, spec: (simulate(spec).tip_deflection,))
+                        lambda constants, spec: (simulate(spec).tip_deflection,))
     assert ours == [_outcome(lambda: find_optimal_ratio(base)) for base in bases]
     assert ours[-2:] == [
         ("refused", ThermalSystemError, "fin resistivity times path length underflows"),

@@ -12,11 +12,25 @@ run with exact rationals for its float constants and symbols for its
 inputs, the spec's constants among them, and every polynomial and every
 output it returns must equal the derived one.
 
+It checks the thermal pass ``electrothermal._load_and_peak`` the same
+way, in each branch of its regime switch, reading expm1(x) as
+exp(x) - 1.  Its arm elongations must be alpha times the integral of
+theta over each arm, from its anchor, and its peak the ambient plus
+theta at mid-path, where theta solves the fin equation
+
+    k w h theta'' + q w h = loss theta,    theta(0) = theta(path) = 0,
+
+q = V^2 / (rho path^2) the Joule source, and loss = 0 in the
+conduction-only branch.  The convection coefficient is written so that
+the side loss 2 (h + w) beta is mu^2 k w h, and the decay parameter
+sqrt(loss / (k w h)) the positive symbol mu.
+
 sympy is not a dependency of thermoact.  Run from the repository root:
 
     python tools/derive_frame.py
 """
 
+import __future__
 import ast
 import inspect
 import sys
@@ -31,6 +45,8 @@ from thermoact import electrothermal, thermomech  # noqa: E402
 
 L1, r, y, s, E, t, ext, hot, cold = sp.symbols(
     "L1 r y s E t L_ext hot cold", positive=True)
+rho, conductivity, alpha, ambient, volts, mu = sp.symbols(
+    "rho k_thermal alpha ambient volts mu", positive=True)
 k = s * s / 12
 delta = hot - cold
 L2, g, w = r * L1, y * L1, s * L1
@@ -79,7 +95,11 @@ def derive():
 
 class _Exact(ast.NodeTransformer):
     """Float constants become exact rationals, and the statements that
-    only refuse a point (if ... raise) are dropped."""
+    only refuse a point (if ... raise) are dropped.  Every other if is
+    dropped, or replaced by its body when ``taken``."""
+
+    def __init__(self, taken=False):
+        self.taken = taken
 
     def visit_Constant(self, node):
         if type(node.value) is float:
@@ -88,7 +108,33 @@ class _Exact(ast.NodeTransformer):
         return node
 
     def visit_If(self, node):
-        return None
+        if isinstance(node.body[-1], ast.Raise) or not self.taken:
+            return None
+        self.generic_visit(node)
+        return node.body
+
+
+def symbolic(function, taken=False, **names):
+    """``function`` defined from its own source as ``_Exact(taken)``
+    rewrites it, with ``names`` among its globals."""
+    tree = _Exact(taken).visit(ast.parse(textwrap.dedent(inspect.getsource(function))))
+    namespace = dict(Rational=sp.Rational, **names)
+    exec(compile(ast.fix_missing_locations(tree), function.__name__, "exec",
+                 flags=__future__.annotations.compiler_flag, dont_inherit=True), namespace)
+    return namespace[function.__name__]
+
+
+def constants(width, convection):
+    """``_constants`` on a spec of symbols with this beam width and
+    convection coefficient."""
+    spec = SimpleNamespace(
+        geometry=SimpleNamespace(beam_width=width, beam_thickness=t, extension_length=ext),
+        material=SimpleNamespace(young_modulus=E, resistivity=rho,
+                                 thermal_conductivity=conductivity,
+                                 expansion_coefficient=alpha),
+        environment=SimpleNamespace(convection_coefficient=convection,
+                                    ambient_temperature=ambient))
+    return symbolic(electrothermal._constants)(spec)
 
 
 def run_kernel():
@@ -100,18 +146,41 @@ def run_kernel():
     *statements, returned = body
     statements.append(ast.Assign([ast.Name("result", ast.Store())], returned.value))
     module = ast.fix_missing_locations(_Exact().visit(ast.Module(statements, [])))
-    spec = SimpleNamespace(
-        geometry=SimpleNamespace(beam_width=w, beam_thickness=t, extension_length=ext),
-        material=SimpleNamespace(young_modulus=E, resistivity=sp.Symbol("rho"),
-                                 thermal_conductivity=sp.Symbol("k_thermal"),
-                                 expansion_coefficient=sp.Symbol("alpha")),
-        environment=SimpleNamespace(convection_coefficient=sp.Symbol("beta"),
-                                    ambient_temperature=sp.Symbol("ambient")))
-    local = dict(Rational=sp.Rational, c=electrothermal._constants(spec), length1=L1,
-                 length2=L2, gap=g, volts=sp.Symbol("volts"),
+    local = dict(Rational=sp.Rational, c=constants(w, sp.Symbol("beta")), length1=L1,
+                 length2=L2, gap=g, volts=volts,
                  _load_and_peak=lambda *point: (hot, cold, sp.Symbol("peak")))
     exec(compile(module, "_solve_point", "exec"), {}, local)
     return local
+
+
+def check_thermal_pass():
+    """The outputs of ``_load_and_peak``'s source that differ from the
+    fin equation's, in each regime branch, as "branch: output" names."""
+    length_hot, length_cold, gap, width, x, q = sp.symbols(
+        "L_hot L_cold gap w x q", positive=True)
+    path = length_hot + gap + length_cold
+    kwh = conductivity * width * t
+    c = constants(width, mu * mu * kwh / (2 * (t + width)))
+    theta = sp.Function("theta")
+    names = SimpleNamespace(expm1=lambda v: sp.exp(v) - 1, exp=sp.exp, sqrt=sp.sqrt)
+    failures = []
+    for branch, taken, loss in (("convective", True, mu * mu * kwh),
+                                ("conduction-only", False, 0)):
+        kernel = symbolic(electrothermal._load_and_peak, taken, math=names,
+                          float=lambda v: v)
+        got = kernel(c, length_hot, length_cold, gap, volts)
+        fin = sp.Eq(kwh * theta(x).diff(x, 2) + q * width * t, loss * theta(x))
+        rise = sp.dsolve(fin, theta(x), ics={theta(0): 0, theta(path): 0}).rhs
+        expected = [v.subs(q, volts ** 2 / (rho * path ** 2))
+                    for v in (alpha * sp.integrate(rise, (x, 0, length_hot)),
+                              alpha * sp.integrate(rise, (x, 0, length_cold)),
+                              ambient + rise.subs(x, path / 2))]
+        failures += [f"{branch}: {name}"
+                     for name, ours, theirs in zip(("hot", "cold", "peak"), got, expected)
+                     if sp.simplify(sp.expand(ours - theirs, power_exp=True)) != 0]
+        if len(got) != 3:
+            failures.append(f"{branch}: {len(got)} outputs, not 3")
+    return failures
 
 
 def main():
@@ -130,9 +199,14 @@ def main():
         failures.append(f"{len(kernel['result'])} outputs, not {len(names)}")
     if failures:
         print("kernel disagrees with the derivation:", ", ".join(failures))
-        return 1
-    print("kernel agrees with the derivation: every polynomial and output")
-    return 0
+    else:
+        print("kernel agrees with the derivation: every polynomial and output")
+    thermal = check_thermal_pass()
+    if thermal:
+        print("thermal pass disagrees with the fin equation:", ", ".join(thermal))
+    else:
+        print("thermal pass agrees with the fin equation: both regimes, every output")
+    return 1 if failures or thermal else 0
 
 
 if __name__ == "__main__":
