@@ -194,28 +194,21 @@ def simulate(spec: ActuatorSpec) -> FrameSolution:
                          tip, peak)
 
 
-@functools.lru_cache(maxsize=4)
-def _oracle_mesh(nel: int):
-    """The stiffness oracle's read-only arrays that depend on the mesh
-    size ``nel`` alone.  The heated members AB, BC and CD are one chain
-    of nodes A=0 .. B=nel .. C=2nel .. D=3nel, element e joining nodes e
-    and e + 1; the unloaded extension is not meshed.  The members run
-    along +x (AB), -y (BC) and -x (CD), so every rotation is a signed
-    permutation, and every entry of a rotated element block is exactly
-    plus or minus one of the element's five coefficients, or zero.  Each
-    nonzero entry is cached as its coefficient's flat index in the
-    (5, 3nel) coefficient array and its sign.  The clamped system, the
-    chain without A's and D's DOFs, is laid out as LAPACK's upper band
-    storage in node order, whose half-bandwidth ``kd`` is 5 for every
-    mesh size: no element joins nodes more than one place apart."""
-    from types import SimpleNamespace
-
+@functools.cache
+def _member_patterns():
+    """The stiffness oracle's one cached array, the same for every mesh
+    size: a read-only (2, 3, 5, 18) array of 0 and +-1 that takes an
+    element's five coefficients EA/L, 12EI/L^3, 6EI/L^2, 4EI/L, 2EI/L,
+    by a matrix product, to its end half ([0]) and its start half ([1])
+    in LAPACK's upper band storage, for each heated member AB, BC, CD.
+    Element e joins nodes e and e + 1, and the band column of DOF c of
+    node n holds the rows c - 2 .. c + 3 past node n - 1's first DOF
+    (half-bandwidth 5).  A half is the element's share of the three band
+    columns of its end node, or of its start node, where it reaches that
+    node's own rows alone.  The members run along +x, -y and -x, so
+    every rotation is a signed permutation, and every entry of a rotated
+    element block is exactly plus or minus one coefficient, or zero."""
     import numpy as np
-
-    n_el, kd = 3 * nel, 5
-    dofs = 3 * np.arange(n_el)[:, None] + np.arange(6)
-    rows = np.repeat(dofs, 6, axis=1).ravel()
-    cols = np.tile(dofs, (1, 6)).ravel()
 
     # The local block with each entry coded 0, or +-(k + 1) for +- the
     # k-th coefficient of EA/L, 12EI/L^3, 6EI/L^2, 4EI/L, 2EI/L.  Each
@@ -223,44 +216,19 @@ def _oracle_mesh(nel: int):
     # the codes about and flips their signs in exact integer arithmetic.
     local = np.array([[1, 0, 0, -1, 0, 0], [0, 2, 3, 0, -2, 3], [0, 3, 4, 0, -3, 5],
                       [-1, 0, 0, 1, 0, 0], [0, -2, -3, 0, 2, -3], [0, 3, 5, 0, -3, 4]])
-    cos, sin = np.array([1, 0, -1]), np.array([0, -1, 0])
-    rot = np.zeros((3, 6, 6), dtype=np.int64)
-    for block in (0, 3):
-        rot[:, block, block] = rot[:, block + 1, block + 1] = cos
-        rot[:, block, block + 1], rot[:, block + 1, block] = sin, -sin
-        rot[:, block + 2, block + 2] = 1
-    code = np.repeat(rot.transpose(0, 2, 1) @ local @ rot, nel, axis=0).ravel()
-    nonzero = code != 0
-
-    # Kept are the nonzero entries on and above the diagonal of the
-    # clamped system, whose place is the DOF less A's three.  A kept
-    # entry's slot is its flat index in the (kd + 1, n) upper band
-    # storage in column-major order; entries that share a slot are
-    # summed by the caller's bincount in element order.
-    row, col = rows - 3, cols - 3
-    kept = np.flatnonzero((row >= 0) & (row <= col) & (col < 3 * n_el - 3) & nonzero)
-    row, col = row[kept], col[kept]
-
-    # Each entry's flat index in the (5, 3nel) coefficients, by its code
-    # and its element, and its sign; D's rows take their nonzero entries.
-    index = (np.abs(code) - 1) * n_el + np.arange(code.size) // 36
-    sign = np.sign(code).astype(float)
-    anchor_d = 3 * n_el
-    at_d = np.flatnonzero((rows >= anchor_d) & nonzero)
-
-    # Each element pushes its end nodes apart along its axis, x or y:
-    # the DOF and the sign of each of its two load terms.
-    near = dofs[:, 0] + np.repeat(np.abs(sin), nel)
-    sense = np.repeat(cos + sin, nel).astype(float)
-    arrays = dict(
-        fractions=np.linspace(0.0, 1.0, nel + 1)[1:-1],
-        slot=col * (kd + 1) + kd + row - col, index=index[kept], sign=sign[kept],
-        d_rows=rows[at_d] - anchor_d, d_cols=cols[at_d], d_index=index[at_d],
-        d_sign=sign[at_d], load_sign=np.stack([-sense, sense]),
-        load_dofs=np.concatenate([near, near + 3]))
-    for array in arrays.values():
-        array.flags.writeable = False
-    return SimpleNamespace(kd=kd, **arrays)
+    dof = np.arange(3)[:, None]
+    row = dof + np.arange(6) - 2
+    patterns = np.empty((2, 3, 5, 3, 6))
+    for member, (cos, sin) in enumerate(((1, 0), (0, -1), (-1, 0))):
+        rot = np.kron(np.eye(2, dtype=int), [[cos, sin, 0], [-sin, cos, 0], [0, 0, 1]])
+        code = rot.T @ local @ rot
+        halves = np.array([np.where(row >= 0, code[row, dof + 3], 0),
+                           np.where(row >= 3, code[row - 3, dof], 0)])[:, None]
+        patterns[:, member] = np.sign(halves) * (np.abs(halves)
+                                                 == np.arange(1, 6)[:, None, None])
+    patterns = patterns.reshape(2, 3, 5, 18)
+    patterns.flags.writeable = False
+    return patterns
 
 
 def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> StiffnessResult:
@@ -274,36 +242,29 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     unloaded extension adds no stiffness at B, so it is not meshed: the
     tip is B's rigid lever, the junction deflection plus the extension
     length times the junction rotation, formed in float64 from the
-    solution.  What depends on the mesh size alone is built once per
-    size and kept in a small bounded cache of read-only arrays: gather
-    tables that the exact 0 and +-1 member rotations give, for the band
-    of the nodes in A->D order (half-bandwidth 5): for each nonzero
-    upper-triangle element entry its slot in the upper band storage, its
-    coefficient and its sign, the same for the entries of D's rows, and
-    the DOF and sign of each load term.  Nothing from a spec is cached.
-    Each call forms the element lengths and the five stiffness
-    coefficients of each element, fills the band by one bincount of the
-    signed coefficients that sums each slot's entries in their element
-    order, and the load vector by another.  The reaction at D is K u - f
-    over the element entries of D's three rows alone.  A beam width
-    whose cube overflows raises FrameSingularError before the rigidity
-    EI is formed, and a mesh whose nodes coincide in floating point (an
-    element length along its member that is not finite and positive)
-    before any division.  So, before the solve, do an element stiffness
-    coefficient that is not finite and positive, a heated element whose
-    path span is not positive and an equivalent thermal load that is not
-    finite (a Joule source so large that the fin integral overflows).  A
-    non-positive Cholesky pivot (a frame too ill-conditioned for the
-    band solve to carry) or a solution that is not finite raises
+    solution.  Each call forms the element lengths and the five stiffness
+    coefficients of each element, takes them to the band by
+    ``_member_patterns``' exact 0 and +-1 selections, and forms the load
+    vector; nothing from a spec or a mesh size is cached.  The reaction at
+    D is K u - f over D's three rows alone.  A beam width whose cube
+    overflows raises FrameSingularError before the rigidity EI is formed,
+    and a mesh whose nodes coincide in floating point (an element length
+    along its member that is not finite and positive) before any division.
+    So, before the solve, do an element stiffness coefficient that is not
+    finite and positive, a heated element whose path span is not positive
+    and an equivalent thermal load that is not finite (a Joule source so
+    large that the fin integral overflows).  A non-positive Cholesky pivot
+    (a frame too ill-conditioned for the band solve to carry) or a
+    solution that is not finite raises
     FrameSingularError("stiffness system did not solve"), and a tip past
     the float range (a long extension on a frame that turns far past the
     small-angle limit) is refused by name.  A frame under no load is at
-    rest, and its system is not factored.  Independent of
-    the closed-form frame by construction; used for cross-validation and
-    never by the studies.  With its mesh helper it is the only user of
-    numpy in this module, and the only user of scipy.  It imports numpy
-    on its first call, and scipy's top-level package with its compiled
-    LAPACK wrappers (``_lapack``) on its first solve, but never the
+    rest, and its system is not factored.  Independent of the closed-form
+    frame by construction; used for cross-validation and never by the
+    studies.  With its pattern helper it is the only user of numpy in
+    this module, and the only user of scipy.  It imports numpy on its
+    first call, and scipy's top-level package with its compiled LAPACK
+    wrappers (``_lapack``) on its first solve, but never the
     ``scipy.linalg`` package.
     """
     import numpy as np
@@ -312,7 +273,7 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
         raise ValueError("elements_per_member must be at least 1")
     geo, mat = spec.geometry, spec.material
     nel = elements_per_member
-    mesh = _oracle_mesh(nel)
+    patterns = _member_patterns()
     profile = solve_temperature_profile(spec)
 
     if not geo.beam_width <= _CUBE_MAX:
@@ -325,31 +286,30 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     # Member k's nodes, corners included, as coordinates along its own
     # direction (+x, -y, -x for AB, BC, CD): negation is exact, so each
     # difference is the element's delta times its direction cosine.  The
-    # lengths are not positive for nodes that coincide in floating point
-    # (a member far shorter than the frame), which leave no element to
-    # divide by, or for nodes out of order, which the cached gather
-    # tables would not fit.
+    # interior nodes lie at np.linspace(0.0, 1.0, nel + 1)'s fractions,
+    # i * (1 / nel).  The lengths are not positive for nodes that
+    # coincide in floating point (a member far shorter than the frame),
+    # which leave no element to divide by, or for nodes out of order,
+    # against the member direction that the patterns take.
     length1 = geo.hot_arm_length
     starts = np.array([0.0, 0.0, -length1])
     stops = np.array([length1, geo.gap, geo.cold_arm_length - length1])
+    count = np.arange(1.0, nel + 1.0)
     along = np.empty((3, nel + 1))
     along[:, 0], along[:, -1] = starts, stops
-    along[:, 1:-1] = starts[:, None] + mesh.fractions * (stops - starts)[:, None]
+    along[:, 1:-1] = starts[:, None] + count[:-1] * (1.0 / nel) * (stops - starts)[:, None]
     lengths = (along[:, 1:] - along[:, :-1]).ravel()
-    if not np.all((lengths > 0.0) & (lengths < np.inf)):
+    if not (lengths.min() > 0.0 and lengths.max() < np.inf):
         raise FrameSingularError(
             "stiffness mesh has an element length that is not finite and positive")
 
     with np.errstate(all="ignore"):
         coefficients = np.array((ea / lengths, 12.0 * ei / lengths ** 3,
                                  6.0 * ei / lengths ** 2, 4.0 * ei / lengths,
-                                 2.0 * ei / lengths)).ravel()
+                                 2.0 * ei / lengths))
     if not (coefficients.min() > 0.0 and coefficients.max() < np.inf):
         raise FrameSingularError(
             "stiffness element has a coefficient that is not finite and positive")
-    ndof = 3 * (3 * nel + 1)
-    band = np.bincount(mesh.slot, weights=coefficients[mesh.index] * mesh.sign,
-                       minlength=(mesh.kd + 1) * (ndof - 6))
 
     # Equivalent loads: the elements tile the path coordinate
     # [0, path_length] in order.  Member k's nodes lie i * (length / nel)
@@ -358,7 +318,7 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     # needs a member shorter than nel / 2 of the smallest subnormal,
     # whose nodes coincide, so the length check above has refused it.
     path = np.array((length1, geo.gap, geo.cold_arm_length))
-    spans = np.arange(1.0, nel + 1.0)[:, None] * (path / nel)
+    spans = count[:, None] * (path / nel)
     spans[-1] = path
     spans += (0.0, length1, length1 + geo.gap)
     spans = np.concatenate(([0.0], spans.T.ravel()))
@@ -371,27 +331,48 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
         axial_force = ea * mat.expansion_coefficient * mean_rise
     if not np.all(np.isfinite(axial_force)):
         raise FrameSingularError("equivalent thermal load is not finite")
-    # No DOF takes more than two load terms, so their order cannot matter.
-    load = np.bincount(mesh.load_dofs, weights=(axial_force * mesh.load_sign).ravel(),
-                       minlength=ndof)
+    # Each element pushes its end nodes apart along its member's axis,
+    # +x, -y or -x.  Each entry of an element's band halves is one of its
+    # coefficients times 1, -1 or 0, which is exact.  A free node's band
+    # columns are the end half of the element before it plus the start
+    # half of the element after it, so no band entry, and no load, sums
+    # more than two element entries; a sum of two that overflows reaches
+    # the solve as inf, without a warning.  The band storage's upper-left
+    # corner, which LAPACK does not read, takes A's rows of the first
+    # element.
+    force, push = axial_force.reshape(3, nel), np.zeros((3 * nel, 3))
+    push[:nel, 0], push[nel:2 * nel, 1], push[2 * nel:, 0] = force[0], -force[1], -force[2]
+    load = np.zeros((3 * nel + 1, 3))
+    end_halves, start_halves = (coefficients.reshape(5, 3, nel).transpose(1, 2, 0)
+                                @ patterns).reshape(2, -1, 18)
+    with np.errstate(over="ignore"):
+        load[:-1] -= push
+        load[1:] += push
+        band = end_halves[:-1] + start_halves[1:]
 
-    # The band, filled column by column, is LAPACK's (kd + 1, n) upper
-    # storage as it stands; a non-positive pivot leaves info > 0.  A
-    # frame under no load stays at rest without a factorisation, which
-    # an ill-conditioned frame might not survive.  The solve may
-    # overwrite the free loads; only D's are read after it.
-    solution, free = np.zeros(ndof), load[3:-3]
+    # The band, one row per column, is LAPACK's (6, n) upper storage
+    # transposed; a non-positive pivot leaves info > 0.  A frame
+    # under no load stays at rest without a factorisation, which an
+    # ill-conditioned frame might not survive.  The solve may overwrite
+    # the free loads; only D's are read after it.
+    solution, free = np.zeros(load.size), load[1:-1].ravel()
     if free.any():
         _, solution[3:-3], info = _lapack().dpbsv(
-            band.reshape(-1, mesh.kd + 1).T, free, overwrite_ab=1, overwrite_b=1)
+            band.reshape(-1, 6).T, free, overwrite_ab=1, overwrite_b=1)
         if info > 0 or not np.all(np.isfinite(solution)):
             raise FrameSingularError("stiffness system did not solve")
 
-    # K u at D's rows, summed entry by entry in element order.
-    reaction = np.bincount(
-        mesh.d_rows, minlength=3,
-        weights=coefficients[mesh.d_index] * mesh.d_sign * solution[mesh.d_cols],
-    ) - load[-3:]
+    # K u at D's rows.  K is symmetric, so D's row r is D's band column
+    # r, the last element's end half, whose entry k is at the DOF r + k
+    # of the last eight; D's own DOFs are at rest.  Each row is summed in
+    # DOF order from 0.0, which keeps the signed zeros.
+    column, u = end_halves[-1].tolist(), solution[-8:].tolist()
+    reaction = []
+    for r, at_d in enumerate(load[-1].tolist()):
+        total = 0.0
+        for k in range(6):
+            total += column[6 * r + k] * u[r + k]
+        reaction.append(total - at_d)
     deflection, rotation = -solution[3 * nel + 1], -solution[3 * nel + 2]
     with np.errstate(over="ignore"):
         tip = deflection + geo.extension_length * rotation
@@ -401,7 +382,6 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
         junction_deflection=float(deflection),
         junction_rotation=float(rotation),
         tip_deflection=float(tip),
-        reaction_cold_anchor=(float(reaction[0]), float(reaction[1]),
-                              float(reaction[2])),
+        reaction_cold_anchor=tuple(reaction),
         elements_per_member=nel,
     )

@@ -22,7 +22,7 @@ from thermoact.electrothermal import (_CUBE_MAX, _SQUARE_MAX, ThermalSystemError
 from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
                              Material, default_spec)
 from thermoact.thermomech import (SMALL_ANGLE_LIMIT, FrameSingularError,
-                                  SmallAngleError, ThermalLoad, _oracle_mesh,
+                                  SmallAngleError, ThermalLoad, _member_patterns,
                                   simulate, stiffness_oracle)
 
 from test_bits import EDGES, _domain, _extreme
@@ -578,16 +578,16 @@ def test_oracle_refuses_a_non_finite_thermal_load_by_name(voltage):
 def test_oracles_share_no_code_with_the_closed_form():
     """The FD oracle reads no module global but ``math``, its error, the
     LAPACK loader and the square's float-range bound.  The stiffness
-    oracle and its mesh helpers read their own names, the loader, the
+    oracle and its pattern helper read their own names, the loader, the
     cube's bound and the closed-form thermal field alone:
     none of the frame solution's flexibility, rigidity, solve or load
     helpers.  The loader itself reads ``sys`` and nothing else."""
     assert inspect.getclosurevars(fd_temperature_oracle).globals == {
         "math": math, "ThermalSystemError": ThermalSystemError, "_lapack": _lapack,
         "_SQUARE_MAX": _SQUARE_MAX}
-    allowed = {"FrameSingularError", "StiffnessResult", "_oracle_mesh",
+    allowed = {"FrameSingularError", "StiffnessResult", "_member_patterns",
                "solve_temperature_profile", "rise_integral", "_lapack", "_CUBE_MAX"}
-    for func in (stiffness_oracle, _oracle_mesh.__wrapped__):
+    for func in (stiffness_oracle, _member_patterns.__wrapped__):
         assert set(inspect.getclosurevars(func).globals) <= allowed, func.__name__
     assert inspect.getclosurevars(_lapack).globals == {"sys": sys}
 
@@ -649,10 +649,10 @@ _CONDUCTION_ONLY = dataclasses.replace(
 # float.hex of every StiffnessResult field: junction deflection,
 # junction rotation, tip deflection and the reaction at D.  The
 # rectilinear frame's exact 0 and +-1 rotations make every global
-# element entry plus or minus one element coefficient, or zero, each
-# band slot sums its entries in element order, and LAPACK's band
-# Cholesky factors the clamped system in A->D node order, so a rewrite
-# of the oracle's kernels that keeps the node order, the summation
+# element entry plus or minus one element coefficient, or zero, no band
+# entry sums more than two element entries, so their order cannot move
+# a bit, and LAPACK's band Cholesky factors the clamped system in A->D
+# node order, so a rewrite of the oracle's kernels that keeps the node
 # order and the solver keeps these bits.  Another solver or node order
 # moves the last digits; test_oracle_tip_is_the_exact_one_element_tip
 # bounds how far.
@@ -698,35 +698,25 @@ def test_oracle_keeps_its_pinned_bits(spec, elements, expected):
     assert _oracle_hex(spec, elements) == expected
 
 
-def test_oracle_mesh_cache_keeps_the_bits_and_is_read_only():
-    """The per-size mesh cache holds topology alone: interleaving mesh
-    sizes and specs, forwards then backwards, gives the pinned bits
-    every time, and no cached array can be written."""
+def test_member_patterns_are_one_read_only_constant():
+    """The oracle caches one array, whatever the mesh size: interleaving
+    mesh sizes and specs, forwards then backwards, gives the pinned bits
+    every time and leaves the same read-only array.  Its diagonal band
+    row, the last of each DOF's six, selects exactly one coefficient,
+    with sign +1, in both halves of every member."""
     pins = dict(zip(_ORACLE_IDS, _PINNED_ORACLE))
     order = ["default-64", "default-16", "conduction-only-64",
-             "convection-5000-64", "default-16", "default-64"]
+             "convection-5000-64", "default-16", "default-64", "default-1"]
+    patterns = _member_patterns()
     for name in order + order[::-1]:
         spec, elements, expected = pins[name]
         assert _oracle_hex(spec, elements) == expected
-    assert _oracle_mesh(64) is _oracle_mesh(64)
-    for elements in (16, 64):
-        cached = vars(_oracle_mesh(elements)).copy()
-        assert type(cached.pop("kd")) is int
-        for array in cached.values():
-            assert not array.flags.writeable
-
-
-@pytest.mark.parametrize("elements", [1, 2, 16, 64])
-def test_oracle_band_has_half_bandwidth_five(elements):
-    """The nodes run in A->D order and every element joins neighbours, so
-    the band is 5 wide above the diagonal for every mesh size, every
-    slot lies inside the (kd + 1, n) upper band storage of the n free
-    DOFs between A's and D's, and each of them has its diagonal entry."""
-    mesh = _oracle_mesh(elements)
-    assert mesh.kd == 5
-    free = 3 * (3 * elements - 1)
-    assert 0 <= mesh.slot.min() and mesh.slot.max() < 6 * free
-    assert set(range(5, 6 * free, 6)) <= set(mesh.slot.tolist())
+        assert _member_patterns() is patterns
+    assert _member_patterns.cache_info().currsize == 1
+    assert not patterns.flags.writeable
+    diagonal = patterns.reshape(2, 3, 5, 3, 6)[..., 5]
+    assert ((diagonal == 0.0) | (diagonal == 1.0)).all()
+    assert (diagonal.sum(axis=2) == 1.0).all()
 
 
 @functools.lru_cache(maxsize=None)
@@ -856,12 +846,14 @@ def _rotated_oracle(spec, nel):
 
 @pytest.mark.parametrize("elements", [1, 2, 16, 64])
 def test_oracle_gather_matches_the_rotated_blocks(elements):
-    """The cached gather tables give, bit for bit, the band and D's rows
-    that rotating full 6x6 element blocks by the exact 0 and +-1
-    rotations gives, on seeded positive coefficients from subnormal to
-    near overflow, and the load vector that np.add.at gives."""
-    mesh, rotated = _oracle_mesh(elements), _rotated_mesh(elements)
-    assert mesh.kd == rotated.kd
+    """The member patterns give, bit for bit, the band that rotating full
+    6x6 element blocks by the exact 0 and +-1 rotations gives, on seeded
+    positive coefficients from subnormal to near overflow, wherever
+    LAPACK reads it, and the entries of D's rows that meet a displacement
+    that is not zero; each member's pushes along its axis give the load
+    vector that np.add.at gives.  The oracle's own expressions are
+    repeated here."""
+    rotated = _rotated_mesh(elements)
     rng = np.random.default_rng(elements)
     coefficients = 10.0 ** rng.uniform(-300.0, 300.0, (5, 3 * elements))
     picks = rng.choice(coefficients.size, 3 * elements, replace=False)
@@ -871,17 +863,30 @@ def test_oracle_gather_matches_the_rotated_blocks(elements):
     def bits(array):
         return array.view(np.uint64).tolist()
 
+    ends, starts = (coefficients.reshape(5, 3, elements).transpose(1, 2, 0)
+                    @ _member_patterns()).reshape(2, -1, 18)
     values = _rotated_blocks(rotated, coefficients)
-    size, ndof = (mesh.kd + 1) * rotated.order.size, 3 * (3 * elements + 1)
-    with np.errstate(all="ignore"):
-        assert bits(np.bincount(mesh.slot, minlength=size,
-                                weights=coefficients.ravel()[mesh.index] * mesh.sign)) \
-            == bits(np.bincount(rotated.slot, weights=values[rotated.kept],
-                                minlength=size))
-    assert bits(np.bincount(mesh.d_rows * ndof + mesh.d_cols, minlength=3 * ndof,
-                            weights=coefficients.ravel()[mesh.d_index] * mesh.d_sign)) \
-        == bits(np.bincount(rotated.d_rows * ndof + rotated.d_cols, minlength=3 * ndof,
-                            weights=values[rotated.at_d]))
+    size, ndof = 6 * rotated.order.size, 3 * (3 * elements + 1)
+    with np.errstate(over="ignore"):
+        band = (ends[:-1] + starts[1:]).reshape(-1, 6)
+        expected = np.bincount(rotated.slot, weights=values[rotated.kept], minlength=size)
+    expected = expected.reshape(-1, 6)
+    assert rotated.kd == 5 and band.shape == expected.shape
+    # Column j's entry k is row j + k - 5: the rows above the first are
+    # not referenced.
+    referenced = np.arange(6) >= 5 - np.arange(len(band))[:, None]
+    assert bits(band[referenced]) == bits(expected[referenced])
+
+    # D's row r, read at the DOF r + k of the last eight from D's band
+    # column r, the last element's end half; the rest of the row lies at
+    # D's own DOFs, which stay at rest.
+    d_rows = np.bincount(rotated.d_rows * ndof + rotated.d_cols, minlength=3 * ndof,
+                         weights=values[rotated.at_d]).reshape(3, ndof)
+    for r in range(3):
+        window = slice(ndof - 8 + r, ndof - 2 + r)
+        assert bits(ends[-1, 6 * r:6 * r + 6]) == bits(d_rows[r, window])
+        d_rows[r, window] = 0.0
+    assert not d_rows[:, :-3].any()
 
     force = rng.choice([-1.0, 1.0], 3 * elements) * 10.0 ** rng.uniform(
         -300.0, 300.0, 3 * elements)
@@ -891,10 +896,13 @@ def test_oracle_gather_matches_the_rotated_blocks(elements):
     np.add.at(expected, dofs[:, 1], -force * hsin)
     np.add.at(expected, dofs[:, 3], force * hcos)
     np.add.at(expected, dofs[:, 4], force * hsin)
-    with np.errstate(all="ignore"):
-        load = np.bincount(mesh.load_dofs, weights=(force * mesh.load_sign).ravel(),
-                           minlength=ndof)
-    assert bits(load) == bits(expected)
+    each, push = force.reshape(3, elements), np.zeros((3 * elements, 3))
+    push[:elements, 0], push[elements:2 * elements, 1], push[2 * elements:, 0] = \
+        each[0], -each[1], -each[2]
+    load = np.zeros((3 * elements + 1, 3))
+    load[:-1] -= push
+    load[1:] += push
+    assert bits(load.ravel()) == bits(expected)
 
 
 def _oracle_outcome(route, spec, elements):
@@ -908,7 +916,7 @@ def test_oracle_keeps_every_bit_of_the_rotated_route():
     """Seeded benchmark-domain draws, draws over many decades of every
     spec field and the bit dump's edge cases, at meshes 1, 3 and 64, give
     the same float.hex fields, or the same refusal and message, by the
-    gather as by the rotated-block route.  Members shorter than a few
+    member patterns as by the rotated-block route.  Members shorter than a few
     subnormals show that a step that underflows is refused first."""
     rng = random.Random(20261020)
     builds = [lambda spec=_domain(rng): spec for _ in range(150)]
