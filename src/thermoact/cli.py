@@ -32,6 +32,10 @@ from .thermomech import (FrameSingularError, SmallAngleError, simulate,
 
 THERMAL_TOLERANCE = 1.0e-3
 MECHANICAL_TOLERANCE = 2.0e-2
+# The oracles' resolutions under ``validate``: FD nodes along the path
+# and stiffness elements per member.
+FD_NODES = 4097
+ORACLE_ELEMENTS = 64
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,13 +157,13 @@ def _cmd_validate(spec: ActuatorSpec) -> int:
     import numpy as np
 
     profile = solve_temperature_profile(spec)
-    xs, fd_temps = fd_temperature_oracle(spec, nodes=4097)
+    xs, fd_temps = fd_temperature_oracle(spec, nodes=FD_NODES)
     closed = temperature_at(profile, xs)
     scale = np.max(np.abs(fd_temps - profile.ambient))
     thermal_err = float(np.max(np.abs(closed - fd_temps)) / scale) \
         if scale > 0.0 else 0.0
 
-    oracle = stiffness_oracle(spec, elements_per_member=64)
+    oracle = stiffness_oracle(spec, elements_per_member=ORACLE_ELEMENTS)
     pairs = (
         (solution.tip_deflection, oracle.tip_deflection),
         (solution.junction_deflection, oracle.junction_deflection),

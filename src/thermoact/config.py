@@ -186,10 +186,10 @@ def serialize_config(spec: ActuatorSpec, settings: StudySettings | None = None) 
         "# thermoact configuration",
         "# geometry in micrometres, drive in volts, the rest in SI",
     ]
-    for section in ("material", "environment", "geometry", "drive"):
+    for section, cls in _SECTION_TYPES.items():
         component = getattr(spec, section)
         lines.append("")
-        for f in fields(_SECTION_TYPES[section]):
+        for f in fields(cls):
             value = getattr(component, f.name)
             if section == "geometry":
                 # The displays d that parse back (d x 1e-6) to this

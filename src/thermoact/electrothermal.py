@@ -10,10 +10,11 @@ anchor temperature.  An energy balance on a slice gives
 whose solution is a plateau at the source temperature minus a pair of
 exponential boundary layers, or a parabola when there is no side-surface
 heat loss.  Everything downstream needs only the pointwise rise and its
-running integral, so both are exposed in closed form; the frame solution
-takes its two arm elongations and its peak as three floats from one
-flat scalar pass that writes the same expressions out, with no helper
-call, and a test ties the two routes together bit for bit.
+running integral, so both are exposed in closed form, as
+``temperature_at`` and ``rise_integral``; the frame solution takes its
+two arm elongations and its peak as three floats from one flat scalar
+pass that writes those two functions' expressions out, and a test ties
+the two routes together bit for bit.
 
 Numerical care: the textbook form 1 - cosh(m x') / cosh(m L/2) overflows
 for long or strongly cooled beams and cancels catastrophically for short
@@ -118,71 +119,34 @@ def solve_temperature_profile(spec: ActuatorSpec) -> TemperatureProfile:
         regime="convective" if m * path >= PLATEAU_THRESHOLD else "conduction-only")
 
 
-def _prepare(profile, x):
-    """The profile's shape, path coordinate(s) x checked against [0,
-    path_length] and the expm1 that evaluates them: a plain number stays
-    a float and takes ``math.expm1``, anything else becomes an ndarray
-    and takes ``numpy.expm1``, so only array arguments import numpy."""
+def _coordinates(profile, x):
+    """Path coordinate(s) x checked against [0, path_length], the expm1
+    that evaluates them and the type of the result.  A plain number
+    becomes a float and takes ``math.expm1``; anything else becomes an
+    ndarray and takes ``numpy.expm1``, so only array arguments import
+    numpy.  A plain number or a 0-d array gives a float, any other array
+    an ndarray."""
     if isinstance(x, (int, float)):
-        coords, expm1 = float(x), math.expm1
-        inside = 0.0 <= coords <= profile.path_length
+        x, expm1, result = float(x), math.expm1, float
+        inside = 0.0 <= x <= profile.path_length
     else:
         import numpy as np
-        coords, expm1 = np.asarray(x, dtype=float), np.expm1
-        inside = np.all((coords >= 0.0) & (coords <= profile.path_length))
+        x, expm1 = np.asarray(x, dtype=float), np.expm1
+        result = np.asarray if x.ndim else float
+        inside = np.all((x >= 0.0) & (x <= profile.path_length))
     if not inside:
         raise ValueError("path coordinate outside [0, path_length]")
-    return _shape(profile, expm1), coords, expm1
-
-
-def _result(value):
-    """A float for a scalar or 0-d result, the array itself otherwise."""
-    return value if getattr(value, "ndim", 0) else float(value)
-
-
-def _anti(v, b, expm1):
-    # antiderivative of the shape factor's cosh deficit
-    return expm1(v - b) - expm1(-v - b)
-
-
-def _shape(profile, expm1):
-    """The constants the rise and its integral share: path length, m,
-    plateau, then q / (2 k), None, None, None when conduction-only, or
-    None, b = m L / 2, 1 + exp(-2b) and anti(-b) when convective."""
-    path, m, plateau = profile.path_length, profile.decay_parameter, profile.source_plateau
-    if profile.regime != "convective":
-        half = profile.heating_rate / (2.0 * profile.conductivity)
-        return path, m, plateau, half, None, None, None
-    b = m * (0.5 * path)
-    return path, m, plateau, None, b, 1.0 + math.exp(-2.0 * b), _anti(-b, b, expm1)
-
-
-def _rise(shape, x, expm1):
-    """Rise above ambient at checked coordinate(s) x.  The convective
-    1 - cosh(u)/cosh(b) = -expm1(u-b) * -expm1(-u-b) / (1 + exp(-2b)),
-    with u = m x - b, keeps every exponent <= 0: the value is exact
-    (0.0) at both ends and finite for arbitrarily large b."""
-    path, m, plateau, half, b, scale, _ = shape
-    if half is not None:
-        return half * x * (path - x)
-    u = m * x - b
-    return plateau * (expm1(u - b) * expm1(-u - b) / scale)
-
-
-def _integral(shape, x, expm1):
-    """Integral of the rise from the anchor to checked coordinate(s) x.
-    ThermalSystemError refuses a conduction-only float x whose cube
-    leaves the float range; an array's cube overflows to inf."""
-    path, m, plateau, half, b, scale, anchor = shape
-    if half is not None:
-        if isinstance(x, float) and x > _CUBE_MAX:
-            raise ThermalSystemError("fin path coordinate cubed overflows")
-        return half * (path * x * x / 2.0 - x ** 3 / 3.0)
-    return plateau * (x - (_anti(m * x - b, b, expm1) - anchor) / (m * scale))
+    return x, expm1, result
 
 
 def temperature_at(profile: TemperatureProfile, x) -> float:
     """Temperature (C) at path coordinate x in [0, path_length].
+
+    The convective rise 1 - cosh(u)/cosh(b) = -expm1(u-b) * -expm1(-u-b)
+    / (1 + exp(-2b)), with b = m L / 2 and u = m x - b, keeps every
+    exponent <= 0: the value is exact (ambient) at both ends and finite
+    for arbitrarily large b.  Conduction-only, the rise is the parabola
+    q x (L - x) / (2 k).
 
     A plain number gives a float from the stdlib alone; an array gives
     an ndarray from the same expressions evaluated by numpy, imported on
@@ -191,33 +155,58 @@ def temperature_at(profile: TemperatureProfile, x) -> float:
     ``rise_integral``, differently.  Out-of-range coordinates raise
     ValueError.
     """
-    shape, coords, expm1 = _prepare(profile, x)
-    return _result(profile.ambient + _rise(shape, coords, expm1))
+    x, expm1, result = _coordinates(profile, x)
+    path = profile.path_length
+    if profile.regime != "convective":
+        half = profile.heating_rate / (2.0 * profile.conductivity)
+        return result(profile.ambient + half * x * (path - x))
+    m = profile.decay_parameter
+    b = m * (0.5 * path)
+    u = m * x - b
+    rise = expm1(u - b) * expm1(-u - b) / (1.0 + math.exp(-2.0 * b))
+    return result(profile.ambient + profile.source_plateau * rise)
 
 
 def rise_integral(profile: TemperatureProfile, upto) -> float:
     """Integral of the rise from the anchor at 0 to path coordinate
     ``upto``, in C m.
 
-    Closed form in both regimes; plain numbers and arrays are taken and
-    returned as by ``temperature_at``.  A conduction-only plain number
-    whose cube leaves the float range raises ThermalSystemError.  This is
-    the quantity the arm elongations and equivalent thermal loads are
-    built from: measuring the hot arm from one anchor and the cold arm
-    from the other makes the two arm integrals the same function of arm
+    Closed form in both regimes: convective, the antiderivative
+    expm1(v - b) - expm1(-v - b) of the cosh deficit, with v = m x - b,
+    less its value at the anchor; conduction-only, q (L x^2 / 2 - x^3 /
+    3) / (2 k).  Plain numbers and arrays are taken and returned as by
+    ``temperature_at``.  A conduction-only plain number whose cube
+    leaves the float range raises ThermalSystemError; an array is not
+    checked, and its entries may come out inf or NaN.  This is the
+    quantity the arm elongations and equivalent thermal loads are built
+    from: measuring the hot arm from one anchor and the cold arm from
+    the other makes the two arm integrals the same function of arm
     length, so equal arms yield an exactly zero differential.
     """
-    shape, xi, expm1 = _prepare(profile, upto)
-    return _result(_integral(shape, xi, expm1))
+    x, expm1, result = _coordinates(profile, upto)
+    path = profile.path_length
+    if profile.regime != "convective":
+        if isinstance(x, float) and x > _CUBE_MAX:
+            raise ThermalSystemError("fin path coordinate cubed overflows")
+        half = profile.heating_rate / (2.0 * profile.conductivity)
+        return result(half * (path * x * x / 2.0 - x ** 3 / 3.0))
+    m = profile.decay_parameter
+    b = m * (0.5 * path)
+    scale = 1.0 + math.exp(-2.0 * b)
+    anchor = expm1(-b - b) - expm1(b - b)
+    v = m * x - b
+    anti = expm1(v - b) - expm1(-v - b) - anchor
+    return result(profile.source_plateau * (x - anti / (m * scale)))
 
 
 def _load_and_peak(c, hot, cold, gap, volts):
     """The hot and cold arm elongations (m) and the mid-span (peak)
     temperature (C) of the spec with ``_constants`` ``c`` at these arms,
     gap and volts, as three floats from one flat scalar pass with no
-    helper call and no profile record.  The fin constants, the regime
-    switch, both arm integrals and the mid-path rise are the public
-    route's expressions, written out with the same association, so the
+    profile record.  The fin constants, the regime switch, both arm
+    integrals and the mid-path rise are the expressions of
+    ``solve_temperature_profile``, ``rise_integral`` and
+    ``temperature_at``, written out with the same association, so the
     results are the bits of ``alpha * rise_integral(profile, L)`` at each
     arm length L and of ``temperature_at`` at mid-path, and the refusals
     are that route's, in its order: ThermalSystemError for a rho times
@@ -237,8 +226,8 @@ def _load_and_peak(c, hot, cold, gap, volts):
     m = math.sqrt(loss / kwh)
     hot, cold, mid = float(hot), float(cold), path / 2.0
     if m * path >= PLATEAU_THRESHOLD:
-        # _shape, then _integral at each arm and _rise at mid-path, with
-        # _anti(v, b) = expm1(v - b) - expm1(-v - b) written out.
+        # rise_integral at each arm and temperature_at at mid-path, with
+        # the constants they share formed once.
         plateau, expm1, b = q * w * h / loss, math.expm1, m * (0.5 * path)
         scale = 1.0 + math.exp(-2.0 * b)
         anchor, ms = expm1(-b - b) - expm1(b - b), m * scale

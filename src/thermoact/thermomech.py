@@ -253,9 +253,11 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     So, before the solve, do an element stiffness coefficient that is not
     finite and positive, a heated element whose path span is not positive
     and an equivalent thermal load that is not finite (a Joule source so
-    large that the fin integral overflows).  A non-positive Cholesky pivot
-    (a frame too ill-conditioned for the band solve to carry) or a
-    solution that is not finite raises
+    large that the fin integral overflows), and, under a load, a band
+    entry whose two element entries sum past the float range
+    (FrameSingularError("stiffness band entry overflows")).  A
+    non-positive Cholesky pivot (a frame too ill-conditioned for the
+    band solve to carry) or a solution that is not finite raises
     FrameSingularError("stiffness system did not solve"), and a tip past
     the float range (a long extension on a frame that turns far past the
     small-angle limit) is refused by name.  A frame under no load is at
@@ -336,10 +338,10 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     # coefficients times 1, -1 or 0, which is exact.  A free node's band
     # columns are the end half of the element before it plus the start
     # half of the element after it, so no band entry, and no load, sums
-    # more than two element entries; a sum of two that overflows reaches
-    # the solve as inf, without a warning.  The band storage's upper-left
-    # corner, which LAPACK does not read, takes A's rows of the first
-    # element.
+    # more than two element entries.  A band entry whose sum of two
+    # overflows is refused before the solve, which would factor the inf
+    # without complaint.  The band storage's upper-left corner, which
+    # LAPACK does not read, takes A's rows of the first element.
     force, push = axial_force.reshape(3, nel), np.zeros((3 * nel, 3))
     push[:nel, 0], push[nel:2 * nel, 1], push[2 * nel:, 0] = force[0], -force[1], -force[2]
     load = np.zeros((3 * nel + 1, 3))
@@ -357,6 +359,8 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     # the free loads; only D's are read after it.
     solution, free = np.zeros(load.size), load[1:-1].ravel()
     if free.any():
+        if not (-np.inf < band.min() and band.max() < np.inf):
+            raise FrameSingularError("stiffness band entry overflows")
         _, solution[3:-3], info = _lapack().dpbsv(
             band.reshape(-1, 6).T, free, overwrite_ab=1, overwrite_b=1)
         if info > 0 or not np.all(np.isfinite(solution)):

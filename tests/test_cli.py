@@ -451,8 +451,10 @@ def test_only_the_oracles_import_scipy(tmp_path):
 # far too short or long for their section take the element stiffness
 # out of the float range.  A 10 fm gap leaves the clamped stiffness
 # system so ill-conditioned that its band Cholesky meets a non-positive
-# pivot.  Arms far shorter than the gap put the frame gain itself out of
-# the float range, so there the closed form refuses before the oracles.
+# pivot.  A 1 m thick slab at E = 2e303 has finite element stiffness
+# whose sum in one band entry overflows.  Arms far shorter than the gap
+# put the frame gain itself out of the float range, so there the closed
+# form refuses before the oracles.
 _COEFFICIENT = "error: stiffness element has a coefficient that is not " \
     "finite and positive"
 ORACLE_REFUSALS = [
@@ -479,6 +481,9 @@ ORACLE_REFUSALS = [
                  id="singular-fd-validate"),
     pytest.param("validate", "geometry.gap = 1e-8",
                  "error: stiffness system did not solve", id="pivot-gap-validate"),
+    pytest.param("validate", "material.young_modulus = 2e303\n"
+                 "geometry.beam_thickness = 1e6",
+                 "error: stiffness band entry overflows", id="band-overflow-validate"),
 ]
 
 

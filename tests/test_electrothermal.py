@@ -589,3 +589,39 @@ def test_simulate_takes_its_thermal_stage_from_the_public_route():
     assert refusals == {"fin resistivity times path length underflows",
                         "fin conduction term k w h underflows",
                         "fin path coordinate cubed overflows"}
+
+
+# sha256 of the float.hex of temperature_at and rise_integral, each
+# called once on an array and once per plain float, at the 4097 nodes
+# validate's FD oracle uses, the anchors, both arm lengths and
+# mid-path.  The default device, no side loss (conduction-only) and
+# convection 1e8 (a boundary layer about two node spacings thick).
+_PINNED_PUBLIC_ROUTE = {
+    "default": "cedae622f203edc3e8b2f1754cec0b86fd3d0549acebd87d35eaf03c06ac46a6",
+    "conduction-only": "cff36e484c652683ae93674b024d2df99002738a99007235e214e4016a074e46",
+    "convection-1e8": "6cd3af710d493a5fbcfb6256ea1d321bd637f68184f2435f7965e7eea5338f62",
+}
+_ROUTE_SPECS = {
+    "default": default_spec(),
+    "conduction-only": dataclasses.replace(
+        default_spec(), environment=Environment(convection_coefficient=0.0)),
+    "convection-1e8": dataclasses.replace(
+        default_spec(), environment=Environment(convection_coefficient=1.0e8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_PUBLIC_ROUTE))
+def test_the_public_route_keeps_its_pinned_bits(name):
+    spec = _ROUTE_SPECS[name]
+    profile = solve_temperature_profile(spec)
+    path, g = profile.path_length, spec.geometry
+    assert profile.regime == ("conduction-only" if name == "conduction-only"
+                              else "convective")
+    xs = np.concatenate([np.linspace(0.0, path, 4097),
+                         [0.0, g.hot_arm_length, g.cold_arm_length, path / 2.0, path]])
+    lines = []
+    for func in (temperature_at, rise_integral):
+        lines += [v.hex() for v in func(profile, xs).tolist()]
+        lines += [func(profile, x).hex() for x in xs.tolist()]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _PINNED_PUBLIC_ROUTE[name]

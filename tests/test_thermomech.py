@@ -989,6 +989,31 @@ def test_oracle_refuses_a_non_positive_pivot_by_name():
             stiffness_oracle(spec)
 
 
+def _stiff_slab(young_modulus):
+    return dataclasses.replace(
+        default_spec(), material=dataclasses.replace(default_spec().material,
+                                                     young_modulus=young_modulus),
+        geometry=dataclasses.replace(default_spec().geometry, beam_thickness=1.0))
+
+
+def test_oracle_refuses_a_band_entry_that_overflows_by_name():
+    """A 1 m thick slab at E = 2e303 has finite element coefficients, but
+    the two of them that meet in a band entry of a free node sum past the
+    float range.  LAPACK would factor that inf and return a wrong finite
+    tip, so the oracle refuses the band by name, with no warning.  At
+    E = 1.5e303 every sum is finite and the oracle keeps its bits, the
+    tip within 1e-6 of one element's."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FrameSingularError, match="^stiffness band entry overflows$"):
+            stiffness_oracle(_stiff_slab(2.0e303))
+        assert _oracle_hex(_stiff_slab(1.5e303), 64) == (
+            "0x1.9754d79052a72p-17", "0x1.0473908ca77bap-4", "0x1.ecad17504fdcbp-17",
+            "-0x1.28a0bb9236f77p+974", "0x1.77021d6c3e000p+966", "0x1.177ec830d2c94p+956")
+    exact = stiffness_oracle(_stiff_slab(1.5e303), 1).tip_deflection
+    assert abs(float.fromhex("0x1.ecad17504fdcbp-17") - exact) <= 1.0e-6 * exact
+
+
 def test_an_unloaded_frame_stays_at_rest_without_a_factorisation():
     """The same frame unpowered has no load, so it does not move, whether
     or not its stiffness can be factored."""

@@ -16,8 +16,9 @@ route is counted by its type and the package source line that raised
 it.
 
 Last, on every spec that ``simulate`` refuses, it calls both oracles
-directly, ``fd_temperature_oracle(spec)`` and ``stiffness_oracle(spec,
-64)``, each with every warning raised as an error, and prints each
+directly, ``fd_temperature_oracle`` and ``stiffness_oracle`` at
+``validate``'s resolutions, ``cli.FD_NODES`` and ``cli.ORACLE_ELEMENTS``,
+each with every warning raised as an error, and prints each
 oracle's outcomes the same way.  The census exits 1 if it finds any raw
 error on any of the three routes, else 0.
 
@@ -41,7 +42,7 @@ from pathlib import Path
 root = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(root / "src"), str(root / "tests")]
 from test_bits import _extreme  # noqa: E402
-from thermoact.cli import _cmd_validate  # noqa: E402
+from thermoact.cli import FD_NODES, ORACLE_ELEMENTS, _cmd_validate  # noqa: E402
 from thermoact.electrothermal import (_constants, _load_and_peak,  # noqa: E402
                                       fd_temperature_oracle)
 from thermoact.model import InvalidSpecError  # noqa: E402
@@ -83,8 +84,8 @@ def _validate(spec):
         return f"exit {_cmd_validate(spec)}"
 
 
-_ORACLES = (("fd_temperature_oracle", fd_temperature_oracle),
-            ("stiffness_oracle", lambda spec: stiffness_oracle(spec, 64)))
+_ORACLES = (("fd_temperature_oracle", lambda spec: fd_temperature_oracle(spec, FD_NODES)),
+            ("stiffness_oracle", lambda spec: stiffness_oracle(spec, ORACLE_ELEMENTS)))
 
 
 def _oracles(spec):
