@@ -76,12 +76,17 @@ class TemperatureProfile:
     regime: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ThermalLoad:
     """Free elongations (m) of the two arms under a temperature profile."""
 
     hot_elongation: float
     cold_elongation: float
+
+    def __init__(self, hot_elongation, cold_elongation):
+        d = self.__dict__
+        d["hot_elongation"] = hot_elongation
+        d["cold_elongation"] = cold_elongation
 
 
 def _constants(spec: ActuatorSpec):
@@ -133,7 +138,7 @@ def _coordinates(profile, x):
         import numpy as np
         x, expm1 = np.asarray(x, dtype=float), np.expm1
         result = np.asarray if x.ndim else float
-        inside = np.all((x >= 0.0) & (x <= profile.path_length))
+        inside = ((x >= 0.0) & (x <= profile.path_length)).all()
     if not inside:
         raise ValueError("path coordinate outside [0, path_length]")
     return x, expm1, result
@@ -304,7 +309,11 @@ def fd_temperature_oracle(spec: ActuatorSpec, nodes: int = 4097):
         raise ThermalSystemError("finite-difference cross-section w h underflows")
     loss = 2.0 * (h + w) * env.convection_coefficient / section
 
-    x = np.linspace(0.0, path, nodes)
+    # np.linspace(0.0, path, nodes)'s own arithmetic, on path as a
+    # float64, for a step that is not zero; a zero step fails the spacing
+    # check below.
+    x = np.arange(nodes, dtype=float) * (float(path) / (nodes - 1))
+    x[-1] = path
     dx = path / (nodes - 1)
     n = nodes - 2  # interior unknowns, theta = T - ambient
 

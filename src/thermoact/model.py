@@ -35,7 +35,7 @@ class _Float64(float):
 
 
 # The bounds a field is checked against, each stated once, read by both
-# the comparison in ActuatorSpec.__post_init__ and collect_diagnostics.
+# the comparison in ActuatorSpec.__init__ and collect_diagnostics.
 # A finite field is at most the float max: math.isfinite's bound, which
 # unlike math.inf no int past the float range compares below.
 _FLOAT_MAX = _Float64(sys.float_info.max)
@@ -48,8 +48,15 @@ _LOWER_BOUNDS = {
     "voltage": (0.0, "must be non-negative"),
 }
 
+# A record built once per operating point (the four parts and
+# ActuatorSpec here, ThermalLoad, FrameSolution and SweepRecord) is a
+# frozen dataclass with a hand-written __init__ that writes each field
+# into __dict__ in field order, its default the class-body name: about
+# half the cost of the generated __init__'s object.__setattr__ per field.
+# A record built once per study or call keeps the generated __init__.
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Material:
     """Isotropic polysilicon properties.
 
@@ -64,8 +71,17 @@ class Material:
     expansion_coefficient: float = 2.7e-6
     resistivity: float = 5.0e-4
 
+    def __init__(self, young_modulus=young_modulus,
+                 thermal_conductivity=thermal_conductivity,
+                 expansion_coefficient=expansion_coefficient, resistivity=resistivity):
+        d = self.__dict__
+        d["young_modulus"] = young_modulus
+        d["thermal_conductivity"] = thermal_conductivity
+        d["expansion_coefficient"] = expansion_coefficient
+        d["resistivity"] = resistivity
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Environment:
     """Surroundings: film coefficient to ambient and ambient temperature.
 
@@ -76,8 +92,14 @@ class Environment:
     convection_coefficient: float = 50.0
     ambient_temperature: float = 20.0
 
+    def __init__(self, convection_coefficient=convection_coefficient,
+                 ambient_temperature=ambient_temperature):
+        d = self.__dict__
+        d["convection_coefficient"] = convection_coefficient
+        d["ambient_temperature"] = ambient_temperature
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Geometry:
     """Planar layout of the U-frame, everything in metres.
 
@@ -94,28 +116,43 @@ class Geometry:
     beam_thickness: float = 2.0e-6
     extension_length: float = 40.0e-6
 
+    def __init__(self, hot_arm_length=hot_arm_length, cold_arm_length=cold_arm_length,
+                 gap=gap, beam_width=beam_width, beam_thickness=beam_thickness,
+                 extension_length=extension_length):
+        d = self.__dict__
+        d["hot_arm_length"] = hot_arm_length
+        d["cold_arm_length"] = cold_arm_length
+        d["gap"] = gap
+        d["beam_width"] = beam_width
+        d["beam_thickness"] = beam_thickness
+        d["extension_length"] = extension_length
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Drive:
     """Electrical excitation: a DC voltage across the two anchor pads."""
 
     voltage: float = 8.0
 
+    def __init__(self, voltage=voltage):
+        self.__dict__["voltage"] = voltage
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class ActuatorSpec:
     """A complete, validated description of one actuator and its drive.
 
-    Construction accepts a spec whose thirteen fields all meet their
-    bounds in one chained comparison: positive and at most the float
-    max, or for the convection coefficient and the voltage non-negative,
-    for the ambient temperature at least absolute zero, and the cold arm
-    no longer than the hot arm.  Any other spec, or a field the
-    comparison cannot order, goes through ``collect_diagnostics``, which
-    alone decides: it raises InvalidSpecError listing every violated
-    bound, or the error that its finiteness check raises.  A part left
-    out is one shared default instance, as every part is frozen.
-    Instances are frozen and safe to share between studies.
+    Its ``__init__`` stores the four parts, then accepts a spec whose
+    thirteen fields all meet their bounds in one chained comparison:
+    positive and at most the float max, or for the convection
+    coefficient and the voltage non-negative, for the ambient temperature
+    at least absolute zero, and the cold arm no longer than the hot arm.
+    Any other spec, or a field the comparison cannot order, goes through
+    ``collect_diagnostics``, which alone decides: it raises
+    InvalidSpecError listing every violated bound, or the error that its
+    finiteness check raises.  A part left out is one shared default
+    instance, as every part is frozen.  Instances are frozen and safe to
+    share between studies.
     """
 
     material: Material = Material()
@@ -123,8 +160,14 @@ class ActuatorSpec:
     geometry: Geometry = Geometry()
     drive: Drive = Drive()
 
-    def __post_init__(self):
-        m, e, g = self.material, self.environment, self.geometry
+    def __init__(self, material=material, environment=environment, geometry=geometry,
+                 drive=drive):
+        d = self.__dict__
+        d["material"] = material
+        d["environment"] = environment
+        d["geometry"] = geometry
+        d["drive"] = drive
+        m, e, g = material, environment, geometry
         try:
             valid = (0.0 < m.young_modulus <= _FLOAT_MAX
                      and 0.0 < m.thermal_conductivity <= _FLOAT_MAX
@@ -137,7 +180,7 @@ class ActuatorSpec:
                      and 0.0 < g.beam_width <= _FLOAT_MAX
                      and 0.0 < g.beam_thickness <= _FLOAT_MAX
                      and 0.0 < g.extension_length <= _FLOAT_MAX
-                     and 0.0 <= self.drive.voltage <= _FLOAT_MAX)
+                     and 0.0 <= drive.voltage <= _FLOAT_MAX)
         except Exception:   # the walk raises its own error, or names the field
             valid = False
         if not valid:

@@ -51,7 +51,7 @@ class SmallAngleError(RuntimeError):
     """Junction rotation too large for the small-angle tip kinematics."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FrameSolution:
     """The outputs of ``simulate`` at one operating point.
 
@@ -71,6 +71,16 @@ class FrameSolution:
     junction_rotation: float
     tip_deflection: float
     peak_temperature: float
+
+    def __init__(self, thermal_load, redundants, junction_deflection, junction_rotation,
+                 tip_deflection, peak_temperature):
+        d = self.__dict__
+        d["thermal_load"] = thermal_load
+        d["redundants"] = redundants
+        d["junction_deflection"] = junction_deflection
+        d["junction_rotation"] = junction_rotation
+        d["tip_deflection"] = tip_deflection
+        d["peak_temperature"] = peak_temperature
 
 
 @dataclass(frozen=True)
@@ -305,83 +315,82 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
         raise FrameSingularError(
             "stiffness mesh has an element length that is not finite and positive")
 
+    # numpy's floating-point warnings are off from here to the tip: each
+    # stage's checks refuse by name what overflows or is invalid.
     with np.errstate(all="ignore"):
         coefficients = np.array((ea / lengths, 12.0 * ei / lengths ** 3,
                                  6.0 * ei / lengths ** 2, 4.0 * ei / lengths,
                                  2.0 * ei / lengths))
-    if not (coefficients.min() > 0.0 and coefficients.max() < np.inf):
-        raise FrameSingularError(
-            "stiffness element has a coefficient that is not finite and positive")
+        if not (coefficients.min() > 0.0 and coefficients.max() < np.inf):
+            raise FrameSingularError(
+                "stiffness element has a coefficient that is not finite and positive")
 
-    # Equivalent loads: the elements tile the path coordinate
-    # [0, path_length] in order.  Member k's nodes lie i * (length / nel)
-    # past its start, its end exact: np.linspace's arithmetic whenever
-    # the step is not zero.  A zero step, which np.linspace treats apart,
-    # needs a member shorter than nel / 2 of the smallest subnormal,
-    # whose nodes coincide, so the length check above has refused it.
-    path = np.array((length1, geo.gap, geo.cold_arm_length))
-    spans = count[:, None] * (path / nel)
-    spans[-1] = path
-    spans += (0.0, length1, length1 + geo.gap)
-    spans = np.concatenate(([0.0], spans.T.ravel()))
-    widths = np.diff(spans)     # zero for a member below one ulp of the path
-    if not np.all(widths > 0.0):
-        raise FrameSingularError("heated element has a path span that is not positive")
-    with np.errstate(all="ignore"):
+        # Equivalent loads: the elements tile the path coordinate
+        # [0, path_length] in order.  Member k's nodes lie i * (length / nel)
+        # past its start, its end exact: np.linspace's arithmetic whenever
+        # the step is not zero.  A zero step, which np.linspace treats apart,
+        # needs a member shorter than nel / 2 of the smallest subnormal,
+        # whose nodes coincide, so the length check above has refused it.
+        path = np.array((length1, geo.gap, geo.cold_arm_length))
+        spans = count[:, None] * (path / nel)
+        spans[-1] = path
+        spans += (0.0, length1, length1 + geo.gap)
+        spans = np.concatenate(([0.0], spans.T.ravel()))
+        widths = np.diff(spans)     # zero for a member below one ulp of the path
+        if not (widths > 0.0).all():
+            raise FrameSingularError("heated element has a path span that is not positive")
         integrals = rise_integral(profile, spans)
         mean_rise = np.diff(integrals) / widths
         axial_force = ea * mat.expansion_coefficient * mean_rise
-    if not np.all(np.isfinite(axial_force)):
-        raise FrameSingularError("equivalent thermal load is not finite")
-    # Each element pushes its end nodes apart along its member's axis,
-    # +x, -y or -x.  Each entry of an element's band halves is one of its
-    # coefficients times 1, -1 or 0, which is exact.  A free node's band
-    # columns are the end half of the element before it plus the start
-    # half of the element after it, so no band entry, and no load, sums
-    # more than two element entries.  A band entry whose sum of two
-    # overflows is refused before the solve, which would factor the inf
-    # without complaint.  The band storage's upper-left corner, which
-    # LAPACK does not read, takes A's rows of the first element.
-    force, push = axial_force.reshape(3, nel), np.zeros((3 * nel, 3))
-    push[:nel, 0], push[nel:2 * nel, 1], push[2 * nel:, 0] = force[0], -force[1], -force[2]
-    load = np.zeros((3 * nel + 1, 3))
-    end_halves, start_halves = (coefficients.reshape(5, 3, nel).transpose(1, 2, 0)
-                                @ patterns).reshape(2, -1, 18)
-    with np.errstate(over="ignore"):
+        if not np.isfinite(axial_force).all():
+            raise FrameSingularError("equivalent thermal load is not finite")
+        # Each element pushes its end nodes apart along its member's axis,
+        # +x, -y or -x.  Each entry of an element's band halves is one of its
+        # coefficients times 1, -1 or 0, which is exact.  A free node's band
+        # columns are the end half of the element before it plus the start
+        # half of the element after it, so no band entry, and no load, sums
+        # more than two element entries.  A band entry whose sum of two
+        # overflows is refused before the solve, which would factor the inf
+        # without complaint.  The band storage's upper-left corner, which
+        # LAPACK does not read, takes A's rows of the first element.
+        force, push = axial_force.reshape(3, nel), np.zeros((3 * nel, 3))
+        push[:nel, 0], push[nel:2 * nel, 1], push[2 * nel:, 0] = force[0], -force[1], -force[2]
+        load = np.zeros((3 * nel + 1, 3))
+        end_halves, start_halves = (coefficients.reshape(5, 3, nel).transpose(1, 2, 0)
+                                    @ patterns).reshape(2, -1, 18)
         load[:-1] -= push
         load[1:] += push
         band = end_halves[:-1] + start_halves[1:]
 
-    # The band, one row per column, is LAPACK's (6, n) upper storage
-    # transposed; a non-positive pivot leaves info > 0.  A frame
-    # under no load stays at rest without a factorisation, which an
-    # ill-conditioned frame might not survive.  The solve may overwrite
-    # the free loads; only D's are read after it.
-    solution, free = np.zeros(load.size), load[1:-1].ravel()
-    if free.any():
-        if not (-np.inf < band.min() and band.max() < np.inf):
-            raise FrameSingularError("stiffness band entry overflows")
-        _, solution[3:-3], info = _lapack().dpbsv(
-            band.reshape(-1, 6).T, free, overwrite_ab=1, overwrite_b=1)
-        if info > 0 or not np.all(np.isfinite(solution)):
-            raise FrameSingularError("stiffness system did not solve")
+        # The band, one row per column, is LAPACK's (6, n) upper storage
+        # transposed; a non-positive pivot leaves info > 0.  A frame
+        # under no load stays at rest without a factorisation, which an
+        # ill-conditioned frame might not survive.  The solve may overwrite
+        # the free loads; only D's are read after it.
+        solution, free = np.zeros(load.size), load[1:-1].ravel()
+        if free.any():
+            if not np.isfinite(band).all():
+                raise FrameSingularError("stiffness band entry overflows")
+            _, solution[3:-3], info = _lapack().dpbsv(
+                band.reshape(-1, 6).T, free, overwrite_ab=1, overwrite_b=1)
+            if info > 0 or not np.isfinite(solution).all():
+                raise FrameSingularError("stiffness system did not solve")
 
-    # K u at D's rows.  K is symmetric, so D's row r is D's band column
-    # r, the last element's end half, whose entry k is at the DOF r + k
-    # of the last eight; D's own DOFs are at rest.  Each row is summed in
-    # DOF order from 0.0, which keeps the signed zeros.
-    column, u = end_halves[-1].tolist(), solution[-8:].tolist()
-    reaction = []
-    for r, at_d in enumerate(load[-1].tolist()):
-        total = 0.0
-        for k in range(6):
-            total += column[6 * r + k] * u[r + k]
-        reaction.append(total - at_d)
-    deflection, rotation = -solution[3 * nel + 1], -solution[3 * nel + 2]
-    with np.errstate(over="ignore"):
+        # K u at D's rows.  K is symmetric, so D's row r is D's band column
+        # r, the last element's end half, whose entry k is at the DOF r + k
+        # of the last eight; D's own DOFs are at rest.  Each row is summed in
+        # DOF order from 0.0, which keeps the signed zeros.
+        column, u = end_halves[-1].tolist(), solution[-8:].tolist()
+        reaction = []
+        for r, at_d in enumerate(load[-1].tolist()):
+            total = 0.0
+            for k in range(6):
+                total += column[6 * r + k] * u[r + k]
+            reaction.append(total - at_d)
+        deflection, rotation = -solution[3 * nel + 1], -solution[3 * nel + 2]
         tip = deflection + geo.extension_length * rotation
-    if not np.isfinite(tip):
-        raise FrameSingularError("stiffness tip deflection overflows")
+        if not np.isfinite(tip):
+            raise FrameSingularError("stiffness tip deflection overflows")
     return StiffnessResult(
         junction_deflection=float(deflection),
         junction_rotation=float(rotation),

@@ -172,6 +172,30 @@ def test_fd_oracle_keeps_its_pinned_bits(name, nodes):
     assert hashlib.sha256(dump.encode()).hexdigest() == _PINNED_FD[name, nodes]
 
 
+def test_fd_oracle_places_its_nodes_as_linspace_does():
+    """The nodes carry np.linspace(0.0, path, nodes)'s bits, for float
+    paths over many decades and for int paths past 2**53, where the int's
+    own quotient and its float64's can round apart.  An int path past
+    2**64, which np.linspace cannot take, gets its float64's nodes."""
+    rng = random.Random(3141)
+    layouts = []
+    for _ in range(200):
+        hot = 10.0 ** rng.uniform(-100.0, 100.0)
+        layouts.append(Geometry(hot_arm_length=hot,
+                                cold_arm_length=hot * rng.uniform(0.01, 1.0),
+                                gap=hot * rng.uniform(1e-3, 1.0)))
+    for _ in range(200):
+        hot = rng.randrange(2 ** 53, 2 ** 70)
+        layouts.append(Geometry(hot_arm_length=hot, cold_arm_length=hot // 3,
+                                gap=rng.randrange(1, 2 ** 40)))
+    for geometry in layouts:
+        nodes = rng.choice((3, 4, 17, 1000, 4097))
+        path = (geometry.hot_arm_length + geometry.gap) + geometry.cold_arm_length
+        x, temps = fd_temperature_oracle(ActuatorSpec(geometry=geometry), nodes)
+        assert x.tobytes() == np.linspace(0.0, float(path), nodes).tobytes()
+        assert np.isfinite(temps).all()
+
+
 def test_fd_oracle_rejects_degenerate_meshes():
     with pytest.raises(ValueError):
         fd_temperature_oracle(default_spec(), nodes=2)
