@@ -57,11 +57,14 @@ DISPLAY_UNITS = {
     "hot_arm_length": ("um", _MICRO),
 }
 
+# The built-in study grids in SI, each display value times its unit's
+# factor, formed once: a sweep given no range returns its grid as is.
 _DEFAULT_GRIDS = {
-    "ratio": tuple(_linspace(*RATIO_RANGE, 71)),
-    "gap": (5.0, 6.0, 7.0, 8.0, 9.0, 10.0),
-    "voltage": tuple(_linspace(0.0, 8.0, 17)),
-    "hot_arm_length": (500.0, 600.0, 750.0),
+    param: tuple(v * DISPLAY_UNITS[param][1] for v in display)
+    for param, display in (("ratio", _linspace(*RATIO_RANGE, 71)),
+                           ("gap", (5.0, 6.0, 7.0, 8.0, 9.0, 10.0)),
+                           ("voltage", _linspace(0.0, 8.0, 17)),
+                           ("hot_arm_length", (500.0, 600.0, 750.0)))
 }
 
 
@@ -215,9 +218,9 @@ def resolve_sweep(settings: StudySettings, parameter: str | None = None,
 
     Values come out in SI, finite and strictly increasing; a range
     whose grid is not is a ConfigError.  When no range is given
-    anywhere, the parameter's built-in study grid applies (71 ratios in
-    [0.1, 0.8], gaps 5..10 um, 17 voltages in [0, 8], hot-arm lengths
-    {500, 600, 750} um).
+    anywhere, the parameter's built-in study grid, stored in SI, is
+    returned as it is (71 ratios in [0.1, 0.8], gaps 5..10 um, 17
+    voltages in [0, 8], hot-arm lengths {500, 600, 750} um).
     """
     param = parameter if parameter is not None else settings.parameter
     if param not in PARAMETERS:
@@ -227,7 +230,7 @@ def resolve_sweep(settings: StudySettings, parameter: str | None = None,
     n = steps if steps is not None else settings.steps
     given = [v is not None for v in (lo, hi, n)]
     if not any(given):
-        display = _DEFAULT_GRIDS[param]
+        return param, _DEFAULT_GRIDS[param]
     elif all(given):
         for name, value in (("start", lo), ("stop", hi)):
             if not math.isfinite(value):

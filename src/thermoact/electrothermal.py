@@ -138,7 +138,7 @@ def _coordinates(profile, x):
         import numpy as np
         x, expm1 = np.asarray(x, dtype=float), np.expm1
         result = np.asarray if x.ndim else float
-        inside = ((x >= 0.0) & (x <= profile.path_length)).all()
+        inside = not x.size or (x.min() >= 0.0 and x.max() <= profile.path_length)
     if not inside:
         raise ValueError("path coordinate outside [0, path_length]")
     return x, expm1, result
@@ -180,18 +180,19 @@ def rise_integral(profile: TemperatureProfile, upto) -> float:
     expm1(v - b) - expm1(-v - b) of the cosh deficit, with v = m x - b,
     less its value at the anchor; conduction-only, q (L x^2 / 2 - x^3 /
     3) / (2 k).  Plain numbers and arrays are taken and returned as by
-    ``temperature_at``.  A conduction-only plain number whose cube
-    leaves the float range raises ThermalSystemError; an array is not
-    checked, and its entries may come out inf or NaN.  This is the
-    quantity the arm elongations and equivalent thermal loads are built
-    from: measuring the hot arm from one anchor and the cold arm from
-    the other makes the two arm integrals the same function of arm
-    length, so equal arms yield an exactly zero differential.
+    ``temperature_at``.  Conduction-only, a coordinate whose cube leaves
+    the float range, a plain number or any entry of an array, raises
+    ThermalSystemError after the range check and before any arithmetic;
+    an empty array still gives an empty array.  This is the quantity the
+    arm elongations and equivalent thermal loads are built from:
+    measuring the hot arm from one anchor and the cold arm from the
+    other makes the two arm integrals the same function of arm length,
+    so equal arms yield an exactly zero differential.
     """
     x, expm1, result = _coordinates(profile, upto)
     path = profile.path_length
     if profile.regime != "convective":
-        if isinstance(x, float) and x > _CUBE_MAX:
+        if (x if isinstance(x, float) else x.max(initial=0.0)) > _CUBE_MAX:
             raise ThermalSystemError("fin path coordinate cubed overflows")
         half = profile.heating_rate / (2.0 * profile.conductivity)
         return result(half * (path * x * x / 2.0 - x ** 3 / 3.0))
@@ -312,7 +313,8 @@ def fd_temperature_oracle(spec: ActuatorSpec, nodes: int = 4097):
     # np.linspace(0.0, path, nodes)'s own arithmetic, on path as a
     # float64, for a step that is not zero; a zero step fails the spacing
     # check below.
-    x = np.arange(nodes, dtype=float) * (float(path) / (nodes - 1))
+    x = np.arange(nodes, dtype=float)
+    x *= float(path) / (nodes - 1)
     x[-1] = path
     dx = path / (nodes - 1)
     n = nodes - 2  # interior unknowns, theta = T - ambient
@@ -326,16 +328,18 @@ def fd_temperature_oracle(spec: ActuatorSpec, nodes: int = 4097):
     if not (math.isfinite(off) and math.isfinite(diagonal) and math.isfinite(q)):
         raise ThermalSystemError("finite-difference thermal system is not finite")
     # The wrapper wants an off-diagonal entry even for one unknown,
-    # which LAPACK then never reads.
+    # which LAPACK then never reads.  The right-hand side is solved in
+    # the interior of the returned temperatures.
     sides = max(n - 1, 1)
+    temps = np.full(nodes, -q)
+    interior = temps[1:-1]
     *_, theta, info = _lapack().dgtsv(np.full(sides, off), np.full(n, diagonal),
-                                      np.full(sides, off), np.full(n, -q),
+                                      np.full(sides, off), interior,
                                       overwrite_dl=1, overwrite_d=1,
                                       overwrite_du=1, overwrite_b=1)
     if info > 0:
         raise ThermalSystemError("finite-difference thermal system is singular")
 
-    temps = np.empty(nodes)
+    np.add(theta, env.ambient_temperature, out=interior)
     temps[0] = temps[-1] = env.ambient_temperature
-    temps[1:-1] = env.ambient_temperature + theta
     return x, temps

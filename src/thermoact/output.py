@@ -50,6 +50,36 @@ def _padded(lo: float, hi: float):
     return lo, hi
 
 
+# The chart's size, plot box, axes and title are the same on every chart,
+# so its text is formed once: a chart fills in only the polyline's points,
+# the four tick labels and the x-axis label.
+_WIDTH, _HEIGHT = 800, 600
+_LEFT, _RIGHT, _TOP, _BOTTOM = 80.0, 24.0, 24.0, 64.0
+_PLOT_W, _PLOT_H = _WIDTH - _LEFT - _RIGHT, _HEIGHT - _TOP - _BOTTOM
+_AXIS_Y = _HEIGHT - _BOTTOM
+_CHART = "\n".join([
+    f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+    f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+    f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+    f'<line x1="{_LEFT}" y1="{_AXIS_Y}" x2="{_WIDTH - _RIGHT}" y2="{_AXIS_Y}" '
+    'stroke="black"/>',
+    f'<line x1="{_LEFT}" y1="{_TOP}" x2="{_LEFT}" y2="{_AXIS_Y}" stroke="black"/>',
+    '<polyline fill="none" stroke="#1050a0" stroke-width="1.5" points="%s"/>',
+    f'<text x="{_LEFT}" y="{_AXIS_Y + 18:.0f}" font-size="12" '
+    'text-anchor="middle">%.9g</text>',
+    f'<text x="{_WIDTH - _RIGHT}" y="{_AXIS_Y + 18:.0f}" font-size="12" '
+    'text-anchor="middle">%.9g</text>',
+    f'<text x="{_LEFT - 6}" y="{_AXIS_Y + 4:.0f}" font-size="12" '
+    'text-anchor="end">%.9g</text>',
+    f'<text x="{_LEFT - 6}" y="{_TOP + 4:.0f}" font-size="12" '
+    'text-anchor="end">%.9g</text>',
+    f'<text x="{_LEFT + _PLOT_W / 2:.0f}" y="{_HEIGHT - 20}" font-size="13" '
+    'text-anchor="middle">%s</text>',
+    '<text x="8" y="16" font-size="13">tip deflection [um]</text>',
+    "</svg>\n",
+])
+
+
 def sweep_chart_svg(table: SweepTable) -> str:
     """Tip deflection against the swept parameter, display units: an
     800x600 single-polyline chart with min/max tick labels, each
@@ -59,38 +89,11 @@ def sweep_chart_svg(table: SweepTable) -> str:
     unit, scale = DISPLAY_UNITS[param]
     xs = [rec.value / scale for rec in table.records]
     ys = [rec.tip_deflection / _MICRO for rec in table.records]
-    x_label = f"{param} [{unit}]" if unit else param
-    width, height = 800, 600
-    left, right, top, bottom = 80.0, 24.0, 24.0, 64.0
     x_lo, x_hi = _padded(min(xs), max(xs))
     y_lo, y_hi = _padded(min(ys), max(ys))
-    plot_w = width - left - right
-    plot_h = height - top - bottom
-    axis_y, x_span, y_span = height - bottom, x_hi - x_lo, y_hi - y_lo
-    points = " ".join(["%.2f,%.2f" % (left + (x - x_lo) / x_span * plot_w,
-                                      axis_y - (y - y_lo) / y_span * plot_h)
+    x_span, y_span = x_hi - x_lo, y_hi - y_lo
+    points = " ".join(["%.2f,%.2f" % (_LEFT + (x - x_lo) / x_span * _PLOT_W,
+                                      _AXIS_Y - (y - y_lo) / y_span * _PLOT_H)
                        for x, y in zip(xs, ys)])
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{left}" y1="{axis_y}" x2="{width - right}" y2="{axis_y}" '
-        'stroke="black"/>',
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{axis_y}" '
-        'stroke="black"/>',
-        f'<polyline fill="none" stroke="#1050a0" stroke-width="1.5" '
-        f'points="{points}"/>',
-        f'<text x="{left}" y="{axis_y + 18:.0f}" font-size="12" '
-        f'text-anchor="middle">{min(xs):.9g}</text>',
-        f'<text x="{width - right}" y="{axis_y + 18:.0f}" font-size="12" '
-        f'text-anchor="middle">{max(xs):.9g}</text>',
-        f'<text x="{left - 6}" y="{axis_y + 4:.0f}" font-size="12" '
-        f'text-anchor="end">{min(ys):.9g}</text>',
-        f'<text x="{left - 6}" y="{top + 4:.0f}" font-size="12" '
-        f'text-anchor="end">{max(ys):.9g}</text>',
-        f'<text x="{left + plot_w / 2:.0f}" y="{height - 20}" font-size="13" '
-        f'text-anchor="middle">{x_label}</text>',
-        '<text x="8" y="16" font-size="13">tip deflection [um]</text>',
-        "</svg>",
-    ]
-    return "\n".join(parts) + "\n"
+    return _CHART % (points, min(xs), max(xs), min(ys), max(ys),
+                     f"{param} [{unit}]" if unit else param)

@@ -266,11 +266,11 @@ def find_optimal_ratio(base: ActuatorSpec, grid: int = 71) -> OptimumReport:
         return OptimumReport(base.geometry.hot_arm_length, ratios[peak],
                              deflections[peak], grid, gain, "non_unimodal")
 
-    known = dict(zip(ratios, deflections))     # the bracket ends are grid points
-    bracket_lo = ratios[max(peak - 1, 0)]
-    bracket_hi = ratios[min(peak + 1, grid - 1)]
+    # The bracket ends are grid points, whose deflections the scan has.
+    lo, hi = max(peak - 1, 0), min(peak + 1, grid - 1)
+    ends = {ratios[lo]: deflections[lo], ratios[hi]: deflections[hi]}
     best_ratio, best_deflection = golden_section_max(
-        lambda r: known[r] if r in known else objective(r), bracket_lo, bracket_hi)
+        lambda r: ends[r] if r in ends else objective(r), ratios[lo], ratios[hi])
     if deflections[peak] > best_deflection:
         best_ratio, best_deflection = ratios[peak], deflections[peak]
     return OptimumReport(base.geometry.hot_arm_length, best_ratio,

@@ -263,7 +263,9 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
     So, before the solve, do an element stiffness coefficient that is not
     finite and positive, a heated element whose path span is not positive
     and an equivalent thermal load that is not finite (a Joule source so
-    large that the fin integral overflows), and, under a load, a band
+    large that the fin integral overflows; ``rise_integral`` itself
+    refuses a conduction-only path whose cube overflows, by
+    ThermalSystemError), and, under a load, a band
     entry whose two element entries sum past the float range
     (FrameSingularError("stiffness band entry overflows")).  A
     non-positive Cholesky pivot (a frame too ill-conditioned for the
@@ -315,12 +317,16 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
         raise FrameSingularError(
             "stiffness mesh has an element length that is not finite and positive")
 
-    # numpy's floating-point warnings are off from here to the tip: each
-    # stage's checks refuse by name what overflows or is invalid.
+    # numpy's floating-point warnings are off from here to the solution:
+    # each stage's checks refuse by name what overflows or is invalid.
     with np.errstate(all="ignore"):
-        coefficients = np.array((ea / lengths, 12.0 * ei / lengths ** 3,
-                                 6.0 * ei / lengths ** 2, 4.0 * ei / lengths,
-                                 2.0 * ei / lengths))
+        coefficients = np.empty((5, lengths.size))
+        axial, shear, couple, near, far = coefficients
+        np.divide(ea, lengths, out=axial)
+        np.divide(12.0 * ei, np.power(lengths, 3, out=shear), out=shear)
+        np.divide(6.0 * ei, np.square(lengths, out=couple), out=couple)
+        np.divide(4.0 * ei, lengths, out=near)
+        np.divide(2.0 * ei, lengths, out=far)
         if not (coefficients.min() > 0.0 and coefficients.max() < np.inf):
             raise FrameSingularError(
                 "stiffness element has a coefficient that is not finite and positive")
@@ -332,15 +338,16 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
         # needs a member shorter than nel / 2 of the smallest subnormal,
         # whose nodes coincide, so the length check above has refused it.
         path = np.array((length1, geo.gap, geo.cold_arm_length))
-        spans = count[:, None] * (path / nel)
-        spans[-1] = path
-        spans += (0.0, length1, length1 + geo.gap)
-        spans = np.concatenate(([0.0], spans.T.ravel()))
-        widths = np.diff(spans)     # zero for a member below one ulp of the path
+        spans = np.zeros(3 * nel + 1)
+        members = spans[1:].reshape(3, nel)
+        np.multiply((path / nel)[:, None], count, out=members)
+        members[:, -1] = path
+        members += ((0.0,), (length1,), (length1 + geo.gap,))
+        widths = spans[1:] - spans[:-1]     # zero for a member below one ulp of the path
         if not (widths > 0.0).all():
             raise FrameSingularError("heated element has a path span that is not positive")
         integrals = rise_integral(profile, spans)
-        mean_rise = np.diff(integrals) / widths
+        mean_rise = (integrals[1:] - integrals[:-1]) / widths
         axial_force = ea * mat.expansion_coefficient * mean_rise
         if not np.isfinite(axial_force).all():
             raise FrameSingularError("equivalent thermal load is not finite")
@@ -387,14 +394,14 @@ def stiffness_oracle(spec: ActuatorSpec, elements_per_member: int = 64) -> Stiff
             for k in range(6):
                 total += column[6 * r + k] * u[r + k]
             reaction.append(total - at_d)
-        deflection, rotation = -solution[3 * nel + 1], -solution[3 * nel + 2]
-        tip = deflection + geo.extension_length * rotation
-        if not np.isfinite(tip):
-            raise FrameSingularError("stiffness tip deflection overflows")
+        deflection, rotation = -solution.item(3 * nel + 1), -solution.item(3 * nel + 2)
+    tip = deflection + float(geo.extension_length) * rotation
+    if not -np.inf < tip < np.inf:
+        raise FrameSingularError("stiffness tip deflection overflows")
     return StiffnessResult(
-        junction_deflection=float(deflection),
-        junction_rotation=float(rotation),
-        tip_deflection=float(tip),
+        junction_deflection=deflection,
+        junction_rotation=rotation,
+        tip_deflection=tip,
         reaction_cold_anchor=tuple(reaction),
         elements_per_member=nel,
     )

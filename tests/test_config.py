@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,36 @@ def _numpy_grid(start, stop, num):
 def test_default_grids_are_numpy_linspace_to_the_bit():
     assert _bits(_DEFAULT_GRIDS["ratio"]) == _bits(_numpy_grid(0.1, 0.8, 71))
     assert _bits(_DEFAULT_GRIDS["voltage"]) == _bits(_numpy_grid(0.0, 8.0, 17))
+
+
+# Each built-in grid's display values, and the range that gives the
+# evenly spaced ones.
+BUILTIN_DISPLAYS = {
+    "ratio": ((0.1, 0.8, 71), _numpy_grid(0.1, 0.8, 71)),
+    "gap": ((5.0, 10.0, 6), [5.0, 6.0, 7.0, 8.0, 9.0, 10.0]),
+    "voltage": ((0.0, 8.0, 17), _numpy_grid(0.0, 8.0, 17)),
+    "hot_arm_length": (None, [500.0, 600.0, 750.0]),
+}
+
+
+@pytest.mark.parametrize("param", sorted(BUILTIN_DISPLAYS))
+def test_builtin_grids_are_stored_in_si(param):
+    """A sweep given no range returns its stored grid as it is, without
+    a check, so the stored grid must be finite, strictly increasing and
+    the bits of each display value times the unit's factor.  Given as a
+    range, an evenly spaced grid comes out of the general path with the
+    same bits."""
+    grid = _DEFAULT_GRIDS[param]
+    span, display = BUILTIN_DISPLAYS[param]
+    assert all(map(math.isfinite, grid))
+    assert all(a < b for a, b in zip(grid, grid[1:]))
+    assert _bits(grid) == _bits(v * DISPLAY_UNITS[param][1] for v in display)
+    assert resolve_sweep(StudySettings(), parameter=param) == (param, grid)
+    if span is not None:
+        start, stop, steps = span
+        _, values = resolve_sweep(StudySettings(), parameter=param, start=start,
+                                  stop=stop, steps=steps)
+        assert _bits(values) == _bits(grid)
 
 
 @pytest.mark.parametrize("param,start,stop,steps", [

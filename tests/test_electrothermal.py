@@ -266,8 +266,8 @@ def test_the_fin_names_each_quantity_that_leaves_the_float_range():
     """A resistivity times path length or a k w h that underflows to zero
     is refused before j or m divides by it, and a conduction-only
     coordinate whose cube overflows before its integral is formed; the
-    cube bound itself integrates, and an array coordinate past it is not
-    finite, as numpy overflows."""
+    cube bound itself integrates, and an array coordinate past it is
+    refused by the same name."""
     base = default_spec()
     for material, site in ((dict(resistivity=1.0e-322), "resistivity times path length"),
                            (dict(thermal_conductivity=1.0e-320), "conduction term k w h")):
@@ -285,10 +285,30 @@ def test_the_fin_names_each_quantity_that_leaves_the_float_range():
     past = math.nextafter(_CUBE_MAX, math.inf)
     with pytest.raises(ThermalSystemError, match="^fin path coordinate cubed overflows$"):
         rise_integral(profile, past)
-    with np.errstate(all="ignore"):
-        assert not np.isfinite(rise_integral(profile, np.array([past]))).any()
+    with pytest.raises(ThermalSystemError, match="^fin path coordinate cubed overflows$"):
+        rise_integral(profile, np.array([past]))
     with pytest.raises(ThermalSystemError, match="^fin path coordinate cubed overflows$"):
         simulate(dataclasses.replace(long, geometry=Geometry(hot_arm_length=past)))
+
+
+def test_a_conduction_only_array_past_the_cube_bound_is_refused_by_name():
+    """An array with any entry past the cube bound is refused as a plain
+    number past it is, after the range check and before any arithmetic,
+    so numpy warns of nothing (every warning fails a test here); an
+    empty array still gives an empty array."""
+    spec = ActuatorSpec(environment=Environment(convection_coefficient=0.0),
+                        geometry=Geometry(hot_arm_length=1.0e200, cold_arm_length=1.0e199,
+                                          gap=1.0))
+    profile = solve_temperature_profile(spec)
+    assert profile.regime == "conduction-only"
+    coordinates = np.array([1.0e102, 6.0e102, 1.0e150, 1.0e200])
+    for upto in (coordinates, coordinates[1:2], 6.0e102):
+        with pytest.raises(ThermalSystemError, match="^fin path coordinate cubed overflows$"):
+            rise_integral(profile, upto)
+    with pytest.raises(ValueError, match="outside"):
+        rise_integral(profile, np.append(coordinates, -1.0))
+    empty = rise_integral(profile, np.array([]))
+    assert type(empty) is np.ndarray and empty.shape == (0,)
 
 
 @pytest.mark.parametrize("nodes", [3, 4097])

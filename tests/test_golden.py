@@ -26,6 +26,33 @@ def test_default_sweep_matches_golden(tmp_path, parameter):
     assert svg_path.read_bytes() == (GOLDEN / f"sweep_{parameter}.svg").read_bytes()
 
 
+# The evenly spaced built-in grids as explicit ranges, in display units.
+RANGES = {"ratio": ("0.1", "0.8", "71"), "voltage": ("0", "8", "17"),
+          "gap": ("5", "10", "6")}
+
+
+@pytest.mark.parametrize("given", ["flags", "config"])
+@pytest.mark.parametrize("parameter", sorted(RANGES))
+def test_an_explicit_range_reproduces_the_builtin_sweep(tmp_path, parameter, given):
+    """The range of a built-in grid, given by --from/--to/--steps or by
+    study keys, runs the general path, and its CSV and SVG are the
+    built-in sweep's golden files byte for byte."""
+    start, stop, steps = RANGES[parameter]
+    csv_path = tmp_path / "sweep.csv"
+    svg_path = tmp_path / "sweep.svg"
+    argv = ["sweep", "--param", parameter, "--out", str(csv_path), "--svg", str(svg_path)]
+    if given == "flags":
+        argv += ["--from", start, "--to", stop, "--steps", steps]
+    else:
+        config = tmp_path / "range.cfg"
+        config.write_text(f"study.start = {start}\nstudy.stop = {stop}\n"
+                          f"study.steps = {steps}\n", encoding="utf-8")
+        argv += ["--config", str(config)]
+    assert main(argv) == 0
+    assert csv_path.read_bytes() == (GOLDEN / f"sweep_{parameter}.csv").read_bytes()
+    assert svg_path.read_bytes() == (GOLDEN / f"sweep_{parameter}.svg").read_bytes()
+
+
 @pytest.mark.parametrize("command", ["simulate", "optimize-ratio", "validate"])
 def test_report_matches_golden(capsys, command):
     code = main([command])
