@@ -155,21 +155,32 @@ def temperature_at(profile: TemperatureProfile, x) -> float:
 
     A plain number gives a float from the stdlib alone; an array gives
     an ndarray from the same expressions evaluated by numpy, imported on
-    first use (a 0-d array gives a float).  The two can differ in the
-    last bits, where math and numpy round expm1, or the cube in
+    first use (a 0-d array gives a float).  Both run one sequence of
+    augmented assignments, which numpy applies in place, so an array
+    call here or in ``rise_integral`` forms a new array only for an
+    expm1, a negation or an operand it must keep.  The two can differ
+    in the last bits, where math and numpy round expm1, or the cube in
     ``rise_integral``, differently.  Out-of-range coordinates raise
     ValueError.
     """
     x, expm1, result = _coordinates(profile, x)
     path = profile.path_length
     if profile.regime != "convective":
-        half = profile.heating_rate / (2.0 * profile.conductivity)
-        return result(profile.ambient + half * x * (path - x))
-    m = profile.decay_parameter
-    b = m * (0.5 * path)
-    u = m * x - b
-    rise = expm1(u - b) * expm1(-u - b) / (1.0 + math.exp(-2.0 * b))
-    return result(profile.ambient + profile.source_plateau * rise)
+        rise = profile.heating_rate / (2.0 * profile.conductivity) * x
+        rise *= path - x
+    else:
+        m = profile.decay_parameter
+        b = m * (0.5 * path)
+        u = m * x
+        u -= b
+        rise = expm1(u - b)
+        u = -u
+        u -= b
+        rise *= expm1(u)
+        rise /= 1.0 + math.exp(-2.0 * b)
+        rise *= profile.source_plateau
+    rise += profile.ambient
+    return result(rise)
 
 
 def rise_integral(profile: TemperatureProfile, upto) -> float:
@@ -194,15 +205,29 @@ def rise_integral(profile: TemperatureProfile, upto) -> float:
     if profile.regime != "convective":
         if (x if isinstance(x, float) else x.max(initial=0.0)) > _CUBE_MAX:
             raise ThermalSystemError("fin path coordinate cubed overflows")
-        half = profile.heating_rate / (2.0 * profile.conductivity)
-        return result(half * (path * x * x / 2.0 - x ** 3 / 3.0))
+        integral = path * x
+        integral *= x
+        integral /= 2.0
+        cube = x ** 3
+        cube /= 3.0
+        integral -= cube
+        integral *= profile.heating_rate / (2.0 * profile.conductivity)
+        return result(integral)
     m = profile.decay_parameter
     b = m * (0.5 * path)
     scale = 1.0 + math.exp(-2.0 * b)
     anchor = expm1(-b - b) - expm1(b - b)
-    v = m * x - b
-    anti = expm1(v - b) - expm1(-v - b) - anchor
-    return result(profile.source_plateau * (x - anti / (m * scale)))
+    v = m * x
+    v -= b
+    anti = expm1(v - b)
+    v = -v
+    v -= b
+    anti -= expm1(v)
+    anti -= anchor
+    anti /= m * scale
+    integral = x - anti
+    integral *= profile.source_plateau
+    return result(integral)
 
 
 def _load_and_peak(c, hot, cold, gap, volts):
@@ -277,8 +302,9 @@ def fd_temperature_oracle(spec: ActuatorSpec, nodes: int = 4097):
     """Independent finite-difference solution of the fin equation.
 
     Central differences on ``nodes`` equally spaced points including
-    both clamped ends, solved as a tridiagonal system by LAPACK's
-    ``gtsv``, called directly.  Returns (positions, temperatures) as
+    both clamped ends, negated into a symmetric positive-definite
+    tridiagonal system and solved by LAPACK's ``ptsv`` (LDL^T without
+    pivoting), called directly.  Returns (positions, temperatures) as
     ndarrays.  Second-order accurate, and exact for the conduction-only
     parabola.  Used by the test suite and the ``validate`` command to
     cross-check the closed form; the simulation pipeline never calls it.
@@ -287,10 +313,11 @@ def fd_temperature_oracle(spec: ActuatorSpec, nodes: int = 4097):
     before it is formed, and so do a system whose coefficients or
     right-hand side overflow (an extreme conductivity or Joule source)
     before the solve and, from the solve, a singular one (k / dx^2
-    underflowing to zero with no side loss).  It imports numpy on its
-    first call, and scipy's top-level package with its compiled LAPACK
-    wrappers (``_lapack``) on its first solve, but never the
-    ``scipy.linalg`` package, so the closed form runs on the stdlib alone.
+    underflowing to zero, or to a subnormal whose pivots round to zero,
+    with no side loss).  It imports numpy on its first call, and scipy's
+    top-level package with its compiled LAPACK wrappers (``_lapack``) on
+    its first solve, but never the ``scipy.linalg`` package, so the
+    closed form runs on the stdlib alone.
     """
     import numpy as np
 
@@ -323,20 +350,20 @@ def fd_temperature_oracle(spec: ActuatorSpec, nodes: int = 4097):
     if not 0.0 < square < math.inf:
         raise ThermalSystemError(
             "finite-difference node spacing squared leaves the float range")
-    off = k / square                      # sub- and super-diagonal
-    diagonal = -2.0 * k / square - loss
+    # The negated system: (2 k / dx^2 + loss) on the diagonal, -k / dx^2
+    # off it and q on the right, symmetric positive definite.
+    off = -k / square
+    diagonal = 2.0 * k / square + loss
     if not (math.isfinite(off) and math.isfinite(diagonal) and math.isfinite(q)):
         raise ThermalSystemError("finite-difference thermal system is not finite")
     # The wrapper wants an off-diagonal entry even for one unknown,
     # which LAPACK then never reads.  The right-hand side is solved in
     # the interior of the returned temperatures.
-    sides = max(n - 1, 1)
-    temps = np.full(nodes, -q)
+    temps = np.full(nodes, q)
     interior = temps[1:-1]
-    *_, theta, info = _lapack().dgtsv(np.full(sides, off), np.full(n, diagonal),
-                                      np.full(sides, off), interior,
-                                      overwrite_dl=1, overwrite_d=1,
-                                      overwrite_du=1, overwrite_b=1)
+    *_, theta, info = _lapack().dptsv(np.full(n, diagonal), np.full(max(n - 1, 1), off),
+                                      interior, overwrite_d=1, overwrite_e=1,
+                                      overwrite_b=1)
     if info > 0:
         raise ThermalSystemError("finite-difference thermal system is singular")
 

@@ -434,7 +434,7 @@ def test_only_the_oracles_import_scipy(tmp_path):
         "from thermoact.electrothermal import _lapack\n"
         "flapack = _lapack()\n"
         "import scipy.linalg.lapack as lapack\n"
-        "assert lapack.dgtsv is flapack.dgtsv and lapack.dpbsv is flapack.dpbsv\n"
+        "assert lapack.dptsv is flapack.dptsv and lapack.dpbsv is flapack.dpbsv\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                           env=_child_env(), capture_output=True, text=True,

@@ -143,17 +143,19 @@ def test_fd_oracle_converges_at_second_order():
 # sha256 of the newline-joined float.hex of every FD temperature, on the
 # default device, the conduction-only branch and strong convection.
 # Three nodes leave one unknown, the tridiagonal solver's smallest case.
-# A change of the FD solve route must keep these bits.
+# The bits are those of LAPACK's ptsv on the negated, positive-definite
+# system; a change of the FD solve route that moves them lists each
+# pin's drift, and must still pass the reference test below.
 _PINNED_FD = {
     ("default", 3): "26eedb76c1b57ebce0d1cb9018aae2e571ad681a59526920e4a60c94d7bb8ab4",
-    ("default", 513): "a9296bc8108fd26d5b2498768bf8444f46afbbea1527c42ca6b298fec5544ef5",
-    ("default", 4097): "657567f7f7c0b73870501bf4ffb4049a84601ff936189f91bf2c791540432ae6",
+    ("default", 513): "ef81e56fa3f47b4df0689e60b98d3f5c7bed19777dfbdafc66d1693404b6dd25",
+    ("default", 4097): "6fcbb0ae16719c2311a3a96f94ae5c885069bf6770fe7d824ce4289a25b8a0a0",
     ("conduction-only", 3): "ff6cd41ebc69acc615bdca60ab4b32f4aa3aaa340ebe4024f3e7e414fce9b73e",
-    ("conduction-only", 513): "af9a05a24a2a6acc4d370c7e603bba3d5ee398fed60fec960508ffdd644092e7",
-    ("conduction-only", 4097): "df5803d57b19b8d9c5b6ebcc313117a143a64f366f0b228b8f9dd15d8f345291",
-    ("convection-5000", 3): "4e10b0aa9abf16b2d507a408244e764356e337bba27b4cef0498d2c3549b889c",
-    ("convection-5000", 513): "202d5c718a6bcc20e605e2991aa0f0386847bc0996d702ddb148e257edc45def",
-    ("convection-5000", 4097): "f5a2f61f218292fa401bfb153267f2c6e889427b37f0f1bcdf4877457aa9b30c",
+    ("conduction-only", 513): "98b4a4cc51506162af4abf026003f6ae9522af56c2b8587d8fd439095fcd582b",
+    ("conduction-only", 4097): "908e31a338ad7dab942792a4502c07d2d9b773db04295f7470b631d638d5ada5",
+    ("convection-5000", 3): "1bc6b156dc773e25be713bcc6eba2a7642bab759b0c4a84dc4f541c201e56818",
+    ("convection-5000", 513): "20d0344bacfd7f0e129013a88877d7c6e7d989e1981ff2247885a95d153d4539",
+    ("convection-5000", 4097): "9ff581ac807f07fb50d862a6563916a2927365a42556bcd4b2fcc6da04f558c0",
 }
 _FD_SPECS = {
     "default": default_spec(),
@@ -170,6 +172,51 @@ def test_fd_oracle_keeps_its_pinned_bits(name, nodes):
     _, temps = fd_temperature_oracle(_FD_SPECS[name], nodes=nodes)
     dump = "\n".join(float(value).hex() for value in temps)
     assert hashlib.sha256(dump.encode()).hexdigest() == _PINNED_FD[name, nodes]
+
+
+def _fd_coefficients(spec, nodes):
+    """The FD system's coupling k / dx^2, side loss and Joule source q."""
+    g, mat, env = spec.geometry, spec.material, spec.environment
+    path = (g.hot_arm_length + g.gap) + g.cold_arm_length
+    j = spec.drive.voltage / (mat.resistivity * path)
+    loss = 2.0 * (g.beam_thickness + g.beam_width) * env.convection_coefficient \
+        / (g.beam_width * g.beam_thickness)
+    return mat.thermal_conductivity / (path / (nodes - 1)) ** 2, loss, j * j * mat.resistivity
+
+
+def _general_fd_route(spec, nodes):
+    """The FD field by LAPACK's general tridiagonal solver ``gtsv``, with
+    partial pivoting, on the un-negated system: -2 k / dx^2 - loss on the
+    diagonal, k / dx^2 off it and -q on the right."""
+    from scipy.linalg.lapack import dgtsv
+
+    c, loss, q = _fd_coefficients(spec, nodes)
+    n = nodes - 2
+    off = np.full(n - 1, c)
+    *_, theta, info = dgtsv(off, np.full(n, -2.0 * c - loss), off, np.full(n, -q))
+    assert info == 0
+    return np.concatenate(([0.0], theta, [0.0])) + spec.environment.ambient_temperature
+
+
+@pytest.mark.parametrize("name", sorted(_FD_SPECS))
+@pytest.mark.parametrize("nodes", [513, 4097])
+def test_fd_oracle_agrees_with_the_general_tridiagonal_route(name, nodes):
+    """The positive-definite solve reproduces the pivoting general solve
+    to 1e-13 of the peak rise, and its field satisfies its own central-
+    difference equation c (T[i-1] - 2 T[i] + T[i+1]) - loss (T[i] - T0)
+    + q = 0, c = k / dx^2, to 1e-13 of the largest row's summed
+    magnitude."""
+    spec = _FD_SPECS[name]
+    _, temps = fd_temperature_oracle(spec, nodes=nodes)
+    theta = temps - spec.environment.ambient_temperature
+    peak = np.max(np.abs(theta))
+    assert np.max(np.abs(temps - _general_fd_route(spec, nodes))) <= 1.0e-13 * peak
+
+    c, loss, q = _fd_coefficients(spec, nodes)
+    left, mid, right = theta[:-2], theta[1:-1], theta[2:]
+    residual = c * (left - 2.0 * mid + right) - loss * mid + q
+    size = c * (np.abs(left) + 2.0 * np.abs(mid) + np.abs(right)) + loss * np.abs(mid) + q
+    assert np.max(np.abs(residual)) <= 1.0e-13 * np.max(size)
 
 
 def test_fd_oracle_places_its_nodes_as_linspace_does():
@@ -311,17 +358,37 @@ def test_a_conduction_only_array_past_the_cube_bound_is_refused_by_name():
     assert type(empty) is np.ndarray and empty.shape == (0,)
 
 
-@pytest.mark.parametrize("nodes", [3, 4097])
-def test_fd_oracle_refuses_a_singular_system(nodes):
-    """k / dx^2 underflows to zero and there is no side loss: the
-    tridiagonal system is singular, a named arithmetic error."""
-    spec = ActuatorSpec(
-        material=dataclasses.replace(default_spec().material,
-                                     thermal_conductivity=1.0e-310),
-        environment=Environment(convection_coefficient=0.0),
-        geometry=dataclasses.replace(default_spec().geometry,
-                                     hot_arm_length=1.0e11, cold_arm_length=1.0e10),
-        drive=Drive(voltage=0.0))
+_ZERO_COUPLING = ActuatorSpec(
+    material=dataclasses.replace(default_spec().material, thermal_conductivity=1.0e-310),
+    environment=Environment(convection_coefficient=0.0),
+    geometry=dataclasses.replace(default_spec().geometry,
+                                 hot_arm_length=1.0e11, cold_arm_length=1.0e10),
+    drive=Drive(voltage=0.0))
+# Draw 2645 of tools/refusals.py's census: k / dx^2 is about 7.3e-319 at
+# 4097 nodes and there is no side loss, so the diagonal and its coupling
+# are subnormal and a pivot of the LDL^T factorisation rounds to zero.
+_SUBNORMAL_COUPLING = ActuatorSpec(
+    material=Material(young_modulus=3.8909502792310526e+185,
+                      thermal_conductivity=4.8207596154772454e-198,
+                      expansion_coefficient=2.1449615478010464e-15,
+                      resistivity=1.6722991291240453e+151),
+    environment=Environment(convection_coefficient=0.0,
+                            ambient_temperature=1.1944824593069536e-68),
+    geometry=Geometry(hot_arm_length=4.3605626744834806e+48,
+                      cold_arm_length=6.183408553277655e+31, gap=1.054873611363741e+64,
+                      beam_width=4.039154229079834e+97,
+                      beam_thickness=1.3540495479814433e-64,
+                      extension_length=53126.358032573924),
+    drive=Drive(voltage=196269759366455.94))
+
+
+@pytest.mark.parametrize("spec,nodes", [(_ZERO_COUPLING, 3), (_ZERO_COUPLING, 4097),
+                                        (_SUBNORMAL_COUPLING, 4097)],
+                         ids=["3", "4097", "subnormal-coupling-4097"])
+def test_fd_oracle_refuses_a_singular_system(spec, nodes):
+    """k / dx^2 underflows to zero, or to a subnormal whose pivots round
+    to zero, and there is no side loss: the positive-definite system is
+    singular, a named arithmetic error."""
     with pytest.raises(ThermalSystemError, match="singular"):
         fd_temperature_oracle(spec, nodes=nodes)
 
