@@ -24,9 +24,10 @@ error on any of the three routes, else 0.
 
 Only the standard library and thermoact are needed for the ``simulate``
 census; the ``validate`` and oracle routes also need numpy and scipy.
-Run from the repository root, in about ten seconds:
+Run from the repository root, in about ten seconds, and compare with
+the committed census, which a change that moves a line updates:
 
-    python tools/refusals.py
+    python tools/refusals.py | diff -u tests/golden/census.txt -
 """
 
 import contextlib
