@@ -29,7 +29,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .model import ActuatorSpec
+from .model import ActuatorSpec, _record
 
 # Below this value of (decay parameter x path length) the boundary
 # layers overlap completely and the convective solution is replaced by
@@ -76,17 +76,12 @@ class TemperatureProfile:
     regime: str
 
 
-@dataclass(frozen=True, init=False)
+@_record
 class ThermalLoad:
     """Free elongations (m) of the two arms under a temperature profile."""
 
     hot_elongation: float
     cold_elongation: float
-
-    def __init__(self, hot_elongation, cold_elongation):
-        d = self.__dict__
-        d["hot_elongation"] = hot_elongation
-        d["cold_elongation"] = cold_elongation
 
 
 def _constants(spec: ActuatorSpec):

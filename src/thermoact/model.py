@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 
 class InvalidSpecError(ValueError):
@@ -48,15 +48,29 @@ _LOWER_BOUNDS = {
     "voltage": (0.0, "must be non-negative"),
 }
 
-# A record built once per operating point (the four parts and
-# ActuatorSpec here, ThermalLoad, FrameSolution and SweepRecord) is a
-# frozen dataclass with a hand-written __init__ that writes each field
-# into __dict__ in field order, its default the class-body name: about
-# half the cost of the generated __init__'s object.__setattr__ per field.
-# A record built once per study or call keeps the generated __init__.
+
+def _record(cls):
+    """Make ``cls`` a frozen dataclass for a per-point record whose
+    ``__init__``, unless the class writes its own, puts each field into
+    ``__dict__`` in field order, each default the field's own object:
+    about half the cost of dataclass's per-field ``object.__setattr__``.
+    A record built once per study or call stays a plain frozen dataclass."""
+    cls = dataclass(frozen=True, init=False)(cls)
+    if "__init__" not in vars(cls):
+        members = fields(cls)
+        source = f"def __init__(self, {', '.join(f.name for f in members)}):\n"
+        source += "    d = self.__dict__\n" + "".join(
+            f"    d[{f.name!r}] = {f.name}\n" for f in members)
+        exec(source, namespace := {})
+        init = namespace["__init__"]
+        defaults = tuple(f.default for f in members if f.default is not MISSING)
+        init.__defaults__ = defaults or None
+        init.__qualname__, init.__module__ = f"{cls.__qualname__}.__init__", cls.__module__
+        cls.__init__ = init
+    return cls
 
 
-@dataclass(frozen=True, init=False)
+@_record
 class Material:
     """Isotropic polysilicon properties.
 
@@ -71,17 +85,8 @@ class Material:
     expansion_coefficient: float = 2.7e-6
     resistivity: float = 5.0e-4
 
-    def __init__(self, young_modulus=young_modulus,
-                 thermal_conductivity=thermal_conductivity,
-                 expansion_coefficient=expansion_coefficient, resistivity=resistivity):
-        d = self.__dict__
-        d["young_modulus"] = young_modulus
-        d["thermal_conductivity"] = thermal_conductivity
-        d["expansion_coefficient"] = expansion_coefficient
-        d["resistivity"] = resistivity
 
-
-@dataclass(frozen=True, init=False)
+@_record
 class Environment:
     """Surroundings: film coefficient to ambient and ambient temperature.
 
@@ -92,14 +97,8 @@ class Environment:
     convection_coefficient: float = 50.0
     ambient_temperature: float = 20.0
 
-    def __init__(self, convection_coefficient=convection_coefficient,
-                 ambient_temperature=ambient_temperature):
-        d = self.__dict__
-        d["convection_coefficient"] = convection_coefficient
-        d["ambient_temperature"] = ambient_temperature
 
-
-@dataclass(frozen=True, init=False)
+@_record
 class Geometry:
     """Planar layout of the U-frame, everything in metres.
 
@@ -116,29 +115,15 @@ class Geometry:
     beam_thickness: float = 2.0e-6
     extension_length: float = 40.0e-6
 
-    def __init__(self, hot_arm_length=hot_arm_length, cold_arm_length=cold_arm_length,
-                 gap=gap, beam_width=beam_width, beam_thickness=beam_thickness,
-                 extension_length=extension_length):
-        d = self.__dict__
-        d["hot_arm_length"] = hot_arm_length
-        d["cold_arm_length"] = cold_arm_length
-        d["gap"] = gap
-        d["beam_width"] = beam_width
-        d["beam_thickness"] = beam_thickness
-        d["extension_length"] = extension_length
 
-
-@dataclass(frozen=True, init=False)
+@_record
 class Drive:
     """Electrical excitation: a DC voltage across the two anchor pads."""
 
     voltage: float = 8.0
 
-    def __init__(self, voltage=voltage):
-        self.__dict__["voltage"] = voltage
 
-
-@dataclass(frozen=True, init=False)
+@_record
 class ActuatorSpec:
     """A complete, validated description of one actuator and its drive.
 

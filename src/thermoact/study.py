@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from .electrothermal import _constants
-from .model import _FLOAT_MAX, ActuatorSpec, Drive, Geometry, InvalidSpecError
+from .model import _FLOAT_MAX, ActuatorSpec, Drive, Geometry, InvalidSpecError, _record
 from .thermomech import _solve_point
 
 PARAMETERS = ("voltage", "ratio", "gap", "hot_arm_length")
@@ -143,7 +143,7 @@ class SweepPlan:
         object.__setattr__(self, "_points", tuple(points))
 
 
-@dataclass(frozen=True, init=False)
+@_record
 class SweepRecord:
     """One row of sweep output (SI units; temperatures in C)."""
 
@@ -154,17 +154,6 @@ class SweepRecord:
     hot_elongation: float
     cold_elongation: float
     peak_temperature: float
-
-    def __init__(self, value, tip_deflection, junction_deflection, junction_rotation,
-                 hot_elongation, cold_elongation, peak_temperature):
-        d = self.__dict__
-        d["value"] = value
-        d["tip_deflection"] = tip_deflection
-        d["junction_deflection"] = junction_deflection
-        d["junction_rotation"] = junction_rotation
-        d["hot_elongation"] = hot_elongation
-        d["cold_elongation"] = cold_elongation
-        d["peak_temperature"] = peak_temperature
 
 
 @dataclass(frozen=True)

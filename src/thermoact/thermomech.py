@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from .electrothermal import (_CUBE_MAX, ThermalLoad, _constants, _lapack,
                              _load_and_peak, rise_integral,
                              solve_temperature_profile)
-from .model import ActuatorSpec
+from .model import ActuatorSpec, _record
 
 # Rotations beyond this invalidate the linear kinematics of the tip
 # lever arm, so the solution refuses to report one.
@@ -51,7 +51,7 @@ class SmallAngleError(RuntimeError):
     """Junction rotation too large for the small-angle tip kinematics."""
 
 
-@dataclass(frozen=True, init=False)
+@_record
 class FrameSolution:
     """The outputs of ``simulate`` at one operating point.
 
@@ -71,16 +71,6 @@ class FrameSolution:
     junction_rotation: float
     tip_deflection: float
     peak_temperature: float
-
-    def __init__(self, thermal_load, redundants, junction_deflection, junction_rotation,
-                 tip_deflection, peak_temperature):
-        d = self.__dict__
-        d["thermal_load"] = thermal_load
-        d["redundants"] = redundants
-        d["junction_deflection"] = junction_deflection
-        d["junction_rotation"] = junction_rotation
-        d["tip_deflection"] = tip_deflection
-        d["peak_temperature"] = peak_temperature
 
 
 @dataclass(frozen=True)

@@ -2,29 +2,35 @@
 
 ``Material``, ``Environment``, ``Geometry``, ``Drive``, ``ActuatorSpec``,
 ``ThermalLoad``, ``FrameSolution`` and ``SweepRecord`` are frozen
-dataclasses whose ``__init__`` is written by hand and fills ``__dict__``
-directly.  These tests hold each one to what the generated ``__init__``
-gave: its signature and defaults, the field order of ``vars``, the
-dataclass helpers, pickling, copying, frozenness, and the ``==``,
-``hash`` and ``repr`` of a plain ``@dataclass(frozen=True)`` twin.  They
-also hold ``ActuatorSpec``'s validation to one outcome for every way of
-building a spec.
+dataclasses made by ``model._record``, which generates an ``__init__``
+that fills ``__dict__`` directly; ``ActuatorSpec`` writes its own, which
+also validates.  These tests hold each one to what dataclass's own
+``__init__`` gave: its signature and defaults, the field order of
+``vars``, the dataclass helpers, pickling, copying, frozenness, and the
+``==``, ``hash`` and ``repr`` of a plain ``@dataclass(frozen=True)``
+twin.  They hold ``_record`` to the same on classes of their own, and
+every frozen dataclass of the package without dataclass's ``__init__``
+to being one of these records.  They also hold ``ActuatorSpec``'s
+validation to one outcome for every way of building a spec.
 """
 
 import copy
 import dataclasses
 import functools
+import importlib
 import inspect
 import math
 import pickle
+import pkgutil
 import random
 
 import pytest
 
+import thermoact
 from test_bits import _extreme
 from thermoact.electrothermal import ThermalLoad
 from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
-                             InvalidSpecError, Material, default_spec)
+                             InvalidSpecError, Material, _record, default_spec)
 from thermoact.study import SweepRecord
 from thermoact.thermomech import FrameSolution
 
@@ -81,6 +87,55 @@ def test_the_hand_written_init_is_the_dataclass_init(cls):
             assert p.default is inspect.Parameter.empty
         else:
             assert p.default is f.default
+
+
+def test_a_generated_init_puts_the_defaults_on_the_trailing_parameters():
+    @_record
+    class Pair:
+        first: float
+        second: tuple = (1.0,)
+
+    init = Pair.__init__
+    assert init.__qualname__ == f"{Pair.__qualname__}.__init__"
+    assert init.__module__ == __name__
+    assert [(p.name, p.default) for p in inspect.signature(Pair).parameters.values()] == [
+        ("first", inspect.Parameter.empty), ("second", (1.0,))]
+    assert len(init.__defaults__) == 1 and init.__defaults__[0] is Pair.second
+    pair = Pair(2.0)
+    assert vars(pair) == {"first": 2.0, "second": (1.0,)} and pair.second is Pair.second
+    assert vars(Pair(3.0, second=None)) == {"first": 3.0, "second": None}
+    with pytest.raises(TypeError, match=r"Pair\.__init__\(\) missing 1 required "
+                                        r"positional argument: 'first'$"):
+        Pair()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.first = 1.0
+
+
+def test_a_record_that_writes_its_own_init_keeps_it():
+    @_record
+    class Split:
+        half: float
+        rest: float
+
+        def __init__(self, total):
+            self.__dict__.update(half=total / 2.0, rest=total / 2.0)
+
+    assert list(inspect.signature(Split).parameters) == ["total"]
+    assert vars(Split(3.0)) == {"half": 1.5, "rest": 1.5}
+    assert Split.__dataclass_params__.frozen and not Split.__dataclass_params__.init
+
+
+def test_every_per_point_record_of_the_package_is_held_to_the_contract():
+    """The package's frozen dataclasses without dataclass's ``__init__``
+    are exactly the records these tests cover."""
+    found = set()
+    for module in pkgutil.iter_modules(thermoact.__path__, "thermoact."):
+        for obj in vars(importlib.import_module(module.name)).values():
+            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and obj.__dataclass_params__.frozen
+                    and not obj.__dataclass_params__.init):
+                found.add(obj)
+    assert found == set(RECORDS)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
