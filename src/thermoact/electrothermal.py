@@ -189,24 +189,28 @@ def rise_integral(profile: TemperatureProfile, upto) -> float:
     ``temperature_at``.  Conduction-only, a coordinate whose cube leaves
     the float range, a plain number or any entry of an array, raises
     ThermalSystemError after the range check and before any arithmetic;
-    an empty array still gives an empty array.  This is the quantity the
-    arm elongations and equivalent thermal loads are built from:
-    measuring the hot arm from one anchor and the cold arm from the
-    other makes the two arm integrals the same function of arm length,
-    so equal arms yield an exactly zero differential.
+    an empty array still gives an empty array.  Then a zero q / (2 k)
+    gives a zero integral, 0.0 everywhere, also where L x^2 overflows.
+    This is the quantity the arm elongations and equivalent thermal loads
+    are built from: measuring the hot arm from one anchor and the cold arm
+    from the other makes the two arm integrals the same function of arm
+    length, so equal arms yield an exactly zero differential.
     """
     x, expm1, result = _coordinates(profile, upto)
     path = profile.path_length
     if profile.regime != "convective":
         if (x if isinstance(x, float) else x.max(initial=0.0)) > _CUBE_MAX:
             raise ThermalSystemError("fin path coordinate cubed overflows")
+        half = profile.heating_rate / (2.0 * profile.conductivity)
+        if half == 0.0:   # zeros shaped as x, +0.0 also at x = -0.0
+            return result(x - x)
         integral = path * x
         integral *= x
         integral /= 2.0
         cube = x ** 3
         cube /= 3.0
         integral -= cube
-        integral *= profile.heating_rate / (2.0 * profile.conductivity)
+        integral *= half
         return result(integral)
     m = profile.decay_parameter
     b = m * (0.5 * path)
@@ -264,6 +268,8 @@ def _load_and_peak(c, hot, cold, gap, volts):
     if hot > _CUBE_MAX or cold > _CUBE_MAX:
         raise ThermalSystemError("fin path coordinate cubed overflows")
     half = q / (2.0 * conductivity)
+    if half == 0.0:   # the bits below wherever L x^2 is finite
+        return 0.0, 0.0, ambient + 0.0
     return (alpha * (half * (path * hot * hot / 2.0 - hot ** 3 / 3.0)),
             alpha * (half * (path * cold * cold / 2.0 - cold ** 3 / 3.0)),
             ambient + half * mid * (path - mid))

@@ -28,7 +28,7 @@ from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
 from thermoact.study import PARAMETERS, apply_parameter, find_optimal_ratio
 from thermoact.thermomech import simulate
 
-DIGEST = "f3ceb97511809bad26ffe5fa80578d851e4311c1e1ad36a54ca2837d44a2a351"
+DIGEST = "eb1b349f4c8eaa64d841f2e248c2b5841969c17624d17eba53c213af07c39a32"
 
 DOMAIN_POINTS = 2000
 EXTREME_POINTS = 500

@@ -358,6 +358,23 @@ def test_a_conduction_only_array_past_the_cube_bound_is_refused_by_name():
     assert type(empty) is np.ndarray and empty.shape == (0,)
 
 
+@pytest.mark.parametrize("upto", [1.0e101, np.array([0.0, 1.0, 1.0e101, 1.0e102])],
+                         ids=["float", "array"])
+def test_a_zero_fin_coefficient_gives_a_zero_integral(upto):
+    """At 8 V the heating rate of a conduction-only device with arms of
+    1e200 and 1e199 m underflows to 0, so q / (2 k) is 0 and the integral
+    is 0.0 at every coordinate below the cube bound: the bits its form
+    gives where L x^2 is finite, and no NaN where L x^2 overflows."""
+    spec = ActuatorSpec(environment=Environment(convection_coefficient=0.0),
+                        geometry=Geometry(hot_arm_length=1.0e200, cold_arm_length=1.0e199,
+                                          gap=1.0))
+    profile = solve_temperature_profile(spec)
+    assert profile.regime == "conduction-only" and profile.heating_rate == 0.0
+    integral = rise_integral(profile, upto)
+    assert type(integral) is type(upto)
+    assert repr(np.asarray(integral).tolist()) == repr(np.zeros_like(upto).tolist())
+
+
 _ZERO_COUPLING = ActuatorSpec(
     material=dataclasses.replace(default_spec().material, thermal_conductivity=1.0e-310),
     environment=Environment(convection_coefficient=0.0),
