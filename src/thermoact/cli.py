@@ -202,9 +202,9 @@ def main(argv=None) -> int:
             code = _cmd_optimize(spec, settings, args)
         else:
             code = _cmd_validate(spec)
-        sys.stdout.flush()      # a closed pipe's deferred EPIPE surfaces here
+        sys.stdout.flush()      # a deferred write error surfaces here
         return code
-    except BrokenPipeError as exc:
+    except OSError as exc:      # stdout is a closed pipe, a full device, ...
         # Shutdown flushes stdout again; devnull keeps that flush quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write output: {exc}", file=sys.stderr)

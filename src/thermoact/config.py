@@ -20,10 +20,9 @@ Example::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 from .model import (ActuatorSpec, Drive, Environment, Geometry,
-                    InvalidSpecError, Material)
+                    InvalidSpecError, Material, _record)
 from .study import PARAMETERS, RATIO_RANGE, _linspace
 
 _MICRO = 1.0e-6
@@ -76,7 +75,7 @@ class ConfigError(ValueError):
         super().__init__("\n".join(self.diagnostics))
 
 
-@dataclass(frozen=True)
+@_record
 class StudySettings:
     """Study controls from the config file, in display units.
 
@@ -95,8 +94,8 @@ class StudySettings:
 def _known_keys():
     keys = {}
     for section, cls in _SECTION_TYPES.items():
-        for f in fields(cls):
-            keys[f"{section}.{f.name}"] = float
+        for name in vars(cls()):
+            keys[f"{section}.{name}"] = float
     for name, kind in _STUDY_KEYS.items():
         keys[f"study.{name}"] = kind
     return keys
@@ -189,11 +188,9 @@ def serialize_config(spec: ActuatorSpec, settings: StudySettings | None = None) 
         "# thermoact configuration",
         "# geometry in micrometres, drive in volts, the rest in SI",
     ]
-    for section, cls in _SECTION_TYPES.items():
-        component = getattr(spec, section)
+    for section, component in vars(spec).items():
         lines.append("")
-        for f in fields(cls):
-            value = getattr(component, f.name)
+        for name, value in vars(component).items():
             if section == "geometry":
                 # The displays d that parse back (d x 1e-6) to this
                 # length fill an interval about length / 1e-6, and this
@@ -201,7 +198,7 @@ def serialize_config(spec: ActuatorSpec, settings: StudySettings | None = None) 
                 # back whenever any display does.  A length with no such
                 # display comes back one float off.
                 value = value / _MICRO
-            lines.append(f"{section}.{f.name} = {value!r}")
+            lines.append(f"{section}.{name} = {value!r}")
     if settings is not None:
         lines.append("")
         for name in _STUDY_KEYS:

@@ -27,14 +27,15 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .model import ActuatorSpec, _record
 
 # Below this value of (decay parameter x path length) the boundary
 # layers overlap completely and the convective solution is replaced by
-# its conduction-only limit, a parabola.  The switch is continuous to
-# well under 1e-9 relative.
+# its conduction-only limit, a parabola.  The temperature is continuous
+# across the switch to well under 1e-9 relative; the arm integrals, and
+# so the elongations and the tip, are not (0.25 % in the tip at the
+# default spec), as ROADMAP item 15 describes.
 PLATEAU_THRESHOLD = 1.0e-6
 
 
@@ -53,7 +54,7 @@ class ThermalSystemError(ArithmeticError):
     that is not finite or is singular."""
 
 
-@dataclass(frozen=True)
+@_record
 class TemperatureProfile:
     """Closed-form steady temperature field along the current path.
 

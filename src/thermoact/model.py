@@ -50,11 +50,11 @@ _LOWER_BOUNDS = {
 
 
 def _record(cls):
-    """Make ``cls`` a frozen dataclass for a per-point record whose
-    ``__init__``, unless the class writes its own, puts each field into
-    ``__dict__`` in field order, each default the field's own object:
-    about half the cost of dataclass's per-field ``object.__setattr__``.
-    A record built once per study or call stays a plain frozen dataclass."""
+    """Make ``cls`` a frozen dataclass, the one way the package makes a
+    record, whose ``__init__``, unless the class writes its own, puts
+    each field into ``__dict__`` in field order, each default the
+    field's own object: about half the cost of dataclass's per-field
+    ``object.__setattr__``."""
     cls = dataclass(frozen=True, init=False)(cls)
     if "__init__" not in vars(cls):
         members = fields(cls)

@@ -20,7 +20,6 @@ pipeline's validation status unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .electrothermal import _constants
 from .model import _FLOAT_MAX, ActuatorSpec, Drive, Geometry, InvalidSpecError, _record
@@ -111,36 +110,35 @@ def apply_parameter(base: ActuatorSpec, parameter: str, value: float) -> Actuato
     return _spec(base, _point(base, parameter)(value))
 
 
-@dataclass(frozen=True)
+@_record
 class SweepPlan:
     """A validated list of operating points for one swept parameter.
 
     Construction checks every value and keeps each point's four floats,
     so an invalid point aborts before any simulation runs, naming the
-    offending value.
+    offending value.  The values are kept as a tuple.
     """
 
     base: ActuatorSpec
     parameter: str
     values: tuple[float, ...]
-    _points: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.parameter not in PARAMETERS:
-            raise ValueError(f"unknown study parameter {self.parameter!r}")
-        if len(self.values) == 0:
+    def __init__(self, base, parameter, values):
+        point, values = _point(base, parameter), tuple(values)
+        if not values:
             raise ValueError("sweep needs at least one value")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
+        if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("sweep values must be strictly increasing")
-        points, point = [], _point(self.base, self.parameter)
-        for value in self.values:
+        points = []
+        for value in values:
             try:
                 points.append(point(value))
             except InvalidSpecError as exc:
                 raise InvalidSpecError(
-                    [f"{self.parameter} = {value!r}: {d}" for d in exc.diagnostics]
+                    [f"{parameter} = {value!r}: {d}" for d in exc.diagnostics]
                 ) from exc
-        object.__setattr__(self, "_points", tuple(points))
+        self.__dict__.update(base=base, parameter=parameter, values=values,
+                             _points=tuple(points))
 
 
 @_record
@@ -156,7 +154,7 @@ class SweepRecord:
     peak_temperature: float
 
 
-@dataclass(frozen=True)
+@_record
 class SweepTable:
     """The simulated sweep: one record per plan value, in plan order."""
 
@@ -174,7 +172,7 @@ def run_sweep(plan: SweepPlan) -> SweepTable:
     return SweepTable(plan=plan, records=records)
 
 
-@dataclass(frozen=True)
+@_record
 class OptimumReport:
     """Outcome of a ratio optimisation.
 

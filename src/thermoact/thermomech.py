@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 from .electrothermal import (_CUBE_MAX, ThermalLoad, _constants, _lapack,
                              _load_and_peak, rise_integral,
@@ -73,7 +72,7 @@ class FrameSolution:
     peak_temperature: float
 
 
-@dataclass(frozen=True)
+@_record
 class StiffnessResult:
     """Outputs of the direct-stiffness cross-check, same sign convention
     as FrameSolution.  The mesh numbers its nodes in A->D order along

@@ -584,3 +584,24 @@ def test_a_closed_stdout_is_an_unwritable_output(tmp_path, args, buffered):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [["simulate"], ["sweep", "--param", "gap"],
+                                  ["optimize-ratio", "--grid", "5"], ["validate"]],
+                         ids=["simulate", "sweep", "optimize-ratio", "validate"])
+def test_a_full_stdout_is_an_unwritable_output(tmp_path, args, buffered):
+    """A stdout that refuses a write for another reason than a closed
+    pipe, here a full device, ends the same way: one error line and
+    exit 1, and no traceback."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "thermoact.cli", *args],
+                              cwd=tmp_path, env=env, stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"

@@ -1,19 +1,23 @@
-"""The records built once per operating point keep the dataclass contract.
+"""Every record of the package keeps the dataclass contract.
 
 ``Material``, ``Environment``, ``Geometry``, ``Drive``, ``ActuatorSpec``,
-``ThermalLoad``, ``FrameSolution`` and ``SweepRecord`` are frozen
-dataclasses made by ``model._record``, which generates an ``__init__``
-that fills ``__dict__`` directly; ``ActuatorSpec`` writes its own, which
-also validates.  These tests hold each one to what dataclass's own
-``__init__`` gave: its signature and defaults, the field order of
-``vars``, the dataclass helpers, pickling, copying, frozenness, and the
-``==``, ``hash`` and ``repr`` of a plain ``@dataclass(frozen=True)``
-twin.  They hold ``_record`` to the same on classes of their own, and
-every frozen dataclass of the package without dataclass's ``__init__``
-to being one of these records.  They also hold ``ActuatorSpec``'s
-validation to one outcome for every way of building a spec.
+``ThermalLoad``, ``TemperatureProfile``, ``FrameSolution``,
+``StiffnessResult``, ``SweepPlan``, ``SweepRecord``, ``SweepTable``,
+``OptimumReport`` and ``StudySettings`` are frozen dataclasses made by
+``model._record``, which generates an ``__init__`` that fills
+``__dict__`` directly; ``ActuatorSpec`` and ``SweepPlan`` write their
+own, which also validate.  These tests hold each one to what
+dataclass's own ``__init__`` gave: its signature and defaults, the field
+order of ``vars``, the dataclass helpers, pickling, copying, frozenness,
+and the ``==``, ``hash`` and ``repr`` of a plain
+``@dataclass(frozen=True)`` twin.  They hold ``_record`` to the same on
+classes of their own, every dataclass of the package to being one of
+these records, and ``model.py`` to being the one module that imports
+``dataclasses``.  They also hold ``ActuatorSpec``'s validation to one
+outcome for every way of building a spec.
 """
 
+import ast
 import copy
 import dataclasses
 import functools
@@ -23,19 +27,28 @@ import math
 import pickle
 import pkgutil
 import random
+from pathlib import Path
 
 import pytest
 
 import thermoact
 from test_bits import _extreme
-from thermoact.electrothermal import ThermalLoad
+from thermoact.config import StudySettings
+from thermoact.electrothermal import TemperatureProfile, ThermalLoad
 from thermoact.model import (ActuatorSpec, Drive, Environment, Geometry,
                              InvalidSpecError, Material, _record, default_spec)
-from thermoact.study import SweepRecord
-from thermoact.thermomech import FrameSolution
+from thermoact.study import (PARAMETERS, OptimumReport, SweepPlan, SweepRecord,
+                             SweepTable)
+from thermoact.thermomech import FrameSolution, StiffnessResult
 
 PARTS = (Material, Environment, Geometry, Drive)
-RECORDS = PARTS + (ActuatorSpec, ThermalLoad, FrameSolution, SweepRecord)
+RECORDS = PARTS + (ActuatorSpec, ThermalLoad, TemperatureProfile, FrameSolution,
+                   StiffnessResult, SweepPlan, SweepRecord, SweepTable, OptimumReport,
+                   StudySettings)
+# The records that write their own, validating ``__init__``.
+OWN_INIT = (ActuatorSpec, SweepPlan)
+# What a record stores beyond its fields: a plan keeps each point's four floats.
+EXTRA = {SweepPlan: ["_points"]}
 
 
 def _values(cls, start):
@@ -44,14 +57,37 @@ def _values(cls, start):
     return [start - i / 16 for i in range(len(dataclasses.fields(cls)))]
 
 
+def _word(start, words):
+    """One of ``words``, a different one for each ``start`` a sample takes."""
+    return words[int(start * 2) % len(words)]
+
+
 def _sample(cls, start=2.0):
-    """An instance of ``cls`` with no field at its default."""
+    """An instance of ``cls`` with no field at its default, and every
+    field unequal to the same field of a sample of another ``start``."""
+    floats = _values(cls, start)
     if cls is ActuatorSpec:
         return ActuatorSpec(*(_sample(part, start) for part in PARTS))
     if cls is FrameSolution:
         return FrameSolution(ThermalLoad(start, start / 2), (start, -start, start / 4),
-                             *_values(cls, start)[2:])
-    return cls(*_values(cls, start))
+                             *floats[2:])
+    if cls is TemperatureProfile:
+        return TemperatureProfile(*floats[:6], _word(start, ("convective", "conduction-only")))
+    if cls is StiffnessResult:
+        return StiffnessResult(*floats[:3], (start, -start, start / 4), int(start * 64))
+    if cls is SweepPlan:
+        return SweepPlan(_sample(ActuatorSpec, start), _word(start, PARAMETERS),
+                         (start / 8, start / 4))
+    if cls is SweepTable:
+        return SweepTable(_sample(SweepPlan, start),
+                          (_sample(SweepRecord, start), _sample(SweepRecord, start / 2)))
+    if cls is OptimumReport:
+        return OptimumReport(*floats[:3], int(start * 64), floats[4],
+                             _word(start, (None, "flat", "non_unimodal")))
+    if cls is StudySettings:
+        return StudySettings(_word(start, PARAMETERS), start, 2 * start, int(start * 4),
+                             int(start * 64))
+    return cls(*floats)
 
 
 @functools.cache
@@ -78,6 +114,7 @@ def test_the_hand_written_init_is_the_dataclass_init(cls):
     assert cls.__dataclass_params__.frozen
     assert not cls.__dataclass_params__.init
     assert "__init__" in vars(cls)
+    assert (cls.__init__.__code__.co_filename == "<string>") is (cls not in OWN_INIT)
     fields = dataclasses.fields(cls)
     parameters = list(inspect.signature(cls).parameters.values())
     assert [p.name for p in parameters] == [f.name for f in fields]
@@ -126,16 +163,36 @@ def test_a_record_that_writes_its_own_init_keeps_it():
 
 
 def test_every_per_point_record_of_the_package_is_held_to_the_contract():
-    """The package's frozen dataclasses without dataclass's ``__init__``
-    are exactly the records these tests cover."""
+    """The package's dataclasses are exactly the records these tests
+    cover, each made by ``_record``: frozen, without dataclass's
+    ``__init__`` and with one of its own."""
     found = set()
     for module in pkgutil.iter_modules(thermoact.__path__, "thermoact."):
         for obj in vars(importlib.import_module(module.name)).values():
-            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
-                    and obj.__dataclass_params__.frozen
-                    and not obj.__dataclass_params__.init):
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj):
                 found.add(obj)
-    assert found == set(RECORDS)
+    assert found == set(RECORDS) and len(found) == 14
+    for cls in found:
+        params = cls.__dataclass_params__
+        assert params.frozen and not params.init and "__init__" in vars(cls)
+
+
+def test_only_the_model_imports_dataclasses():
+    """``model._record`` is the one way the package makes a record, so
+    ``model.py`` is the one module of the package that imports
+    ``dataclasses``."""
+    importers = set()
+    for path in Path(thermoact.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.partition(".")[0] == "dataclasses" for name in names):
+                importers.add(path.name)
+    assert importers == {"model.py"}
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -147,7 +204,7 @@ def test_a_record_stores_its_fields_in_order(cls):
     values = [getattr(obj, name) for name in names]
     by_keyword = cls(**dict(zip(reversed(names), reversed(values))))
     for built in (obj, cls(*values), by_keyword):
-        assert list(vars(built)) == names
+        assert list(vars(built)) == names + EXTRA.get(cls, [])
         assert all(a is b for a, b in zip(vars(built).values(), values))
 
 
@@ -177,14 +234,15 @@ def test_a_record_round_trips_through_the_dataclass_helpers(cls):
                   copy.copy(obj), copy.deepcopy(obj)):
         assert type(again) is cls
         assert again == obj
-        assert list(vars(again)) == names
+        assert list(vars(again)) == names + EXTRA.get(cls, [])
+        assert vars(again) == vars(obj)
     assert dataclasses.astuple(obj) == dataclasses.astuple(_as_twin(obj))
     assert dataclasses.asdict(obj) == dataclasses.asdict(_as_twin(obj))
     other = _sample(cls, start=1.5)
     for name in names:
         changed = dataclasses.replace(obj, **{name: getattr(other, name)})
         assert [n for n in names if getattr(changed, n) != getattr(obj, n)] == [name]
-        assert list(vars(changed)) == names
+        assert list(vars(changed)) == names + EXTRA.get(cls, [])
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)

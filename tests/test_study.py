@@ -305,6 +305,19 @@ def test_a_plan_keeps_no_specs():
                                      "hot_arm_length = inf: cold_arm_length must be finite"]
 
 
+def test_a_plan_keeps_its_values_as_a_tuple():
+    """A plan built from a list or a generator of values keeps their
+    tuple, so it equals, hashes like and prints like the plan built
+    from that tuple, with the same points."""
+    values = (300.0e-6, 500.0e-6, 700.0e-6)
+    plan = SweepPlan(base=_OFF_DEFAULT, parameter="hot_arm_length", values=values)
+    for given in (list(values), (v for v in values)):
+        again = SweepPlan(base=_OFF_DEFAULT, parameter="hot_arm_length", values=given)
+        assert type(again.values) is tuple
+        assert again == plan and hash(again) == hash(plan) and repr(again) == repr(plan)
+        assert again._points == plan._points
+
+
 def test_a_study_builds_no_spec_per_point():
     """Ratio optimisation and the four default-grid sweeps solve every
     point from the base spec and four floats: no point runs the spec
